@@ -146,23 +146,12 @@ std::uint32_t IpuScheme::append_cold(Lsn lsn, std::uint32_t count,
   return n;
 }
 
-std::uint32_t IpuScheme::update_cached_run(Lsn lsn, std::uint32_t count,
-                                           SimTime now,
-                                           std::vector<PhysOp>& ops) {
+void IpuScheme::update_cached_run(Lsn lsn, std::uint32_t n, SimTime now,
+                                  std::vector<PhysOp>& ops) {
+  // The whole run is one batch: one update request touching one page costs
+  // one program operation.
   const PhysicalAddress first = map_.lookup(lsn);
-  PPSSD_CHECK(first.valid());
-
-  // Batch the following LSNs whose cached copies share the same page, so
-  // one update request touching one page costs one program operation.
-  std::uint32_t n = 1;
-  while (n < count) {
-    const PhysicalAddress next = map_.lookup(lsn + n);
-    if (!next.valid() || next.block != first.block ||
-        next.page != first.page) {
-      break;
-    }
-    ++n;
-  }
+  PPSSD_CHECK(first.valid() && n > 0 && n <= subpages_per_page());
 
   nand::Block& blk = array_.block(first.block);
   const std::uint32_t free =
@@ -215,7 +204,7 @@ std::uint32_t IpuScheme::update_cached_run(Lsn lsn, std::uint32_t count,
     count_partial_program(n);
     if (tl_intra_page_) tl_intra_page_->inc(n);
     emit_program(first.block, n, /*background=*/false, ops);
-    return n;
+    return;
   }
 
   // Upgraded movement: the data is demonstrably hot (it outgrew its page's
@@ -238,21 +227,22 @@ std::uint32_t IpuScheme::update_cached_run(Lsn lsn, std::uint32_t count,
                     {"subpages", static_cast<double>(n)},
                     {"dest_level", static_cast<double>(dest)}});
   }
-  std::vector<Lsn> lsns(n);
-  std::vector<std::uint32_t> vers(n);
+  std::array<Lsn, nand::kMaxSubpagesPerPage> lsns;
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
   for (std::uint32_t k = 0; k < n; ++k) {
     lsns[k] = lsn + k;
     vers[k] = bump_version(lsn + k);
   }
+  const std::span<const Lsn> run(lsns.data(), n);
   // Round-robin the destination plane: hot extents would otherwise stay
   // pinned to one plane forever and unbalance the chips.
-  const auto alloc = program_new_slc_page(next_plane(), dest, lsns, vers,
-                                          now, /*host=*/true, ops);
+  const auto alloc = program_new_slc_page(
+      next_plane(), dest, run, std::span<const std::uint32_t>(vers.data(), n),
+      now, /*host=*/true, ops);
   if (!alloc) {
-    for (const Lsn l : lsns) versions_[l] -= 1;
+    for (const Lsn l : run) versions_[l] -= 1;
     direct_mlc_write(lsn, n, now, ops);
   }
-  return n;
 }
 
 std::uint32_t IpuScheme::cached_batch_len(Lsn lsn, std::uint32_t max) const {
@@ -281,8 +271,8 @@ void IpuScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
     }
   }
   std::uint32_t i = 0;
-  std::vector<Lsn> chunk;
-  std::vector<std::uint32_t> vers;
+  std::array<Lsn, nand::kMaxSubpagesPerPage> chunk;
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
   while (i < count) {
     // Algorithm 1 resolves at request granularity: the update path is
     // taken when this request re-writes data whose previous version is
@@ -292,7 +282,8 @@ void IpuScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
     const std::uint32_t remaining = count - i;
     const std::uint32_t batch = cached_batch_len(lsn + i, remaining);
     if (batch == remaining || batch == subpages_per_page()) {
-      i += update_cached_run(lsn + i, remaining, now, ops);
+      update_cached_run(lsn + i, batch, now, ops);
+      i += batch;
       continue;
     }
     // Future-work extension: data seen for the first time is predicted
@@ -315,20 +306,21 @@ void IpuScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
     }
     // New data (or misaligned overlap / MLC-resident): pack the run into
     // fresh Work pages, one request per page (Figure 3's W1/W2/W3).
-    chunk.clear();
-    vers.clear();
-    while (i < count && chunk.size() < subpages_per_page()) {
-      chunk.push_back(lsn + i);
-      vers.push_back(bump_version(lsn + i));
+    std::uint32_t n = 0;
+    while (i < count && n < subpages_per_page()) {
+      chunk[n] = lsn + i;
+      vers[n] = bump_version(lsn + i);
+      ++n;
       ++i;
     }
-    const auto alloc = program_new_slc_page(next_plane(), BlockLevel::kWork,
-                                            chunk, vers, now,
-                                            /*host=*/true, ops);
+    const std::span<const Lsn> run(chunk.data(), n);
+    const auto alloc = program_new_slc_page(
+        next_plane(), BlockLevel::kWork, run,
+        std::span<const std::uint32_t>(vers.data(), n), now,
+        /*host=*/true, ops);
     if (!alloc) {
-      for (const Lsn l : chunk) versions_[l] -= 1;
-      direct_mlc_write(chunk.front(),
-                       static_cast<std::uint32_t>(chunk.size()), now, ops);
+      for (const Lsn l : run) versions_[l] -= 1;
+      direct_mlc_write(run.front(), n, now, ops);
     }
   }
 }
@@ -338,17 +330,19 @@ void IpuScheme::relocate_slc_page(BlockId victim, PageId page, SimTime now,
   nand::Block& blk = array_.block(victim);
   const nand::Page& pg = blk.page(page);
 
-  std::vector<Lsn> live;
-  std::vector<std::uint32_t> vers;
+  std::array<Lsn, nand::kMaxSubpagesPerPage> live;
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
+  std::size_t n = 0;
   for (std::uint32_t s = 0; s < subpages_per_page(); ++s) {
     const nand::Subpage sp =
         array_.subpage(victim, page, static_cast<SubpageId>(s));
     if (sp.state == nand::SubpageState::kValid) {
-      live.push_back(sp.owner_lsn);
-      vers.push_back(sp.version);
+      live[n] = sp.owner_lsn;
+      vers[n] = sp.version;
+      ++n;
     }
   }
-  PPSSD_CHECK(!live.empty());
+  PPSSD_CHECK(n > 0);
 
   // Degraded movement (Section 3.2 / Figure 4): updated pages keep their
   // level, never-updated pages sink one level; cold Work pages leave the
@@ -366,9 +360,11 @@ void IpuScheme::relocate_slc_page(BlockId victim, PageId page, SimTime now,
     evict_page_to_mlc(victim, page, now, ops);
     return;
   }
-  const auto alloc =
-      program_new_slc_page(array_.block_static(victim).plane, dest, live,
-                           vers, now, /*host=*/false, ops);
+  const auto alloc = program_new_slc_page(
+      array_.block_static(victim).plane, dest,
+      std::span<const Lsn>(live.data(), n),
+      std::span<const std::uint32_t>(vers.data(), n), now, /*host=*/false,
+      ops);
   if (!alloc) {
     // No SLC destination: fall back to ejecting the page's data.
     evict_page_to_mlc(victim, page, now, ops);

@@ -73,10 +73,10 @@ class IpuScheme final : public Scheme {
   void restore_scheme_state(io::StateSource& src) override;
 
  private:
-  /// Serve an update run whose previous versions all live in one SLC page.
-  /// Returns the number of subpages handled.
-  std::uint32_t update_cached_run(Lsn lsn, std::uint32_t count, SimTime now,
-                                  std::vector<PhysOp>& ops);
+  /// Serve the update run [lsn, lsn+n) whose previous versions all live in
+  /// one SLC page; `n` is the run length cached_batch_len() resolved.
+  void update_cached_run(Lsn lsn, std::uint32_t n, SimTime now,
+                         std::vector<PhysOp>& ops);
 
   /// Length of the prefix of [lsn, lsn+max) whose cached copies sit
   /// contiguously in one SLC page (0 when lsn is not cached in SLC).

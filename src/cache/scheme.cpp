@@ -284,18 +284,19 @@ void Scheme::direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
                               std::vector<PhysOp>& ops) {
   if (tl_direct_mlc_) tl_direct_mlc_->inc(count);
   std::uint32_t i = 0;
-  std::vector<Lsn> chunk;
-  std::vector<std::uint32_t> vers;
+  std::array<Lsn, nand::kMaxSubpagesPerPage> chunk;
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
   while (i < count) {
-    chunk.clear();
-    vers.clear();
-    while (i < count && chunk.size() < spp_) {
-      chunk.push_back(lsn + i);
-      vers.push_back(bump_version(lsn + i));
+    std::size_t n = 0;
+    while (i < count && n < spp_) {
+      chunk[n] = lsn + i;
+      vers[n] = bump_version(lsn + i);
+      ++n;
       ++i;
     }
-    program_mlc_page(chunk, vers, now, /*host=*/true, /*background=*/false,
-                     ops);
+    program_mlc_page(std::span<const Lsn>(chunk.data(), n),
+                     std::span<const std::uint32_t>(vers.data(), n), now,
+                     /*host=*/true, /*background=*/false, ops);
   }
 }
 
@@ -368,7 +369,15 @@ void Scheme::maybe_mlc_gc(std::uint32_t plane, SimTime now,
   for (std::uint32_t pass = 0;
        pass < kMaxGcPassesPerRequest && bm_.needs_gc(plane, CellMode::kMlc);
        ++pass) {
-    if (!mlc_gc_once(plane, now, ops, min_invalid)) break;
+    // The victim index's watermark is the invalid count of the block greedy
+    // selection would pick, so a deferred pass is known without selecting.
+    // Tally it exactly as the skipped selection would have.
+    const std::uint32_t watermark = bm_.max_invalid(plane, CellMode::kMlc);
+    if (watermark < min_invalid) {
+      greedy_.count_selection(watermark != 0);
+      break;
+    }
+    if (!mlc_gc_once(plane, now, ops)) break;
   }
 }
 
@@ -464,14 +473,15 @@ bool Scheme::slc_gc_once(std::uint32_t plane, SimTime now,
 }
 
 bool Scheme::mlc_gc_once(std::uint32_t plane, SimTime now,
-                         std::vector<PhysOp>& ops,
-                         std::uint32_t min_invalid) {
+                         std::vector<PhysOp>& ops) {
   const BlockId victim =
       greedy_.select_victim(array_, bm_, plane, CellMode::kMlc, now);
   if (victim == kInvalidBlock) return false;
 
   nand::Block& blk = array_.block(victim);
-  if (blk.invalid_subpages() < min_invalid) return false;
+  PPSSD_DCHECK_MSG(blk.invalid_subpages() == bm_.max_invalid(plane,
+                                                             CellMode::kMlc),
+                   "victim-index watermark disagrees with the greedy victim");
   if (gc_decision_hook_) {
     gc_decision_hook_(plane, CellMode::kMlc, victim, now);
   }

@@ -382,10 +382,9 @@ class Scheme {
  private:
   /// One GC pass on a plane's region; returns false if no victim.
   bool slc_gc_once(std::uint32_t plane, SimTime now, std::vector<PhysOp>& ops);
-  /// MLC GC pass; victims below `min_invalid` reclaimable subpages are
-  /// deferred (write-amplification guard).
-  bool mlc_gc_once(std::uint32_t plane, SimTime now, std::vector<PhysOp>& ops,
-                   std::uint32_t min_invalid);
+  /// One greedy MLC GC pass; returns false if no victim. maybe_mlc_gc()
+  /// applies the write-amplification guard before calling it.
+  bool mlc_gc_once(std::uint32_t plane, SimTime now, std::vector<PhysOp>& ops);
 
   struct StagedEviction {
     Lsn lsn;

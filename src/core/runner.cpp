@@ -1,9 +1,12 @@
 #include "core/runner.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/check.h"
@@ -20,6 +23,25 @@ namespace {
 std::string env_or(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return v ? std::string(v) : fallback;
+}
+
+/// Reject a malformed knob with one line naming it and its value.
+[[noreturn]] void reject_knob(const char* name, const std::string& value,
+                              const char* expected) {
+  std::fprintf(stderr, "ppssd: invalid %s='%s': expected %s\n", name,
+               value.c_str(), expected);
+  std::exit(2);
+}
+
+/// Parse the whole of `value` as a T, or nullopt. std::from_chars takes no
+/// leading whitespace or '+', and no '-' for unsigned T.
+template <typename T>
+std::optional<T> parse_whole(const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return out;
 }
 }  // namespace
 
@@ -147,11 +169,19 @@ ExperimentSpec Runner::default_spec() {
   }
   const std::string blocks = env_or("PPSSD_BLOCKS", "");
   if (!blocks.empty()) {
-    spec.total_blocks = static_cast<std::uint32_t>(std::stoul(blocks));
+    const auto parsed = parse_whole<std::uint32_t>(blocks);
+    if (!parsed || *parsed == 0) {
+      reject_knob("PPSSD_BLOCKS", blocks, "a positive integer block count");
+    }
+    spec.total_blocks = *parsed;
   }
   const std::string scale = env_or("PPSSD_SCALE", "");
   if (!scale.empty()) {
-    spec.trace_scale = std::stod(scale);
+    const auto parsed = parse_whole<double>(scale);
+    if (!parsed || !std::isfinite(*parsed) || *parsed <= 0.0) {
+      reject_knob("PPSSD_SCALE", scale, "a positive finite trace scale");
+    }
+    spec.trace_scale = *parsed;
   }
   return spec;
 }

@@ -18,14 +18,34 @@ double BerModel::base_ber(CellMode mode, std::uint32_t pe) const {
   return mode == CellMode::kSlc ? cfg_.slc_factor * mlc : mlc;
 }
 
+BerModel::WearTerms BerModel::compute_terms(std::uint32_t pe) const {
+  const double scale = wear_scale(pe);
+  WearTerms t;
+  t.in_page = cfg_.in_page_disturb_factor * scale;
+  t.neighbor = cfg_.neighbor_disturb_factor * scale;
+  t.base[static_cast<std::size_t>(CellMode::kSlc)] =
+      base_ber(CellMode::kSlc, pe);
+  t.base[static_cast<std::size_t>(CellMode::kMlc)] =
+      base_ber(CellMode::kMlc, pe);
+  t.filled = true;
+  return t;
+}
+
+BerModel::WearTerms BerModel::wear_terms(std::uint32_t pe) const {
+  if (pe >= kMemoLimit) return compute_terms(pe);
+  if (pe >= memo_.size()) memo_.resize(pe + 1);
+  WearTerms& t = memo_[pe];
+  if (!t.filled) t = compute_terms(pe);
+  return t;
+}
+
 double BerModel::raw_ber(const nand::DisturbSnapshot& snap) const {
-  const double scale = wear_scale(snap.pe_cycles);
-  const double a = cfg_.in_page_disturb_factor * scale;
-  const double b = cfg_.neighbor_disturb_factor * scale;
+  const WearTerms t = wear_terms(snap.pe_cycles);
   const double r = snap.reprogrammed ? cfg_.reprogram_penalty : 0.0;
   const double ber =
-      base_ber(snap.mode, snap.pe_cycles) *
-      (1.0 + r + a * snap.in_page_disturbs + b * snap.neighbor_disturbs);
+      t.base[static_cast<std::size_t>(snap.mode)] *
+      (1.0 + r + t.in_page * snap.in_page_disturbs +
+       t.neighbor * snap.neighbor_disturbs);
   return std::min(ber, 0.5);
 }
 

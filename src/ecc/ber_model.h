@@ -13,7 +13,16 @@
 // With the default a(4000) = 0.12 and the manufacturer limit of 4 programs
 // per page, a first-written subpage absorbs up to 3 in-page disturbs:
 // 2.8e-4 * (1 + 3*0.12) ≈ 3.8e-4, matching the Figure 2 anchor.
+//
+// raw_ber() memoises the P/E-dependent terms — a(pe), b(pe) and both
+// modes' base(pe) — per P/E count on first use, evaluated by the same
+// expressions, so results are bit-identical to the closed form. The memo
+// is unsynchronised: a model is single-threaded (each Scheme owns its own).
 #pragma once
+
+#include <array>
+#include <cstdint>
+#include <vector>
 
 #include "common/config.h"
 #include "nand/disturb.h"
@@ -38,10 +47,24 @@ class BerModel {
   [[nodiscard]] const BerConfig& config() const { return cfg_; }
 
  private:
+  /// raw_ber()'s P/E-dependent terms for one P/E count.
+  struct WearTerms {
+    double in_page = 0.0;          // a(pe)
+    double neighbor = 0.0;         // b(pe)
+    std::array<double, 2> base{};  // base_ber(mode, pe), by CellMode
+    bool filled = false;
+  };
+  /// P/E counts at or above this are computed per call, not memoised, so
+  /// an extreme count cannot grow the table without bound.
+  static constexpr std::uint32_t kMemoLimit = 1u << 16;
+
   [[nodiscard]] double base_ber(CellMode mode, std::uint32_t pe) const;
   [[nodiscard]] double wear_scale(std::uint32_t pe) const;
+  [[nodiscard]] WearTerms compute_terms(std::uint32_t pe) const;
+  [[nodiscard]] WearTerms wear_terms(std::uint32_t pe) const;
 
   BerConfig cfg_;
+  mutable std::vector<WearTerms> memo_;  // indexed by P/E count
 };
 
 }  // namespace ppssd::ecc

@@ -122,6 +122,15 @@ class BlockManager : private nand::BlockObserver {
   [[nodiscard]] BlockId max_invalid_candidate(std::uint32_t plane,
                                               CellMode mode) const;
 
+  /// Invalid subpages of max_invalid_candidate(plane, mode), 0 when there
+  /// is none: the index's exact watermark, read without a bucket scan.
+  [[nodiscard]] std::uint32_t max_invalid(std::uint32_t plane,
+                                          CellMode mode) const {
+    const PlaneState& ps = planes_[plane];
+    return (mode == CellMode::kSlc ? ps.slc_victims : ps.mlc_victims)
+        .max_invalid;
+  }
+
   /// Return an erased block to its plane's free list. The caller must have
   /// erased it via FlashArray::erase first.
   void release_block(BlockId b);

@@ -64,8 +64,9 @@ class GcPolicy {
   void attach_telemetry(telemetry::MetricsRegistry& registry,
                         telemetry::Labels labels);
 
- protected:
   /// Tally one select_victim() outcome (no-op until telemetry attaches).
+  /// Public so a caller that answers a selection from the victim index's
+  /// watermark, without calling select_victim(), keeps the tallies exact.
   void count_selection(bool found) const {
     if (found && selected_) selected_->inc();
     if (!found && exhausted_) exhausted_->inc();

@@ -45,7 +45,7 @@ void Controller::reset() {
   usage_ = Usage{};
   scheduled_ops_ = 0;
   clock_ = 0;
-  while (!inflight_.empty()) inflight_.pop();
+  last_completion_ = 0;
   // Horizons are zero again: stale claims would break interval coverage.
   if (attrib_) attrib_->reset_resources();
 }
@@ -344,7 +344,7 @@ SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
   }
 
   ++scheduled_ops_;
-  inflight_.push(end, op.chip);
+  last_completion_ = std::max(last_completion_, end);
   return end;
 }
 
@@ -365,11 +365,11 @@ void Controller::apply_window(const WindowAggregate& agg) {
   usage_.program_bg += agg.usage.program_bg;
   usage_.erase_bg += agg.usage.erase_bg;
   scheduled_ops_ += agg.ops;
-  // One aggregated retirement event stands in for the window's commands:
-  // advance_to(cutoff) keeps its max(clock, cutoff) behaviour, and the
-  // final advance_to(kNoTime) still lands the clock on the last
-  // completion, exactly where the per-op events would have left it.
-  if (agg.ops > 0) inflight_.push(agg.retire_max, 0);
+  // The window's latest completion is the max per-op commits would have
+  // folded in, so advance_to(kNoTime) lands the clock on the same value.
+  if (agg.ops > 0) {
+    last_completion_ = std::max(last_completion_, agg.retire_max);
+  }
 }
 
 }  // namespace ppssd::sim

@@ -19,11 +19,11 @@
 // to a lazy event-driven dispatch with FIFO resource queues — while
 // keeping the hot path allocation-free and bit-reproducible.
 //
-// Completion *delivery* is event-driven: every scheduled command pushes a
-// retirement event into a stable EventQueue; advance_to(now) moves the
-// controller clock forward and retires everything that finished, so
-// callers (Ssd, Replayer) can observe in-flight command counts and
-// harvest host-request completions out of submission order.
+// Command retirement is a running maximum: every scheduled command folds
+// its completion time into the latest completion seen, and advance_to(now)
+// moves the controller clock forward (advance_to(kNoTime) lands it on
+// that latest completion). Host-request completions are delivered out of
+// submission order by the Ssd's own completion queue, not here.
 #pragma once
 
 #include <algorithm>
@@ -34,7 +34,6 @@
 #include "common/config.h"
 #include "ecc/latency_model.h"
 #include "nand/timing.h"
-#include "sim/event_queue.h"
 #include "telemetry/telemetry.h"
 
 namespace ppssd::sim {
@@ -92,22 +91,15 @@ class Controller {
     return static_cast<std::uint32_t>(channel_busy_.size());
   }
 
-  /// Advance the controller clock, retiring every in-flight command that
-  /// completes at or before `now` (kNoTime retires everything).
-  /// Header-inline: called once per scheduled op and once per host
-  /// request, and the common case — nothing to retire yet — is a single
-  /// front-of-queue compare (DESIGN.md §10).
+  /// Advance the controller clock to `now`; it never moves backwards.
+  /// kNoTime retires every scheduled command: the clock lands on the
+  /// latest completion instead of the sentinel. Header-inline: called
+  /// once per scheduled op and once per host request (DESIGN.md §10).
   void advance_to(SimTime now) {
-    SimTime last = clock_;
-    inflight_.drain_until(now, [&](const auto& ev) { last = ev.time; });
-    // kNoTime means "retire everything"; the clock lands on the last
-    // retirement instead of the sentinel.
-    clock_ = std::max(clock_, now == kNoTime ? last : now);
+    clock_ = std::max(clock_, now == kNoTime ? last_completion_ : now);
   }
 
   [[nodiscard]] SimTime clock() const { return clock_; }
-  /// Commands scheduled but not yet retired by advance_to().
-  [[nodiscard]] std::size_t inflight_ops() const { return inflight_.size(); }
   /// Total commands scheduled since construction / reset(). This is the
   /// denominator-free "controller events" count the wall-clock perf layer
   /// divides by measured seconds (events/s); deterministic per replay.
@@ -139,12 +131,10 @@ class Controller {
   /// Fast-path window merge for runs with no observers attached (see
   /// has_observers): one call folds a whole priced window into the
   /// controller — final horizons, usage / occupancy deltas, command
-  /// count, and a single aggregated retirement event at the window's
-  /// latest completion. Every result-visible quantity (integer sums,
-  /// horizon state, clock after a full drain) lands on exactly the
-  /// values per-op commits would produce; only the in-flight event
-  /// granularity is coarser (one retirement per window instead of one
-  /// per command).
+  /// count, and the window's latest completion folded into the running
+  /// maximum. Every result-visible quantity (integer sums, horizon state,
+  /// clock after a full drain) lands on exactly the values per-op commits
+  /// would produce.
   struct WindowAggregate {
     Usage usage;
     std::uint64_t ops = 0;
@@ -206,7 +196,7 @@ class Controller {
   Usage usage_;
   std::uint64_t scheduled_ops_ = 0;
   SimTime clock_ = 0;
-  EventQueue<std::uint32_t> inflight_;  // retirement events, payload = chip
+  SimTime last_completion_ = 0;  // running max of scheduled completions
 
   // Telemetry handles (null until attached). Counter index is
   // [kind][mode] for read/program, erase is mode-independent.

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/units.h"
+#include "telemetry/telemetry.h"
 
 namespace ppssd::cache {
 namespace {
@@ -238,6 +240,79 @@ TEST(IpuScheme, CombineColdImprovesGcUtilization) {
   EXPECT_GT(combined.scheme.metrics().gc_utilization.mean(),
             plain.scheme.metrics().gc_utilization.mean());
   combined.scheme.check_consistency();
+}
+
+// One request floods more new data than the whole SLC region holds, then
+// updates a full cached page in its tail. The flood's chunks fall back to
+// direct MLC writes once SLC runs out, and the update's level climb finds
+// no SLC page either: its bumped versions roll back before the direct MLC
+// write re-bumps them. Stale or double-bumped versions fail the final
+// consistency walk.
+TEST(IpuScheme, LevelClimbAndFloodFallBackToDirectMlcWrites) {
+  Harness h;
+  const auto& geom = h.scheme.array().geometry();
+  const std::uint32_t spp = geom.subpages_per_page();
+  const std::uint64_t slc_subpages =
+      static_cast<std::uint64_t>(geom.slc_block_count()) *
+      geom.pages_per_block(CellMode::kSlc) * spp;
+
+  // A full-page extent right behind the flood range: no free slot is left,
+  // so its next update must climb. No Monitor block is open yet, so the
+  // climb can only land in SLC through a fresh block or the Work fallback.
+  const Lsn flood = 1000;
+  const auto flood_len = static_cast<std::uint32_t>(slc_subpages + 8 * spp);
+  const Lsn hot = flood + flood_len;
+  ASSERT_LT(hot + spp, geom.logical_subpages());
+  h.write(hot, spp);
+  ASSERT_TRUE(h.scheme.cached_in_slc(hot));
+
+  h.write(flood, flood_len + spp);
+  const SchemeMetrics& m = h.scheme.metrics();
+  std::uint64_t slc_host = 0;
+  for (const std::uint64_t n : m.level_subpages) slc_host += n;
+  EXPECT_GT(m.host_subpages_written, slc_host)
+      << "no host data fell back to direct MLC writes";
+  for (std::uint32_t k = 0; k < spp; ++k) {
+    EXPECT_EQ(h.scheme.version_of(hot + k), 2u);
+    EXPECT_TRUE(h.scheme.device_map().mapped(hot + k));
+    EXPECT_FALSE(h.scheme.cached_in_slc(hot + k));
+  }
+  h.scheme.check_consistency();
+}
+
+constexpr std::uint64_t kGoldenMlcPasses = 3744;
+constexpr std::uint64_t kGoldenSelected = 125845;
+constexpr std::uint64_t kGoldenExhausted = 1;
+
+// MLC GC is polled on every write to a plane under MLC pressure, and most
+// polls find no victim worth collecting. The greedy policy's selection
+// tallies count every poll, collected or not; the expected values were
+// recorded with a build in which every poll ran a full victim selection.
+TEST(IpuScheme, MlcGcPollTalliesMatchFullSelection) {
+  Harness h;
+  telemetry::Telemetry tel;
+  const auto& geom = h.scheme.array().geometry();
+  h.scheme.prefill_mlc(geom.logical_subpages(), /*free_floor_blocks=*/3);
+  h.scheme.attach_telemetry(&tel);
+  Rng rng(11);
+  for (int i = 0; i < 40'000; ++i) {
+    const auto count = static_cast<std::uint32_t>(1 + rng.next_below(8));
+    h.write(rng.next_below(geom.logical_subpages() - count), count);
+  }
+  const telemetry::Labels greedy{{"scheme", "IPU"}, {"policy", "greedy"}};
+  auto& reg = tel.registry();
+  const std::uint64_t selected =
+      reg.counter("gc_victims_selected", greedy)->value();
+  const std::uint64_t exhausted =
+      reg.counter("gc_victims_exhausted", greedy)->value();
+  const std::uint64_t passes = h.scheme.metrics().mlc_gc_count;
+  ASSERT_GT(passes, 0u);
+  EXPECT_GT(selected, passes) << "no poll was deferred";
+  EXPECT_EQ(passes, kGoldenMlcPasses);
+  EXPECT_EQ(selected, kGoldenSelected);
+  EXPECT_EQ(exhausted, kGoldenExhausted);
+  h.scheme.attach_telemetry(nullptr);
+  h.scheme.check_consistency();
 }
 
 TEST(IpuScheme, WorksAcrossFullWorkload) {

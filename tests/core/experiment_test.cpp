@@ -201,6 +201,43 @@ TEST(RunnerDeathTest, SchemesEnvFilterRejectsUnknownName) {
   unsetenv("PPSSD_SCHEMES");
 }
 
+TEST(Runner, DefaultSpecReadsGeometryKnobs) {
+  ASSERT_EQ(setenv("PPSSD_BLOCKS", "2048", 1), 0);
+  ASSERT_EQ(setenv("PPSSD_SCALE", "0.25", 1), 0);
+  const ExperimentSpec spec = Runner::default_spec();
+  unsetenv("PPSSD_BLOCKS");
+  unsetenv("PPSSD_SCALE");
+  EXPECT_EQ(spec.total_blocks, 2048u);
+  EXPECT_EQ(spec.trace_scale, 0.25);
+}
+
+// A malformed knob ends the process with exit code 2 and one line naming
+// the knob and its value, instead of an uncaught exception or a wrapped
+// value.
+TEST(RunnerDeathTest, DefaultSpecRejectsMalformedBlocks) {
+  unsetenv("PPSSD_SCALE");
+  for (const std::string bad :
+       {"abc", "-5", "64x", " 64", "0x40", "0", "99999999999"}) {
+    ASSERT_EQ(setenv("PPSSD_BLOCKS", bad.c_str(), 1), 0);
+    EXPECT_EXIT(Runner::default_spec(), ::testing::ExitedWithCode(2),
+                "invalid PPSSD_BLOCKS='" + bad + "'")
+        << bad;
+  }
+  unsetenv("PPSSD_BLOCKS");
+}
+
+TEST(RunnerDeathTest, DefaultSpecRejectsMalformedScale) {
+  unsetenv("PPSSD_BLOCKS");
+  for (const std::string bad :
+       {"abc", "0", "-1", "nan", "inf", "2x", "1e999"}) {
+    ASSERT_EQ(setenv("PPSSD_SCALE", bad.c_str(), 1), 0);
+    EXPECT_EXIT(Runner::default_spec(), ::testing::ExitedWithCode(2),
+                "invalid PPSSD_SCALE='" + bad + "'")
+        << bad;
+  }
+  unsetenv("PPSSD_SCALE");
+}
+
 // PPSSD_SHARDS resolution (DESIGN.md §15): channel clamp, auto mode,
 // and the jobs x shards <= hardware oversubscription cap.
 TEST(ResolveShardCount, EnvParsingAndDefaults) {

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "nand/flash_array.h"
 
 namespace ppssd::ftl {
@@ -309,6 +310,80 @@ TEST(BlockManagerVictimIndex, OpenBlockInvalidationsCapturedAtClose) {
   // must file it under its full invalid count.
   commit(arr, *bm.allocate_page(0, BlockLevel::kWork), pages);
   EXPECT_EQ(bm.max_invalid_candidate(0, CellMode::kSlc), first->block);
+  bm.check_victim_index();
+}
+
+/// The watermark accessor must equal the invalid count of the block the
+/// victim query returns (0 when it returns none).
+void expect_watermark_matches_query(const nand::FlashArray& arr,
+                                    const BlockManager& bm, int step) {
+  for (const CellMode mode : {CellMode::kSlc, CellMode::kMlc}) {
+    const BlockId best = bm.max_invalid_candidate(0, mode);
+    const std::uint32_t expected =
+        best == kInvalidBlock ? 0 : arr.block(best).invalid_subpages();
+    ASSERT_EQ(bm.max_invalid(0, mode), expected)
+        << "step " << step << " mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(BlockManagerVictimIndex, WatermarkTracksRandomInvalidateCloseRelease) {
+  nand::FlashArray arr(small_config());
+  BlockManager bm(arr);
+  const std::uint32_t spp = arr.geometry().subpages_per_page();
+  struct Slot {
+    BlockId block;
+    PageId page;
+    SubpageId subpage;
+  };
+  std::vector<Slot> valid;  // every valid subpage on plane 0
+  Rng rng(7);
+  Lsn lsn = 0;
+  expect_watermark_matches_query(arr, bm, -1);
+  for (int step = 0; step < 6000; ++step) {
+    const std::uint64_t action = rng.next_below(10);
+    if (action < 5) {
+      // Program a page with 1..spp subpages; filling a block closes it.
+      const BlockLevel level = rng.chance(0.5) ? BlockLevel::kWork
+                                               : BlockLevel::kHighDensity;
+      const auto alloc = bm.allocate_page(0, level);
+      if (!alloc) continue;
+      const auto n = static_cast<std::uint32_t>(1 + rng.next_below(spp));
+      std::vector<nand::SlotWrite> writes;
+      for (std::uint32_t s = 0; s < n; ++s) {
+        writes.push_back(w(static_cast<SubpageId>(s), lsn++));
+        valid.push_back({alloc->block, alloc->page, static_cast<SubpageId>(s)});
+      }
+      arr.program(alloc->block, alloc->page, writes, 0);
+    } else if (action < 9 && !valid.empty()) {
+      // Invalidate one random valid subpage (open or closed block).
+      const std::size_t i = rng.next_below(valid.size());
+      arr.invalidate(valid[i].block, valid[i].page, valid[i].subpage);
+      valid[i] = valid.back();
+      valid.pop_back();
+    } else {
+      // Release one random closed block of either region.
+      std::vector<BlockId> closed;
+      for (const CellMode mode : {CellMode::kSlc, CellMode::kMlc}) {
+        bm.for_each_candidate(0, mode,
+                              [&](BlockId b) { closed.push_back(b); });
+      }
+      if (closed.empty()) continue;
+      const BlockId victim = closed[rng.next_below(closed.size())];
+      for (std::size_t i = 0; i < valid.size();) {
+        if (valid[i].block != victim) {
+          ++i;
+          continue;
+        }
+        arr.invalidate(victim, valid[i].page, valid[i].subpage);
+        valid[i] = valid.back();
+        valid.pop_back();
+      }
+      arr.erase(victim, 0);
+      bm.release_block(victim);
+    }
+    expect_watermark_matches_query(arr, bm, step);
+    if (HasFatalFailure()) return;
+  }
   bm.check_victim_index();
 }
 

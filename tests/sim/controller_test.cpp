@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "sim/event_queue.h"
+
 namespace ppssd::sim {
 namespace {
 
@@ -84,12 +86,12 @@ TEST(Controller, AdvanceToRetiresInflightCommands) {
   const SimTime a = ctrl.schedule(program_op(0), 0);
   const SimTime b = ctrl.schedule(read_op(1, 1), 0);  // finishes earlier
   ASSERT_NE(a, b);
-  EXPECT_EQ(ctrl.inflight_ops(), 2u);
+  EXPECT_EQ(ctrl.clock(), 0u);  // scheduling alone does not move the clock
   ctrl.advance_to(std::min(a, b));
-  EXPECT_EQ(ctrl.inflight_ops(), 1u);
   EXPECT_EQ(ctrl.clock(), std::min(a, b));
   ctrl.advance_to(kNoTime);  // retire everything; clock lands on last end
-  EXPECT_EQ(ctrl.inflight_ops(), 0u);
+  EXPECT_EQ(ctrl.clock(), std::max(a, b));
+  ctrl.advance_to(kNoTime);  // nothing left: the clock stays put
   EXPECT_EQ(ctrl.clock(), std::max(a, b));
 }
 
@@ -98,6 +100,12 @@ TEST(Controller, ClockNeverMovesBackwards) {
   ctrl.advance_to(5000);
   ctrl.advance_to(1000);
   EXPECT_EQ(ctrl.clock(), 5000u);
+  // A full drain past every completion does not pull the clock back.
+  const SimTime past = std::max<SimTime>(ctrl.schedule(program_op(0), 0),
+                                         5000) + 1000;
+  ctrl.advance_to(past);
+  ctrl.advance_to(kNoTime);
+  EXPECT_EQ(ctrl.clock(), past);
 }
 
 // The acceptance scenario for out-of-order host completions: chip 1 is
@@ -245,7 +253,9 @@ TEST(Controller, ResetClearsClockAndInflight) {
   ctrl.advance_to(10);
   ctrl.reset();
   EXPECT_EQ(ctrl.clock(), 0u);
-  EXPECT_EQ(ctrl.inflight_ops(), 0u);
+  // The pre-reset command no longer counts: a full drain stays at zero.
+  ctrl.advance_to(kNoTime);
+  EXPECT_EQ(ctrl.clock(), 0u);
   EXPECT_EQ(ctrl.chip_free_at(0), 0u);
   EXPECT_EQ(ctrl.usage().total(), 0u);
 }
