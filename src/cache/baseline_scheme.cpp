@@ -28,26 +28,9 @@ void baseline_scheme_link() {}
 void BaselineScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
                                  std::vector<PhysOp>& ops) {
   std::uint32_t i = 0;
-  std::vector<Lsn> chunk;
-  std::vector<std::uint32_t> vers;
   while (i < count) {
-    chunk.clear();
-    vers.clear();
     const std::uint32_t n = std::min(count - i, subpages_per_page());
-    for (std::uint32_t k = 0; k < n; ++k) {
-      chunk.push_back(lsn + i + k);
-      vers.push_back(bump_version(lsn + i + k));
-    }
-    const auto alloc = program_new_slc_page(next_plane(), BlockLevel::kWork,
-                                            chunk, vers, now,
-                                            /*host=*/true, ops);
-    if (!alloc) {
-      // SLC region exhausted even for Work blocks: write through to MLC.
-      // Roll the versions back first — direct_mlc_write bumps them itself.
-      for (const Lsn l : chunk) versions_[l] -= 1;
-      direct_mlc_write(chunk.front(),
-                       static_cast<std::uint32_t>(chunk.size()), now, ops);
-    }
+    write_work_page(lsn + i, n, now, ops);
     i += n;
   }
 }

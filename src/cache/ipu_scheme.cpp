@@ -92,6 +92,7 @@ void IpuScheme::on_attach_telemetry(telemetry::MetricsRegistry* registry,
                                     const telemetry::Labels& labels) {
   if (registry == nullptr) {
     tl_intra_page_ = tl_level_climbs_ = tl_cold_appends_ = nullptr;
+    isr_.detach_telemetry();
     return;
   }
   isr_.attach_telemetry(*registry, labels);
@@ -105,7 +106,7 @@ std::uint32_t IpuScheme::append_cold(Lsn lsn, std::uint32_t count,
   const std::uint32_t plane = next_plane();
   ColdOpenPage& open = cold_pages_[plane];
   if (open.valid()) {
-    const auto& page = array_.block(open.block).page(open.page);
+    const auto& page = array_.page(open.block, open.page);
     const bool usable = page.programmed()
                             ? array_.can_partial_program(open.block, open.page)
                             : true;
@@ -117,7 +118,7 @@ std::uint32_t IpuScheme::append_cold(Lsn lsn, std::uint32_t count,
     open = ColdOpenPage{alloc->block, alloc->page};
   }
 
-  const auto& page = array_.block(open.block).page(open.page);
+  const auto& page = array_.page(open.block, open.page);
   const std::uint32_t free =
       array_.page_count_state(open.block, open.page, nand::SubpageState::kFree);
   PPSSD_CHECK(free > 0);
@@ -271,8 +272,6 @@ void IpuScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
     }
   }
   std::uint32_t i = 0;
-  std::array<Lsn, nand::kMaxSubpagesPerPage> chunk;
-  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
   while (i < count) {
     // Algorithm 1 resolves at request granularity: the update path is
     // taken when this request re-writes data whose previous version is
@@ -306,29 +305,16 @@ void IpuScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
     }
     // New data (or misaligned overlap / MLC-resident): pack the run into
     // fresh Work pages, one request per page (Figure 3's W1/W2/W3).
-    std::uint32_t n = 0;
-    while (i < count && n < subpages_per_page()) {
-      chunk[n] = lsn + i;
-      vers[n] = bump_version(lsn + i);
-      ++n;
-      ++i;
-    }
-    const std::span<const Lsn> run(chunk.data(), n);
-    const auto alloc = program_new_slc_page(
-        next_plane(), BlockLevel::kWork, run,
-        std::span<const std::uint32_t>(vers.data(), n), now,
-        /*host=*/true, ops);
-    if (!alloc) {
-      for (const Lsn l : run) versions_[l] -= 1;
-      direct_mlc_write(run.front(), n, now, ops);
-    }
+    const std::uint32_t n = std::min(count - i, subpages_per_page());
+    write_work_page(lsn + i, n, now, ops);
+    i += n;
   }
 }
 
 void IpuScheme::relocate_slc_page(BlockId victim, PageId page, SimTime now,
                                   std::vector<PhysOp>& ops) {
   nand::Block& blk = array_.block(victim);
-  const nand::Page& pg = blk.page(page);
+  const nand::Page& pg = array_.page(victim, page);
 
   std::array<Lsn, nand::kMaxSubpagesPerPage> live;
   std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;

@@ -51,8 +51,7 @@ std::uint32_t MgaScheme::append_to_plane(std::uint32_t plane, Lsn lsn,
 
   // Re-open when the current aggregation page can take no more programs.
   if (open.valid()) {
-    const auto& blk = array_.block(open.block);
-    const auto& page = blk.page(open.page);
+    const auto& page = array_.page(open.block, open.page);
     const bool usable = page.programmed()
                             ? array_.can_partial_program(open.block, open.page)
                             : true;
@@ -64,7 +63,7 @@ std::uint32_t MgaScheme::append_to_plane(std::uint32_t plane, Lsn lsn,
     open = OpenPage{alloc->block, alloc->page};
   }
 
-  const auto& page = array_.block(open.block).page(open.page);
+  const auto& page = array_.page(open.block, open.page);
   const std::uint32_t free =
       array_.page_count_state(open.block, open.page, nand::SubpageState::kFree);
   PPSSD_CHECK(free > 0);

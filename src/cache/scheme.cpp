@@ -35,6 +35,8 @@ void Scheme::attach_telemetry(telemetry::Telemetry* telemetry) {
     tl_reads_slc_ = tl_reads_mlc_ = tl_reads_unmapped_ = nullptr;
     tl_gc_slc_ = tl_gc_mlc_ = nullptr;
     tl_read_ber_ = tl_victim_util_ = nullptr;
+    bm_.detach_telemetry();
+    greedy_.detach_telemetry();
     on_attach_telemetry(nullptr, {});
     return;
   }
@@ -278,6 +280,28 @@ void Scheme::flush_evictions(std::uint32_t plane, SimTime now,
                     {"plane", static_cast<double>(plane)}});
   }
   staged_evictions_.clear();
+}
+
+void Scheme::write_work_page(Lsn lsn, std::uint32_t n, SimTime now,
+                             std::vector<PhysOp>& ops) {
+  PPSSD_DCHECK(n > 0 && n <= spp_);
+  std::array<Lsn, nand::kMaxSubpagesPerPage> chunk;
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    chunk[k] = lsn + k;
+    vers[k] = bump_version(lsn + k);
+  }
+  const std::span<const Lsn> run(chunk.data(), n);
+  const auto alloc = program_new_slc_page(
+      next_plane(), BlockLevel::kWork, run,
+      std::span<const std::uint32_t>(vers.data(), n), now,
+      /*host=*/true, ops);
+  if (!alloc) {
+    // SLC region exhausted even for Work blocks: write through to MLC.
+    // Roll the versions back first — direct_mlc_write bumps them itself.
+    for (const Lsn l : run) versions_[l] -= 1;
+    direct_mlc_write(lsn, n, now, ops);
+  }
 }
 
 void Scheme::direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
@@ -605,27 +629,30 @@ void Scheme::host_read(Lsn lsn, std::uint32_t count, SimTime now,
   PPSSD_CHECK(lsn + count <= array_.geometry().logical_subpages());
   (void)now;
 
-  // Resolve every subpage, then coalesce consecutive same-page hits into
-  // single page reads.
-  struct Resolved {
-    PhysicalAddress addr;  // invalid => unmapped
-    double ber;
+  // One pass in LSN order: price each subpage as it resolves, and
+  // coalesce consecutive hits on the same physical page into one page
+  // read, emitted when the run ends. An unmapped subpage ends a run.
+  BlockId run_block = kInvalidBlock;
+  PageId run_page = 0;
+  std::uint32_t run_len = 0;
+  double run_ber = 0.0;
+  const auto end_run = [&] {
+    if (run_len == 0) return;
+    emit_page_read(run_block, run_page, run_len, run_ber,
+                   /*background=*/false, ops);
+    run_len = 0;
   };
-  std::vector<Resolved> resolved;
-  resolved.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const Lsn cur = lsn + i;
-    const PhysicalAddress addr = map_.lookup(cur);
+    const PhysicalAddress addr = map_.lookup(lsn + i);
     if (!addr.valid()) {
       // Never written: the FTL answers from the mapping table (zero-fill)
       // without touching flash — no op, no error exposure.
-      resolved.push_back({PhysicalAddress{}, 0.0});
+      end_run();
       ++metrics_.host_reads_unmapped;
       if (tl_reads_unmapped_) tl_reads_unmapped_->inc();
       continue;
     }
     const double ber = ber_of(addr);
-    resolved.push_back({addr, ber});
     metrics_.read_ber.add(ber);
     if (tl_read_ber_) tl_read_ber_->observe(ber);
     if (array_.block_static(addr.block).mode == CellMode::kSlc) {
@@ -635,31 +662,18 @@ void Scheme::host_read(Lsn lsn, std::uint32_t count, SimTime now,
       ++metrics_.host_reads_mlc;
       if (tl_reads_mlc_) tl_reads_mlc_->inc();
     }
-  }
-
-  std::size_t i = 0;
-  while (i < resolved.size()) {
-    const auto& first = resolved[i];
-    std::size_t j = i + 1;
-    double max_ber = first.ber;
-    if (first.addr.valid()) {
-      while (j < resolved.size() && resolved[j].addr.valid() &&
-             resolved[j].addr.block == first.addr.block &&
-             resolved[j].addr.page == first.addr.page) {
-        max_ber = std::max(max_ber, resolved[j].ber);
-        ++j;
-      }
-      emit_page_read(first.addr.block, first.addr.page,
-                     static_cast<std::uint32_t>(j - i), max_ber,
-                     /*background=*/false, ops);
-    } else {
-      // Unmapped run: served from the mapping table, no flash work.
-      while (j < resolved.size() && !resolved[j].addr.valid()) {
-        ++j;
-      }
+    if (run_len > 0 && addr.block == run_block && addr.page == run_page) {
+      run_ber = std::max(run_ber, ber);
+      ++run_len;
+      continue;
     }
-    i = j;
+    end_run();
+    run_block = addr.block;
+    run_page = addr.page;
+    run_len = 1;
+    run_ber = ber;
   }
+  end_run();
 }
 
 // ---- introspection ------------------------------------------------------------
@@ -727,7 +741,7 @@ void Scheme::check_consistency() const {
     nand::AgeHistogram recount_hist;
     recount_hist.clear(blk.age_histogram().base_ms());
     for (std::uint32_t p = 0; p < blk.page_count(); ++p) {
-      const auto& page = blk.page(static_cast<PageId>(p));
+      const auto& page = array_.page(b, static_cast<PageId>(p));
       for (std::uint32_t s = 0; s < blk.subpages_per_page(); ++s) {
         const nand::Subpage sp = array_.subpage(b, static_cast<PageId>(p),
                                                 static_cast<SubpageId>(s));

@@ -330,6 +330,13 @@ class Scheme {
   void flush_evictions(std::uint32_t plane, SimTime now,
                        std::vector<PhysOp>& ops);
 
+  /// Host-write LSNs [lsn, lsn + n), n <= subpages per page, into a fresh
+  /// Work page under new versions (one request per page, Figure 3's
+  /// W1/W2/W3), falling back to direct_mlc_write() when the SLC region is
+  /// exhausted.
+  void write_work_page(Lsn lsn, std::uint32_t n, SimTime now,
+                       std::vector<PhysOp>& ops);
+
   /// Write host data directly to MLC (fallback when the SLC region cannot
   /// take another page even after GC).
   void direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
@@ -374,7 +381,7 @@ class Scheme {
   ecc::EccLatencyModel ecc_model_;
   ftl::GreedyPolicy greedy_;
   SchemeMetrics metrics_;
-  std::vector<std::uint32_t> versions_;
+  Row<std::uint32_t> versions_;
   /// Trace log adopted from the attached bundle (null when disabled);
   /// subclasses may emit their own category-filtered events through it.
   telemetry::TraceLog* tlog_ = nullptr;

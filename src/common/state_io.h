@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -41,8 +42,9 @@ class StateSink {
   }
 
   /// Flat vector of trivially copyable elements: u64 count + raw bytes.
-  template <typename T>
-  void vec(const std::vector<T>& v) {
+  /// Any allocator (the device rows use RowAllocator).
+  template <typename T, typename A>
+  void vec(const std::vector<T, A>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     u64(v.size());
     raw(v.data(), v.size() * sizeof(T));
@@ -62,6 +64,7 @@ class StateSink {
 
  private:
   void raw(const void* data, std::size_t n) {
+    if (n == 0) return;  // an empty vector's data() may be null
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
@@ -91,14 +94,14 @@ class StateSource {
     return s;
   }
 
-  template <typename T>
-  [[nodiscard]] std::vector<T> vec() {
+  template <typename T, typename A = std::allocator<T>>
+  [[nodiscard]] std::vector<T, A> vec() {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t n = u64();
-    std::vector<T> v;
+    std::vector<T, A> v;
     if (!take(n * sizeof(T))) return v;
     v.resize(static_cast<std::size_t>(n));
-    std::memcpy(v.data(), data_ + pos_ - n * sizeof(T), n * sizeof(T));
+    copy_out(v.data(), n * sizeof(T));
     return v;
   }
 
@@ -108,8 +111,8 @@ class StateSource {
   /// destination arrays are already sized by the device constructor, so
   /// the bytes land in one memcpy with no temporary allocation or
   /// zero-fill.
-  template <typename T>
-  bool vec_into(std::vector<T>& v) {
+  template <typename T, typename A>
+  bool vec_into(std::vector<T, A>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t n = u64();
     if (n != v.size()) {
@@ -117,7 +120,7 @@ class StateSource {
       return false;
     }
     if (!take(n * sizeof(T))) return false;
-    std::memcpy(v.data(), data_ + pos_ - n * sizeof(T), n * sizeof(T));
+    copy_out(v.data(), n * sizeof(T));
     return true;
   }
 
@@ -149,6 +152,13 @@ class StateSource {
       std::memcpy(&v, data_ + pos_ - sizeof(T), sizeof(T));
     }
     return v;
+  }
+
+  /// Copy the `n` bytes just taken to `dst` (null when `n` is 0).
+  void copy_out(void* dst, std::uint64_t n) const {
+    if (n != 0) {
+      std::memcpy(dst, data_ + pos_ - n, static_cast<std::size_t>(n));
+    }
   }
 
   /// Advance `n` bytes; false (and sticky-fail) if they are not there.

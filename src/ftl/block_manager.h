@@ -158,6 +158,12 @@ class BlockManager : private nand::BlockObserver {
   /// owning scheme.
   void attach_telemetry(telemetry::MetricsRegistry& registry,
                         const telemetry::Labels& labels);
+  /// Drop the counter handles (the registry is going away). The polled
+  /// gauges stay registered; they read this manager, not the registry.
+  void detach_telemetry() {
+    tl_opened_.fill(nullptr);
+    tl_level_fallbacks_ = nullptr;
+  }
 
   /// Warm-start checkpointing (DESIGN.md §14). The free heaps are written
   /// as their underlying storage verbatim: heap order among equal erase

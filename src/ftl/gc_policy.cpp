@@ -100,7 +100,7 @@ double IsrPolicy::cold_weight_exact(const nand::FlashArray& array,
   // IS' sums the age weight of valid subpages in never-updated pages.
   double weight = 0.0;
   for (std::uint32_t p = 0; p < blk.write_frontier(); ++p) {
-    if (page_updated(blk.page(static_cast<PageId>(p)))) continue;
+    if (page_updated(array.page(block, static_cast<PageId>(p)))) continue;
     for (std::uint32_t s = 0; s < spp; ++s) {
       const nand::Subpage sp = array.subpage(
           block, static_cast<PageId>(p), static_cast<SubpageId>(s));

@@ -63,6 +63,8 @@ class GcPolicy {
   /// (scheme, region). The policy name is added automatically.
   void attach_telemetry(telemetry::MetricsRegistry& registry,
                         telemetry::Labels labels);
+  /// Drop the counter handles (the registry is going away).
+  void detach_telemetry() { selected_ = exhausted_ = nullptr; }
 
   /// Tally one select_victim() outcome (no-op until telemetry attaches).
   /// Public so a caller that answers a selection from the victim index's

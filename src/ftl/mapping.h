@@ -14,9 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/check.h"
+#include "common/row_alloc.h"
 #include "common/state_io.h"
 #include "common/types.h"
 
@@ -114,7 +114,7 @@ class DeviceMap {
   };
   static_assert(sizeof(Packed) == 8, "DeviceMap entries should stay 8B");
 
-  std::vector<Packed> table_;
+  Row<Packed> table_;
   std::uint64_t mapped_count_ = 0;
 };
 

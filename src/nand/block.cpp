@@ -6,10 +6,10 @@ namespace ppssd::nand {
 
 Block::Block(CellMode mode, std::uint32_t pages,
              std::uint32_t subpages_per_page)
-    : pages_(pages),
-      mode_(mode),
+    : mode_(mode),
       level_(mode == CellMode::kMlc ? BlockLevel::kHighDensity
                                     : BlockLevel::kWork),
+      page_count_(pages),
       subpages_per_page_(subpages_per_page) {
   PPSSD_CHECK(pages > 0);
   PPSSD_CHECK(subpages_per_page >= 1 &&
@@ -17,9 +17,6 @@ Block::Block(CellMode mode, std::uint32_t pages,
 }
 
 void Block::erase(SimTime now) {
-  for (auto& pg : pages_) {
-    pg.reset();
-  }
   frontier_ = 0;
   valid_ = 0;
   invalid_ = 0;

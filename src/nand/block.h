@@ -22,8 +22,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "common/check.h"
 #include "common/state_io.h"
@@ -172,9 +170,7 @@ class Block {
   Block(CellMode mode, std::uint32_t pages, std::uint32_t subpages_per_page);
 
   [[nodiscard]] CellMode mode() const { return mode_; }
-  [[nodiscard]] std::uint32_t page_count() const {
-    return static_cast<std::uint32_t>(pages_.size());
-  }
+  [[nodiscard]] std::uint32_t page_count() const { return page_count_; }
   [[nodiscard]] std::uint32_t subpages_per_page() const {
     return subpages_per_page_;
   }
@@ -213,11 +209,9 @@ class Block {
     return age_histogram_;
   }
 
-  [[nodiscard]] const Page& page(PageId p) const { return pages_[p]; }
-  [[nodiscard]] Page& page(PageId p) { return pages_[p]; }
-
-  /// Erase: clears all pages, bumps the P/E counter. Subpage slot contents
-  /// live in the FlashArray SoA rows; FlashArray::erase clears those.
+  /// Erase: resets the block's counters and bumps the P/E counter. Page
+  /// counters and subpage slot contents live in FlashArray's rows;
+  /// FlashArray::erase clears those.
   void erase(SimTime now);
 
  private:
@@ -225,10 +219,11 @@ class Block {
   /// histogram directly in one pass over the touched slots.
   friend class FlashArray;
 
-  std::vector<Page> pages_;
-  AgeHistogram age_histogram_;
+  // Scalars first, so the write path's counters share one cache line;
+  // the ~1.6 KB histogram goes last.
   CellMode mode_;
   BlockLevel level_;
+  std::uint32_t page_count_;
   std::uint32_t subpages_per_page_;
   std::uint32_t frontier_ = 0;
   std::uint32_t valid_ = 0;
@@ -236,6 +231,7 @@ class Block {
   std::uint32_t erase_count_ = 0;
   std::uint64_t sum_write_time_ms_ = 0;
   SimTime last_erase_time_ = 0;
+  AgeHistogram age_histogram_;
 };
 
 }  // namespace ppssd::nand

@@ -15,19 +15,22 @@ FlashArray::FlashArray(const SsdConfig& cfg)
   spp_ = geom_.subpages_per_page();
   blocks_.reserve(geom_.total_blocks());
   statics_.reserve(geom_.total_blocks());
-  slot_base_.reserve(geom_.total_blocks());
-  std::size_t slots = 0;
+  std::uint64_t pages = 0;
   for (BlockId b = 0; b < geom_.total_blocks(); ++b) {
     const CellMode mode =
         geom_.is_slc_block(b) ? CellMode::kSlc : CellMode::kMlc;
     blocks_.emplace_back(mode, geom_.pages_per_block(mode),
                          geom_.subpages_per_page());
     statics_.push_back(BlockStatic{
+        static_cast<std::uint32_t>(pages), cfg_.wear.initial_pe_cycles,
         geom_.plane_of(b), static_cast<std::uint16_t>(geom_.chip_of(b)),
         static_cast<std::uint16_t>(geom_.channel_of(b)), mode});
-    slot_base_.push_back(slots);
-    slots += static_cast<std::size_t>(geom_.pages_per_block(mode)) * spp_;
+    pages += geom_.pages_per_block(mode);
   }
+  PPSSD_CHECK_MSG(pages <= std::numeric_limits<std::uint32_t>::max(),
+                  "device has more pages than a 32-bit page index");
+  pages_.resize(pages);
+  const std::size_t slots = static_cast<std::size_t>(pages) * spp_;
   sp_state_.assign(slots, 0);
   sp_owner_.assign(slots, 0);
   sp_wtime_.assign(slots, 0);
@@ -51,12 +54,13 @@ bool FlashArray::program_reference(BlockId b, PageId p,
   PPSSD_CHECK(!writes.empty());
   Block& blk = blocks_[b];
   PPSSD_CHECK(p < blk.page_count());
-  Page& pg = blk.pages_[p];
+  const std::size_t pi = page_index(b, p);
+  Page& pg = pages_[pi];
   if (pg.programmed()) {
     PPSSD_CHECK_MSG(can_partial_program(b, p),
                     "partial-program limit exceeded or no free slot");
   }
-  const std::size_t base = slot_base_[b] + static_cast<std::size_t>(p) * spp_;
+  const std::size_t base = pi * spp_;
 
   // Layer "block": frontier rule and the cold-population transition.
   const std::uint8_t pre_ops = pg.program_ops_;
@@ -102,12 +106,11 @@ bool FlashArray::program_reference(BlockId b, PageId p,
 
   // Wordline adjacency: programming page p disturbs pages p-1 and p+1 of
   // the same block if they already hold data (Figure 1).
-  if (p > 0 && blk.pages_[p - 1].programmed()) {
-    blk.pages_[p - 1].absorb_neighbor_program();
+  if (p > 0 && pages_[pi - 1].programmed()) {
+    pages_[pi - 1].absorb_neighbor_program();
   }
-  const auto next = static_cast<PageId>(p + 1);
-  if (next < blk.page_count() && blk.pages_[next].programmed()) {
-    blk.pages_[next].absorb_neighbor_program();
+  if (p + 1u < blk.page_count() && pages_[pi + 1].programmed()) {
+    pages_[pi + 1].absorb_neighbor_program();
   }
 
   if (blk.mode() == CellMode::kSlc) {
@@ -129,7 +132,8 @@ void FlashArray::prefill_page(BlockId b, PageId p,
   Block& blk = blocks_[b];
   PPSSD_CHECK_MSG(p == blk.frontier_, "out-of-order first program of a page");
   ++blk.frontier_;
-  const std::size_t base = slot_base_[b] + static_cast<std::size_t>(p) * spp_;
+  const std::size_t pi = page_index(b, p);
+  const std::size_t base = pi * spp_;
   for (const SlotWrite& w : writes) {
     PPSSD_DCHECK(w.slot < spp_);
     const std::size_t i = base + w.slot;
@@ -142,7 +146,7 @@ void FlashArray::prefill_page(BlockId b, PageId p,
     // write_time_ms, programs_before, neighbors_before stay 0: a frontier
     // fill at sim time 0 has seen no prior programs or neighbour disturbs.
   }
-  blk.pages_[p].program_ops_ = 1;
+  pages_[pi].program_ops_ = 1;
 
   const auto n = static_cast<std::uint32_t>(writes.size());
   blk.valid_ += n;
@@ -150,8 +154,8 @@ void FlashArray::prefill_page(BlockId b, PageId p,
 
   // Only the page behind the frontier can absorb this program; the page
   // ahead has never been programmed.
-  if (p > 0 && blk.pages_[p - 1].program_ops_ > 0) {
-    blk.pages_[p - 1].absorb_neighbor_program();
+  if (p > 0 && pages_[pi - 1].program_ops_ > 0) {
+    pages_[pi - 1].absorb_neighbor_program();
   }
 
   const BlockStatic& bs = statics_[b];
@@ -166,8 +170,7 @@ void FlashArray::prefill_page(BlockId b, PageId p,
 }
 
 bool FlashArray::can_partial_program(BlockId b, PageId p) const {
-  const Block& blk = blocks_[b];
-  if (blk.pages_[p].program_ops() >= cfg_.cache.max_partial_programs) {
+  if (page(b, p).program_ops() >= cfg_.cache.max_partial_programs) {
     return false;
   }
   return page_first_free(b, p) != kInvalidSubpage;
@@ -178,7 +181,7 @@ void FlashArray::invalidate_reference(BlockId b, PageId p, SubpageId s) {
   Block& blk = blocks_[b];
   PPSSD_CHECK(p < blk.page_count());
   PPSSD_CHECK(s < spp_);
-  const std::size_t i = slot_base_[b] + static_cast<std::size_t>(p) * spp_ + s;
+  const std::size_t i = slot_index(b, p, s);
 
   // Layer "page": the state flip.
   PPSSD_CHECK_MSG(sp_state_[i] ==
@@ -192,7 +195,7 @@ void FlashArray::invalidate_reference(BlockId b, PageId p, SubpageId s) {
   --blk.valid_;
   ++blk.invalid_;
   blk.sum_write_time_ms_ -= wt;
-  if (blk.pages_[p].program_ops() == 1) {
+  if (page(b, p).program_ops() == 1) {
     blk.age_histogram_.remove(wt);
   }
   if (observer_ != nullptr) {
@@ -206,8 +209,11 @@ void FlashArray::erase(BlockId b, SimTime now) {
   PPSSD_CHECK_MSG(blk.valid_subpages() == 0,
                   "erasing a block that still holds valid data");
   blk.erase(now);
-  // Clear the block's SoA slot range back to the erased state.
-  const std::size_t base = slot_base_[b];
+  BlockStatic& bs = statics_[b];
+  bs.pe_cycles = cfg_.wear.initial_pe_cycles + blk.erase_count();
+  // Clear the block's page and SoA slot ranges back to the erased state.
+  std::fill_n(pages_.begin() + bs.page_base, blk.page_count(), Page{});
+  const std::size_t base = static_cast<std::size_t>(bs.page_base) * spp_;
   const std::size_t n = static_cast<std::size_t>(blk.page_count()) * spp_;
   std::fill_n(sp_state_.begin() + base, n, std::uint8_t{0});
   std::fill_n(sp_owner_.begin() + base, n, std::uint32_t{0});
@@ -215,7 +221,6 @@ void FlashArray::erase(BlockId b, SimTime now) {
   std::fill_n(sp_version_.begin() + base, n, std::uint32_t{0});
   std::fill_n(sp_programs_before_.begin() + base, n, std::uint8_t{0});
   std::fill_n(sp_neighbors_before_.begin() + base, n, std::uint16_t{0});
-  const BlockStatic& bs = statics_[b];
   if (bs.mode == CellMode::kSlc) {
     ++counters_.slc_erases;
   } else {
@@ -256,23 +261,19 @@ void FlashArray::save(io::StateSink& sink) const {
   sink.vec(sp_programs_before_);
   sink.vec(sp_neighbors_before_);
 
-  // Page fields as three global SoA rows (block-major, page order), so
+  // Page fields as three SoA rows in page-row order (block-major), so
   // restore ingests them as three bulk copies instead of a per-page
   // scalar loop over the stream.
-  std::size_t total_pages = 0;
-  for (const Block& blk : blocks_) total_pages += blk.page_count();
   std::vector<std::uint8_t> pg_ops;
   std::vector<std::uint16_t> pg_neighbors;
   std::vector<std::uint8_t> pg_reprogrammed;
-  pg_ops.reserve(total_pages);
-  pg_neighbors.reserve(total_pages);
-  pg_reprogrammed.reserve(total_pages);
-  for (const Block& blk : blocks_) {
-    for (const Page& pg : blk.pages_) {
-      pg_ops.push_back(pg.program_ops_);
-      pg_neighbors.push_back(pg.neighbor_programs_);
-      pg_reprogrammed.push_back(pg.reprogrammed_ ? 1 : 0);
-    }
+  pg_ops.reserve(pages_.size());
+  pg_neighbors.reserve(pages_.size());
+  pg_reprogrammed.reserve(pages_.size());
+  for (const Page& pg : pages_) {
+    pg_ops.push_back(pg.program_ops_);
+    pg_neighbors.push_back(pg.neighbor_programs_);
+    pg_reprogrammed.push_back(pg.reprogrammed_ ? 1 : 0);
   }
   sink.vec(pg_ops);
   sink.vec(pg_neighbors);
@@ -323,29 +324,28 @@ void FlashArray::restore(io::StateSource& src) {
   const std::vector<std::uint8_t> pg_ops = src.vec<std::uint8_t>();
   const std::vector<std::uint16_t> pg_neighbors = src.vec<std::uint16_t>();
   const std::vector<std::uint8_t> pg_reprogrammed = src.vec<std::uint8_t>();
-  std::size_t total_pages = 0;
-  for (const Block& blk : blocks_) total_pages += blk.page_count();
-  PPSSD_CHECK_MSG(src.ok() && pg_ops.size() == total_pages &&
-                      pg_neighbors.size() == total_pages &&
-                      pg_reprogrammed.size() == total_pages,
+  PPSSD_CHECK_MSG(src.ok() && pg_ops.size() == pages_.size() &&
+                      pg_neighbors.size() == pages_.size() &&
+                      pg_reprogrammed.size() == pages_.size(),
                   "warm-start checkpoint page rows truncated");
+  for (std::size_t i = 0; i < pages_.size(); ++i) {
+    Page& pg = pages_[i];
+    pg.program_ops_ = pg_ops[i];
+    pg.neighbor_programs_ = pg_neighbors[i];
+    pg.reprogrammed_ = pg_reprogrammed[i] != 0;
+  }
 
-  // Scatter the page rows back, then take the serialized aggregates as
-  // is — they were read off a consistent device and the stream already
-  // passed the container checksum; the cheap per-block shape checks
-  // below catch writer/reader drift, and the invariant walk re-derives
-  // the aggregates in full wherever tests call it.
-  std::size_t cursor = 0;
-  for (Block& blk : blocks_) {
+  // Take the serialized aggregates as is — they were read off a
+  // consistent device and the stream already passed the container
+  // checksum; the cheap per-block shape checks below catch writer/reader
+  // drift, and the invariant walk re-derives the aggregates in full
+  // wherever tests call it.
+  for (BlockId b = 0; b < blocks_.size(); ++b) {
+    Block& blk = blocks_[b];
     blk.level_ = static_cast<BlockLevel>(src.u8());
     blk.erase_count_ = src.u32();
     blk.last_erase_time_ = src.u64();
-    for (Page& pg : blk.pages_) {
-      pg.program_ops_ = pg_ops[cursor];
-      pg.neighbor_programs_ = pg_neighbors[cursor];
-      pg.reprogrammed_ = pg_reprogrammed[cursor] != 0;
-      ++cursor;
-    }
+    statics_[b].pe_cycles = cfg_.wear.initial_pe_cycles + blk.erase_count_;
     blk.frontier_ = src.u32();
     blk.valid_ = src.u32();
     blk.invalid_ = src.u32();

@@ -9,9 +9,11 @@
 //
 // Hot-path layout (DESIGN.md §10, §14): program() and invalidate() are
 // *fused* single-pass implementations, and the per-subpage fields they
-// walk are stored as structure-of-arrays rows (one flat vector per field,
-// indexed by a precomputed per-block slot base) so a state scan touches
-// one densely packed row instead of striding over interleaved structs.
+// walk are stored as structure-of-arrays rows (one flat row per field,
+// indexed by the block's page base) so a state scan touches one densely
+// packed row instead of striding over interleaved structs. Page counters
+// live in one flat page row too, and every big row sits on huge pages
+// (common/row_alloc.h).
 // The layer-by-layer chains survive as program_reference()/
 // invalidate_reference() oracles, held state-identical by
 // tests/nand/fused_path_test.cpp. Contract invariants (write-once,
@@ -27,6 +29,7 @@
 
 #include "common/check.h"
 #include "common/config.h"
+#include "common/row_alloc.h"
 #include "common/types.h"
 #include "nand/block.h"
 #include "nand/chip.h"
@@ -67,10 +70,19 @@ class BlockObserver {
   virtual void on_subpage_invalidated(BlockId b, std::uint32_t invalid) = 0;
 };
 
-/// Immutable physical coordinates of a block, precomputed once at
-/// construction so the per-operation paths (and the schemes' op-emission
-/// helpers) never pay the plane_of/chip_of/channel_of divisions.
+/// The hot per-block row: each block's physical coordinates, precomputed
+/// once at construction so the per-operation paths (and the schemes'
+/// op-emission helpers) never pay the plane_of/chip_of/channel_of
+/// divisions, plus the two fields the read path needs — where the block's
+/// pages start in the flat page row, and its current P/E count (kept in
+/// step by erase() and restore()). A BER snapshot reads this 20-byte entry
+/// instead of the ~1.7 KB Block.
 struct BlockStatic {
+  /// Index of the block's page 0 in the page row; its slot rows start at
+  /// page_base * subpages_per_page.
+  std::uint32_t page_base = 0;
+  /// Initial P/E cycles plus the block's erase count.
+  std::uint32_t pe_cycles = 0;
   std::uint32_t plane = 0;
   std::uint16_t chip = 0;
   std::uint16_t channel = 0;
@@ -87,7 +99,7 @@ class FlashArray {
   [[nodiscard]] const Block& block(BlockId b) const { return blocks_[b]; }
   [[nodiscard]] Block& block(BlockId b) { return blocks_[b]; }
 
-  /// Precomputed plane/chip/channel/mode of a block (no divisions).
+  /// Hot per-block row entry: coordinates, page base, P/E count.
   [[nodiscard]] const BlockStatic& block_static(BlockId b) const {
     PPSSD_DCHECK(b < statics_.size());
     return statics_[b];
@@ -103,13 +115,23 @@ class FlashArray {
   /// that uniformity for their fixed per-page stride.
   [[nodiscard]] std::uint32_t subpages_per_page() const { return spp_; }
 
+  /// Flat page-row index of page (b, p).
+  [[nodiscard]] std::size_t page_index(BlockId b, PageId p) const {
+    PPSSD_DCHECK(b < blocks_.size());
+    PPSSD_DCHECK(p < blocks_[b].page_count());
+    return static_cast<std::size_t>(statics_[b].page_base) + p;
+  }
+
   /// Flat SoA slot index of subpage (b, p, s).
   [[nodiscard]] std::size_t slot_index(BlockId b, PageId p,
                                        SubpageId s) const {
-    PPSSD_DCHECK(b < blocks_.size());
-    PPSSD_DCHECK(p < blocks_[b].page_count());
     PPSSD_DCHECK(s < spp_);
-    return slot_base_[b] + static_cast<std::size_t>(p) * spp_ + s;
+    return page_index(b, p) * spp_ + s;
+  }
+
+  /// Counters of page (b, p).
+  [[nodiscard]] const Page& page(BlockId b, PageId p) const {
+    return pages_[page_index(b, p)];
   }
 
   [[nodiscard]] SubpageState subpage_state(BlockId b, PageId p,
@@ -159,20 +181,13 @@ class FlashArray {
   /// the number of partial programs applied to the page afterwards.
   [[nodiscard]] std::uint32_t in_page_disturbs(BlockId b, PageId p,
                                                SubpageId s) const {
-    const std::size_t i = slot_index(b, p, s);
-    PPSSD_DCHECK(sp_state_[i] !=
-                 static_cast<std::uint8_t>(SubpageState::kFree));
-    return blocks_[b].pages_[p].program_ops_ - sp_programs_before_[i] - 1;
+    return disturb_of(b, p, s).in_page_disturbs;
   }
 
   /// Neighbour disturb events absorbed by (b, p, s) since it was written.
   [[nodiscard]] std::uint32_t neighbor_disturbs(BlockId b, PageId p,
                                                 SubpageId s) const {
-    const std::size_t i = slot_index(b, p, s);
-    PPSSD_DCHECK(sp_state_[i] !=
-                 static_cast<std::uint8_t>(SubpageState::kFree));
-    return blocks_[b].pages_[p].neighbor_programs_ -
-           sp_neighbors_before_[i];
+    return disturb_of(b, p, s).neighbor_disturbs;
   }
 
   /// Apply one program operation to block `b`, page `p`, filling the given
@@ -188,8 +203,10 @@ class FlashArray {
     PPSSD_DCHECK(!writes.empty());
     Block& blk = blocks_[b];
     PPSSD_DCHECK(p < blk.page_count());
-    Page& pg = blk.pages_[p];
-    const std::size_t base = slot_base_[b] + static_cast<std::size_t>(p) * spp_;
+    const BlockStatic& bs = statics_[b];
+    const std::size_t pi = page_index(b, p);
+    Page& pg = pages_[pi];
+    const std::size_t base = pi * spp_;
     const std::uint8_t pre_ops = pg.program_ops_;
     if (pre_ops == 0) {
       // First program of a page must land on the write frontier: NAND
@@ -239,15 +256,13 @@ class FlashArray {
 
     // Wordline adjacency: programming page p disturbs pages p-1 and p+1
     // of the same block if they already hold data (Figure 1).
-    if (p > 0 && blk.pages_[p - 1].program_ops_ > 0) {
-      blk.pages_[p - 1].absorb_neighbor_program();
+    if (p > 0 && pages_[pi - 1].program_ops_ > 0) {
+      pages_[pi - 1].absorb_neighbor_program();
     }
-    const auto next = static_cast<PageId>(p + 1);
-    if (next < blk.page_count() && blk.pages_[next].program_ops_ > 0) {
-      blk.pages_[next].absorb_neighbor_program();
+    if (p + 1u < blk.page_count() && pages_[pi + 1].program_ops_ > 0) {
+      pages_[pi + 1].absorb_neighbor_program();
     }
 
-    const BlockStatic& bs = statics_[b];
     if (bs.mode == CellMode::kSlc) {
       ++counters_.slc_program_ops;
       counters_.slc_subpages_written += n;
@@ -282,18 +297,15 @@ class FlashArray {
   /// are superseded data after the switch, exactly as after a migration).
   void reprogram(BlockId src_b, PageId src_p, BlockId dst_b, PageId dst_p,
                  std::span<const SlotWrite> writes, SimTime now) {
-    PPSSD_DCHECK(src_b < blocks_.size());
-    const Block& src = blocks_[src_b];
-    PPSSD_DCHECK(src_p < src.page_count());
     PPSSD_CHECK_MSG(statics_[src_b].mode == CellMode::kSlc,
                     "reprogram source must be an SLC-mode page");
-    PPSSD_CHECK_MSG(src.page(src_p).program_ops() == 1,
+    PPSSD_CHECK_MSG(page(src_b, src_p).program_ops() == 1,
                     "reprogram source not in SLC frontier state (exactly one "
                     "program since erase required)");
     PPSSD_CHECK_MSG(statics_[dst_b].mode == CellMode::kMlc,
                     "reprogram destination must be a dense-mode page");
     program(dst_b, dst_p, writes, now);
-    blocks_[dst_b].pages_[dst_p].reprogrammed_ = true;
+    pages_[page_index(dst_b, dst_p)].reprogrammed_ = true;
     ++counters_.reprogram_ops;
     counters_.reprogrammed_subpages += writes.size();
   }
@@ -316,8 +328,8 @@ class FlashArray {
     Block& blk = blocks_[b];
     PPSSD_DCHECK(p < blk.page_count());
     PPSSD_DCHECK(s < spp_);
-    const std::size_t i =
-        slot_base_[b] + static_cast<std::size_t>(p) * spp_ + s;
+    const std::size_t pi = page_index(b, p);
+    const std::size_t i = pi * spp_ + s;
     PPSSD_CHECK_MSG(sp_state_[i] ==
                         static_cast<std::uint8_t>(SubpageState::kValid),
                     "invalidating a subpage that is not valid");
@@ -327,7 +339,7 @@ class FlashArray {
     --blk.valid_;
     ++blk.invalid_;
     blk.sum_write_time_ms_ -= wt;
-    if (blk.pages_[p].program_ops_ == 1) {
+    if (pages_[pi].program_ops_ == 1) {
       blk.age_histogram_.remove(wt);
     }
     if (observer_ != nullptr) {
@@ -346,16 +358,23 @@ class FlashArray {
   /// Count a read operation (timing handled by the service model).
   void count_read(BlockId b);
 
-  /// Disturb snapshot of a stored subpage for the BER model.
+  /// Disturb snapshot of a stored subpage for the BER model. One read of
+  /// the hot block row yields the page base; the page entry and the two
+  /// slot snapshot fields then load independently.
   [[nodiscard]] DisturbSnapshot disturb_of(BlockId b, PageId p,
                                            SubpageId s) const {
-    const Block& blk = blocks_[b];
+    const BlockStatic& bs = block_static(b);
+    const std::size_t pi = page_index(b, p);
+    const std::size_t i = slot_index(b, p, s);
+    PPSSD_DCHECK(sp_state_[i] !=
+                 static_cast<std::uint8_t>(SubpageState::kFree));
+    const Page& pg = pages_[pi];
     DisturbSnapshot snap;
-    snap.mode = blk.mode();
-    snap.pe_cycles = cfg_.wear.initial_pe_cycles + blk.erase_count();
-    snap.in_page_disturbs = in_page_disturbs(b, p, s);
-    snap.neighbor_disturbs = neighbor_disturbs(b, p, s);
-    snap.reprogrammed = blk.pages_[p].reprogrammed_;
+    snap.mode = bs.mode;
+    snap.pe_cycles = bs.pe_cycles;
+    snap.in_page_disturbs = pg.program_ops_ - sp_programs_before_[i] - 1;
+    snap.neighbor_disturbs = pg.neighbor_programs_ - sp_neighbors_before_[i];
+    snap.reprogrammed = pg.reprogrammed_;
     return snap;
   }
 
@@ -385,24 +404,27 @@ class FlashArray {
  private:
   SsdConfig cfg_;
   Geometry geom_;
-  std::vector<Block> blocks_;
-  std::vector<BlockStatic> statics_;
+  Row<Block> blocks_;
+  Row<BlockStatic> statics_;
   std::vector<Plane> planes_;
   std::vector<Chip> chips_;
   ArrayCounters counters_;
   BlockObserver* observer_ = nullptr;
 
+  // The flat page row: page index = statics_[b].page_base + page (the
+  // base is per block because pages-per-block differs between cell
+  // modes).
+  Row<Page> pages_;
+
   // Structure-of-arrays subpage rows (DESIGN.md §14). Slot index =
-  // slot_base_[b] + page * spp_ + slot; slot_base_ is precomputed per
-  // block because pages-per-block differs between cell modes.
+  // page index * spp_ + slot.
   std::uint32_t spp_ = 0;
-  std::vector<std::size_t> slot_base_;
-  std::vector<std::uint8_t> sp_state_;
-  std::vector<std::uint32_t> sp_owner_;
-  std::vector<std::uint32_t> sp_wtime_;
-  std::vector<std::uint32_t> sp_version_;
-  std::vector<std::uint8_t> sp_programs_before_;
-  std::vector<std::uint16_t> sp_neighbors_before_;
+  Row<std::uint8_t> sp_state_;
+  Row<std::uint32_t> sp_owner_;
+  Row<std::uint32_t> sp_wtime_;
+  Row<std::uint32_t> sp_version_;
+  Row<std::uint8_t> sp_programs_before_;
+  Row<std::uint16_t> sp_neighbors_before_;
 };
 
 }  // namespace ppssd::nand

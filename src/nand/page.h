@@ -12,8 +12,9 @@
 // structure-of-arrays rows owned by FlashArray — the fused program/
 // invalidate paths and the GC oracles walk one field's row each instead of
 // striding over interleaved structs. `Subpage` survives as the *value*
-// type those rows gather into (accessors, tests, BER snapshots); `Page`
-// keeps only the per-page counters the disturb model subtracts against.
+// type those rows gather into (accessors, tests, BER snapshots). `Page`
+// keeps only the per-page counters the disturb model subtracts against,
+// one entry per page in FlashArray's flat page row.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +57,10 @@ struct SlotWrite {
   std::uint32_t version = 0;
 };
 
-/// Per-page counters. Subpage slot contents live in the FlashArray rows;
-/// what remains here is the page-granular state the disturb subtractions
-/// and the hot/cold split (page_updated) read.
+/// Per-page counters, stored in FlashArray's flat page row. Subpage slot
+/// contents live in the SoA rows; what remains here is the page-granular
+/// state the disturb subtractions and the hot/cold split (page_updated)
+/// read.
 class Page {
  public:
   /// Number of program operations applied since the last erase.
@@ -83,17 +85,17 @@ class Page {
     }
   }
 
-  /// Reset to the erased state.
-  void reset() { *this = Page{}; }
-
  private:
   /// The fused array-level paths stamp page counters directly (one pass
   /// over the touched slots instead of one per layer).
   friend class FlashArray;
 
-  std::uint8_t program_ops_ = 0;
+  // Widest field first: four bytes with no padding, so the flat page row
+  // packs sixteen pages per cache line.
   std::uint16_t neighbor_programs_ = 0;
+  std::uint8_t program_ops_ = 0;
   bool reprogrammed_ = false;
 };
+static_assert(sizeof(Page) == 4, "Page sets the flat page row's density");
 
 }  // namespace ppssd::nand

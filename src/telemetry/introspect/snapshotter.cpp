@@ -75,7 +75,7 @@ void Snapshotter::snapshot_now(SimTime now) {
     bs.pages = static_cast<std::uint16_t>(blk.page_count());
     std::uint16_t reprogrammed = 0;
     for (PageId p = 0; p < blk.write_frontier(); ++p) {
-      if (blk.page(p).reprogrammed()) ++reprogrammed;
+      if (array.page(b, p).reprogrammed()) ++reprogrammed;
     }
     bs.reprogrammed_pages = reprogrammed;
     bs.mode = static_cast<std::uint8_t>(blk.mode());

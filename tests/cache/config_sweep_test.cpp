@@ -75,7 +75,7 @@ TEST_P(ConfigSweep, MixedWorkloadStaysConsistent) {
   for (BlockId b = 0; b < geom.total_blocks(); ++b) {
     const auto& blk = scheme->array().block(b);
     for (std::uint32_t pg = 0; pg < blk.write_frontier(); ++pg) {
-      ASSERT_LE(blk.page(static_cast<PageId>(pg)).program_ops(),
+      ASSERT_LE(scheme->array().page(b, static_cast<PageId>(pg)).program_ops(),
                 p.max_partial_programs);
     }
   }

@@ -48,7 +48,7 @@ TEST(IpuScheme, UpdateStaysInSamePage) {
   EXPECT_NE(v1.subpage, v2.subpage);
   EXPECT_EQ(h.scheme.metrics().intra_page_updates, 1u);
   // The page now shows one partial program.
-  EXPECT_EQ(h.scheme.array().block(v1.block).page(v1.page).program_ops(), 2);
+  EXPECT_EQ(h.scheme.array().page(v1.block, v1.page).program_ops(), 2);
   h.scheme.check_consistency();
 }
 

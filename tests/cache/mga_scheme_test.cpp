@@ -71,9 +71,11 @@ TEST(MgaScheme, RespectsPartialProgramLimit) {
   // With a 2-op limit, pages hold at most 2 appended subpages.
   const auto& geom = scheme.array().geometry();
   for (std::uint32_t ord = 0; ord < geom.slc_block_count(); ++ord) {
-    const auto& blk = scheme.array().block(geom.slc_block_at(ord));
+    const BlockId b = geom.slc_block_at(ord);
+    const auto& blk = scheme.array().block(b);
     for (std::uint32_t p = 0; p < blk.write_frontier(); ++p) {
-      EXPECT_LE(blk.page(static_cast<PageId>(p)).program_ops(), 2);
+      EXPECT_LE(scheme.array().page(b, static_cast<PageId>(p)).program_ops(),
+                2);
     }
   }
 }

@@ -81,9 +81,9 @@ TEST_P(SchemeFuzz, RandomWorkloadKeepsAllInvariants) {
   // Per-page partial-program limit held everywhere.
   const auto& geom = ssd.scheme().array().geometry();
   for (BlockId b = 0; b < geom.total_blocks(); ++b) {
-    const auto& blk = ssd.scheme().array().block(b);
-    for (std::uint32_t p = 0; p < blk.write_frontier(); ++p) {
-      EXPECT_LE(blk.page(static_cast<PageId>(p)).program_ops(),
+    const auto& arr = ssd.scheme().array();
+    for (std::uint32_t p = 0; p < arr.block(b).write_frontier(); ++p) {
+      EXPECT_LE(arr.page(b, static_cast<PageId>(p)).program_ops(),
                 cfg.cache.max_partial_programs);
     }
   }

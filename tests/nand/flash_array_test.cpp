@@ -74,16 +74,16 @@ TEST(FlashArray, NeighborDisturbPropagation) {
   arr.program(0, 0, a, 0);  // page 0
   arr.program(0, 1, a, 0);  // page 1: disturbs page 0 (page 2 still free)
   arr.program(0, 2, a, 0);  // page 2: disturbs page 1 (page 3 still free)
-  EXPECT_EQ(arr.block(0).page(0).neighbor_programs(), 1u);
-  EXPECT_EQ(arr.block(0).page(1).neighbor_programs(), 1u);
-  EXPECT_EQ(arr.block(0).page(2).neighbor_programs(), 0u);
+  EXPECT_EQ(arr.page(0, 0).neighbor_programs(), 1u);
+  EXPECT_EQ(arr.page(0, 1).neighbor_programs(), 1u);
+  EXPECT_EQ(arr.page(0, 2).neighbor_programs(), 0u);
   // Unprogrammed page 3 absorbed nothing.
-  EXPECT_EQ(arr.block(0).page(3).neighbor_programs(), 0u);
+  EXPECT_EQ(arr.page(0, 3).neighbor_programs(), 0u);
   // A partial program on page 1 disturbs both programmed neighbours.
   const SlotWrite b[] = {w(1, 2)};
   arr.program(0, 1, b, 0);
-  EXPECT_EQ(arr.block(0).page(0).neighbor_programs(), 2u);
-  EXPECT_EQ(arr.block(0).page(2).neighbor_programs(), 1u);
+  EXPECT_EQ(arr.page(0, 0).neighbor_programs(), 2u);
+  EXPECT_EQ(arr.page(0, 2).neighbor_programs(), 1u);
 }
 
 TEST(FlashArray, DisturbSnapshotIncludesBasePe) {

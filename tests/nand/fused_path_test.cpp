@@ -53,8 +53,8 @@ void expect_same_state(const FlashArray& fused, const FlashArray& ref) {
     ASSERT_EQ(fb.erase_count(), rb.erase_count()) << "block " << b;
     ASSERT_EQ(fb.last_erase_time(), rb.last_erase_time()) << "block " << b;
     for (PageId p = 0; p < fb.page_count(); ++p) {
-      const Page& fp = fb.page(p);
-      const Page& rp = rb.page(p);
+      const Page& fp = fused.page(b, p);
+      const Page& rp = ref.page(b, p);
       ASSERT_EQ(fp.program_ops(), rp.program_ops())
           << "block " << b << " page " << p;
       ASSERT_EQ(fp.neighbor_programs(), rp.neighbor_programs())

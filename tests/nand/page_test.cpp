@@ -29,8 +29,8 @@ struct ArrayFixture {
 
 TEST(Page, FreshPageState) {
   ArrayFixture f;
-  EXPECT_FALSE(f.arr.block(f.b).page(0).programmed());
-  EXPECT_EQ(f.arr.block(f.b).page(0).program_ops(), 0);
+  EXPECT_FALSE(f.arr.page(f.b, 0).programmed());
+  EXPECT_EQ(f.arr.page(f.b, 0).program_ops(), 0);
   EXPECT_EQ(f.arr.page_count_state(f.b, 0, SubpageState::kFree), 4u);
   EXPECT_EQ(f.arr.page_first_free(f.b, 0), 0);
 }
@@ -39,8 +39,8 @@ TEST(Page, FirstProgramIsConventional) {
   ArrayFixture f;
   const SlotWrite writes[] = {w(0, 100), w(1, 101)};
   EXPECT_FALSE(f.arr.program(f.b, 0, writes, 0));  // not partial
-  EXPECT_TRUE(f.arr.block(f.b).page(0).programmed());
-  EXPECT_EQ(f.arr.block(f.b).page(0).program_ops(), 1);
+  EXPECT_TRUE(f.arr.page(f.b, 0).programmed());
+  EXPECT_EQ(f.arr.page(f.b, 0).program_ops(), 1);
   EXPECT_EQ(f.arr.page_count_state(f.b, 0, SubpageState::kValid), 2u);
   EXPECT_EQ(f.arr.page_first_free(f.b, 0), 2);
   EXPECT_EQ(f.arr.subpage(f.b, 0, 0).owner_lsn, 100u);
@@ -53,7 +53,7 @@ TEST(Page, SecondProgramIsPartial) {
   const SlotWrite second[] = {w(1, 200)};
   EXPECT_FALSE(f.arr.program(f.b, 0, first, 0));
   EXPECT_TRUE(f.arr.program(f.b, 0, second, 10));
-  EXPECT_EQ(f.arr.block(f.b).page(0).program_ops(), 2);
+  EXPECT_EQ(f.arr.page(f.b, 0).program_ops(), 2);
 }
 
 TEST(Page, InPageDisturbOnlyHitsEarlierData) {
@@ -133,8 +133,8 @@ TEST(Page, EraseClearsEverything) {
   f.arr.invalidate(f.b, 0, 0);
   f.arr.invalidate(f.b, 1, 0);
   f.arr.erase(f.b, 0);
-  EXPECT_FALSE(f.arr.block(f.b).page(0).programmed());
-  EXPECT_EQ(f.arr.block(f.b).page(0).neighbor_programs(), 0);
+  EXPECT_FALSE(f.arr.page(f.b, 0).programmed());
+  EXPECT_EQ(f.arr.page(f.b, 0).neighbor_programs(), 0);
   EXPECT_EQ(f.arr.page_count_state(f.b, 0, SubpageState::kFree), 4u);
   EXPECT_EQ(f.arr.subpage(f.b, 0, 0), Subpage{});
 }

@@ -36,8 +36,8 @@ TEST(Reprogram, DestinationStateMatchesConventionalProgram) {
   t.a.reprogram(t.slc, 0, t.mlc, 0, moved, 2000);
   t.b.program(t.mlc, 0, moved, 2000);
 
-  const Page& pa = t.a.block(t.mlc).page(0);
-  const Page& pb = t.b.block(t.mlc).page(0);
+  const Page& pa = t.a.page(t.mlc, 0);
+  const Page& pb = t.b.page(t.mlc, 0);
   EXPECT_EQ(pa.program_ops(), pb.program_ops());
   for (SubpageId s = 0; s < 4; ++s) {
     const Subpage sa = t.a.subpage(t.mlc, 0, s);
@@ -86,8 +86,8 @@ TEST(Reprogram, RandomizedTwinArrayEquivalence) {
     t.a.reprogram(t.slc, src_page, t.mlc, dst_page, moved, now + 10);
     t.b.program(t.mlc, dst_page, moved, now + 10);
 
-    const Page& pa = t.a.block(t.mlc).page(dst_page);
-    const Page& pb = t.b.block(t.mlc).page(dst_page);
+    const Page& pa = t.a.page(t.mlc, dst_page);
+    const Page& pb = t.b.page(t.mlc, dst_page);
     ASSERT_EQ(pa.program_ops(), pb.program_ops());
     for (SubpageId s = 0; s < spp; ++s) {
       const Subpage sa = t.a.subpage(t.mlc, dst_page, s);
@@ -122,7 +122,7 @@ TEST(Reprogram, MarkClearsOnEraseAndFeedsDisturbSnapshot) {
 
   t.a.invalidate(t.mlc, 0, 0);
   t.a.erase(t.mlc, 20);
-  EXPECT_FALSE(t.a.block(t.mlc).page(0).reprogrammed());
+  EXPECT_FALSE(t.a.page(t.mlc, 0).reprogrammed());
 }
 
 using ReprogramDeathTest = ::testing::Test;

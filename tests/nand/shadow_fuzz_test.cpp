@@ -102,7 +102,7 @@ class ShadowModel {
       std::uint32_t invalid = 0;
       for (PageId p = 0; p < sblk.pages.size(); ++p) {
         const ShadowPage& spage = sblk.pages[p];
-        ASSERT_EQ(spage.program_ops, rblk.page(p).program_ops())
+        ASSERT_EQ(spage.program_ops, arr.page(b, p).program_ops())
             << "block " << b << " page " << p;
         for (SubpageId s = 0; s < spage.slots.size(); ++s) {
           const ShadowSubpage& sslot = spage.slots[s];

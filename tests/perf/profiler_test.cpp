@@ -103,7 +103,8 @@ TEST(Profiler, SpanCapDropsAreCountedNotLost) {
   EXPECT_EQ(prof.span_count(), 3u);
   EXPECT_EQ(prof.dropped_spans(), 7u);
   // The call tree keeps aggregating past the timeline cap.
-  const auto* hot = find_path(prof.merged_tree(), "hot");
+  const auto tree = prof.merged_tree();
+  const auto* hot = find_path(tree, "hot");
   ASSERT_NE(hot, nullptr);
   EXPECT_EQ(hot->calls, 10u);
 }
