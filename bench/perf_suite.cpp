@@ -139,13 +139,7 @@ int main(int argc, char** argv) {
   const auto spec = Runner::default_spec();
   report.blocks = spec.total_blocks;
   report.scale = spec.trace_scale;
-  report.jobs = 1;
-  if (const char* jobs = std::getenv("PPSSD_JOBS")) {
-    try {
-      report.jobs = std::stoul(jobs);
-    } catch (...) {
-    }
-  }
+  report.jobs = Runner::env_jobs();
 
   Table table({"cell", "requests", "wall s", "req/s", "ctrl ev/s",
                "measure s", "warmup s"});

@@ -738,8 +738,14 @@ void Scheme::check_consistency() const {
     std::uint32_t recount_valid = 0;
     std::uint32_t recount_invalid = 0;
     std::uint64_t recount_wt_sum = 0;
+    // Only SLC-mode blocks keep an age histogram (ISR is the SLC policy;
+    // MLC GC is greedy and reads invalid counts only).
+    const nand::AgeHistogram* hist = array_.age_histogram(b);
+    PPSSD_CHECK_MSG((hist != nullptr) == (blk.mode() == CellMode::kSlc),
+                    "age histogram present on an MLC block or missing on an "
+                    "SLC block");
     nand::AgeHistogram recount_hist;
-    recount_hist.clear(blk.age_histogram().base_ms());
+    if (hist != nullptr) recount_hist.clear(hist->base_ms());
     for (std::uint32_t p = 0; p < blk.page_count(); ++p) {
       const auto& page = array_.page(b, static_cast<PageId>(p));
       for (std::uint32_t s = 0; s < blk.subpages_per_page(); ++s) {
@@ -768,7 +774,7 @@ void Scheme::check_consistency() const {
     // The GC-score aggregates must agree with a from-scratch rebuild.
     PPSSD_CHECK_MSG(recount_wt_sum == blk.sum_write_time_ms(),
                     "running write-time sum is stale");
-    PPSSD_CHECK_MSG(recount_hist == blk.age_histogram(),
+    PPSSD_CHECK_MSG(hist == nullptr || recount_hist == *hist,
                     "age histogram disagrees with page state");
   }
   // Bijection: mapped LSNs == valid physical subpages (each valid subpage

@@ -1,0 +1,36 @@
+// Whole-value parsing for PPSSD_* environment knobs.
+//
+// A knob either parses in full or the process stops with exit code 2 and
+// one line naming the knob, its value and what was expected — never an
+// uncaught exception, a wrapped value or a silent fallback.
+#pragma once
+
+#include <charconv>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <string>
+
+namespace ppssd {
+
+/// Parse the whole of `value` as a T, or nullopt. std::from_chars takes no
+/// leading whitespace or '+', and no '-' for unsigned T.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_whole(const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return out;
+}
+
+/// Reject a malformed knob with one line naming it and its value.
+[[noreturn]] inline void reject_knob(const char* name,
+                                     const std::string& value,
+                                     const char* expected) {
+  std::fprintf(stderr, "ppssd: invalid %s='%s': expected %s\n", name,
+               value.c_str(), expected);
+  std::exit(2);
+}
+
+}  // namespace ppssd

@@ -31,7 +31,8 @@
 namespace ppssd::io::warmstart {
 
 inline constexpr char kMagic[9] = "PPSSDWRM";
-inline constexpr std::uint32_t kVersion = 1;
+/// Container version. 2: MLC block records carry no age histogram.
+inline constexpr std::uint32_t kVersion = 2;
 
 struct Header {
   std::string key;

@@ -1,15 +1,14 @@
 #include "core/runner.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/knob.h"
 #include "common/thread_pool.h"
 #include "perf/profiler.h"
 #include "perf/progress.h"
@@ -23,25 +22,6 @@ namespace {
 std::string env_or(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return v ? std::string(v) : fallback;
-}
-
-/// Reject a malformed knob with one line naming it and its value.
-[[noreturn]] void reject_knob(const char* name, const std::string& value,
-                              const char* expected) {
-  std::fprintf(stderr, "ppssd: invalid %s='%s': expected %s\n", name,
-               value.c_str(), expected);
-  std::exit(2);
-}
-
-/// Parse the whole of `value` as a T, or nullopt. std::from_chars takes no
-/// leading whitespace or '+', and no '-' for unsigned T.
-template <typename T>
-std::optional<T> parse_whole(const std::string& value) {
-  T out{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return out;
 }
 }  // namespace
 
@@ -106,17 +86,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) {
 
 std::vector<ExperimentResult> Runner::run_all(
     const std::vector<ExperimentSpec>& specs, std::size_t jobs) {
-  if (jobs == 0) {
-    const std::string env = env_or("PPSSD_JOBS", "");
-    if (!env.empty()) {
-      try {
-        jobs = static_cast<std::size_t>(std::stoul(env));
-      } catch (...) {
-        jobs = 1;
-      }
-    }
-    if (jobs == 0) jobs = 1;
-  }
+  if (jobs == 0) jobs = env_jobs();
   // The telemetry artifact writers (trace JSON, metrics CSV, time series)
   // share env-configured output paths; concurrent cells would clobber
   // each other's files. The same goes for the snapshot stream (append
@@ -159,6 +129,16 @@ std::vector<ExperimentResult> Runner::run_matrix(
     }
   }
   return run_all(specs);
+}
+
+std::size_t Runner::env_jobs() {
+  const std::string env = env_or("PPSSD_JOBS", "");
+  if (env.empty()) return 1;
+  const auto parsed = parse_whole<std::size_t>(env);
+  if (!parsed || *parsed == 0) {
+    reject_knob("PPSSD_JOBS", env, "a positive integer job count");
+  }
+  return *parsed;
 }
 
 ExperimentSpec Runner::default_spec() {

@@ -20,6 +20,9 @@
 //                      subset of registered scheme names (case-
 //                      insensitive). Unknown names abort with the list
 //                      of known schemes.
+//
+// A malformed PPSSD_BLOCKS, PPSSD_SCALE or PPSSD_JOBS exits 2 with one
+// line naming the knob (common/knob.h).
 #pragma once
 
 #include <string>
@@ -54,6 +57,10 @@ class Runner {
 
   /// Spec template honouring the environment knobs.
   [[nodiscard]] static ExperimentSpec default_spec();
+
+  /// $PPSSD_JOBS, or 1 when unset. A value that is not a positive integer
+  /// exits 2 with one line naming the knob.
+  [[nodiscard]] static std::size_t env_jobs();
 
   /// All six paper trace names in Table 3 order.
   [[nodiscard]] static std::vector<std::string> paper_traces();

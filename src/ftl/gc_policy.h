@@ -16,10 +16,11 @@
 //
 // Both policies run off incrementally maintained state instead of walking
 // pages: Greedy answers from the BlockManager's invalid-count bucket index
-// in O(1), and ISR's per-block terms come from nand::Block running
-// aggregates — age_sum() is an O(1) identity over sum_write_time_ms() and
-// cold_weight() an O(kBuckets) fold over the block's age histogram (one
-// exp per occupied bucket instead of one per valid subpage; see
+// in O(1), and ISR's per-block terms come from running aggregates —
+// age_sum() is an O(1) identity over the nand::Block's sum_write_time_ms()
+// and cold_weight() an O(kBuckets) fold over the block's age histogram,
+// which the FlashArray keeps for SLC-mode blocks only (one exp per
+// occupied bucket instead of one per valid subpage; see
 // DESIGN.md's GC-complexity section for the approximation bound). The
 // original full-scan forms survive as *_exact / select_victim_reference —
 // they define the semantics the fast paths are tested against and anchor
@@ -116,18 +117,22 @@ class IsrPolicy final : public GcPolicy {
                                                 CellMode mode,
                                                 SimTime now) const;
 
-  /// ISR_i of Equation 1 for one block. `mean_age_ms` is T_i — the average
-  /// valid-subpage age the exponential is normalised by. The paper derives
-  /// it from "all subpages"; select_victim() computes it over the plane's
-  /// candidates so cold *blocks* score above equally-shaped hot ones.
-  [[nodiscard]] static double isr(const nand::Block& block, SimTime now,
+  /// ISR_i of Equation 1 for one SLC-mode block. `mean_age_ms` is T_i —
+  /// the average valid-subpage age the exponential is normalised by. The
+  /// paper derives it from "all subpages"; select_victim() computes it
+  /// over the plane's candidates so cold *blocks* score above
+  /// equally-shaped hot ones.
+  [[nodiscard]] static double isr(const nand::FlashArray& array,
+                                  BlockId block, SimTime now,
                                   double mean_age_ms);
 
   /// IS'_i of Equation 2 (the cold-valid weight term), evaluated in
   /// O(AgeHistogram::kBuckets) from the block's age histogram with each
-  /// bucket's subpages collapsed onto their mean write time.
-  [[nodiscard]] static double cold_weight(const nand::Block& block,
-                                          SimTime now, double mean_age_ms);
+  /// bucket's subpages collapsed onto their mean write time. The block
+  /// must be SLC-mode: MLC blocks keep no histogram.
+  [[nodiscard]] static double cold_weight(const nand::FlashArray& array,
+                                          BlockId block, SimTime now,
+                                          double mean_age_ms);
 
   /// (sum of valid-subpage ages in ms, valid count) — T_i building block.
   /// O(1): valid * now_ms - sum_write_time_ms.
@@ -135,9 +140,7 @@ class IsrPolicy final : public GcPolicy {
       const nand::Block& block, SimTime now);
 
   /// Per-subpage page-walk forms of the three terms above — the exact
-  /// semantics the aggregate-driven versions approximate. They walk the
-  /// array's SoA subpage rows, so they take (array, block) instead of a
-  /// Block reference.
+  /// semantics the aggregate-driven versions approximate.
   [[nodiscard]] static double isr_exact(const nand::FlashArray& array,
                                         BlockId block, SimTime now,
                                         double mean_age_ms);

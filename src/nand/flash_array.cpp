@@ -15,18 +15,22 @@ FlashArray::FlashArray(const SsdConfig& cfg)
   spp_ = geom_.subpages_per_page();
   blocks_.reserve(geom_.total_blocks());
   statics_.reserve(geom_.total_blocks());
+  hists_.resize(geom_.slc_block_count());
+  std::uint32_t next_hist = 0;
   std::uint64_t pages = 0;
   for (BlockId b = 0; b < geom_.total_blocks(); ++b) {
     const CellMode mode =
         geom_.is_slc_block(b) ? CellMode::kSlc : CellMode::kMlc;
-    blocks_.emplace_back(mode, geom_.pages_per_block(mode),
-                         geom_.subpages_per_page());
+    Block& blk = blocks_.emplace_back(mode, geom_.pages_per_block(mode),
+                                      geom_.subpages_per_page());
+    if (mode == CellMode::kSlc) blk.hist_ = next_hist++;
     statics_.push_back(BlockStatic{
         static_cast<std::uint32_t>(pages), cfg_.wear.initial_pe_cycles,
         geom_.plane_of(b), static_cast<std::uint16_t>(geom_.chip_of(b)),
         static_cast<std::uint16_t>(geom_.channel_of(b)), mode});
     pages += geom_.pages_per_block(mode);
   }
+  PPSSD_CHECK(next_hist == hists_.size());
   PPSSD_CHECK_MSG(pages <= std::numeric_limits<std::uint32_t>::max(),
                   "device has more pages than a 32-bit page index");
   pages_.resize(pages);
@@ -64,14 +68,15 @@ bool FlashArray::program_reference(BlockId b, PageId p,
 
   // Layer "block": frontier rule and the cold-population transition.
   const std::uint8_t pre_ops = pg.program_ops_;
+  AgeHistogram* const hist = histogram_of(blk);
   if (pre_ops == 0) {
     PPSSD_CHECK_MSG(p == blk.frontier_, "out-of-order first program of a page");
     ++blk.frontier_;
-  } else if (pre_ops == 1) {
+  } else if (pre_ops == 1 && hist != nullptr) {
     for (std::uint32_t s = 0; s < spp_; ++s) {
       if (sp_state_[base + s] ==
           static_cast<std::uint8_t>(SubpageState::kValid)) {
-        blk.age_histogram_.remove(sp_wtime_[base + s]);
+        hist->remove(sp_wtime_[base + s]);
       }
     }
   }
@@ -100,9 +105,7 @@ bool FlashArray::program_reference(BlockId b, PageId p,
   const auto n = static_cast<std::uint32_t>(writes.size());
   blk.valid_ += n;
   blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
-  if (pre_ops == 0) {
-    blk.age_histogram_.add(wt, n);
-  }
+  if (pre_ops == 0 && hist != nullptr) hist->add(wt, n);
 
   // Wordline adjacency: programming page p disturbs pages p-1 and p+1 of
   // the same block if they already hold data (Figure 1).
@@ -150,7 +153,7 @@ void FlashArray::prefill_page(BlockId b, PageId p,
 
   const auto n = static_cast<std::uint32_t>(writes.size());
   blk.valid_ += n;
-  blk.age_histogram_.add(0, n);
+  if (AgeHistogram* const hist = histogram_of(blk)) hist->add(0, n);
 
   // Only the page behind the frontier can absorb this program; the page
   // ahead has never been programmed.
@@ -195,9 +198,8 @@ void FlashArray::invalidate_reference(BlockId b, PageId p, SubpageId s) {
   --blk.valid_;
   ++blk.invalid_;
   blk.sum_write_time_ms_ -= wt;
-  if (page(b, p).program_ops() == 1) {
-    blk.age_histogram_.remove(wt);
-  }
+  AgeHistogram* const hist = histogram_of(blk);
+  if (page(b, p).program_ops() == 1 && hist != nullptr) hist->remove(wt);
   if (observer_ != nullptr) {
     observer_->on_subpage_invalidated(b, blk.invalid_);
   }
@@ -209,6 +211,12 @@ void FlashArray::erase(BlockId b, SimTime now) {
   PPSSD_CHECK_MSG(blk.valid_subpages() == 0,
                   "erasing a block that still holds valid data");
   blk.erase(now);
+  if (AgeHistogram* const hist = histogram_of(blk)) {
+    // Rebase the histogram on this erase so bucket widths are log-spaced
+    // in the block's own fill window (same ms truncation as the program
+    // path).
+    hist->clear(static_cast<std::uint32_t>(now / 1'000'000));
+  }
   BlockStatic& bs = statics_[b];
   bs.pe_cycles = cfg_.wear.initial_pe_cycles + blk.erase_count();
   // Clear the block's page and SoA slot ranges back to the erased state.
@@ -283,8 +291,10 @@ void FlashArray::save(io::StateSink& sink) const {
   // derivable from the rows above, but serializing them makes restore a
   // straight copy instead of a fold over every subpage slot — the
   // invariant walk (Scheme::check_consistency) still re-derives and
-  // cross-checks them after every checkpoint round-trip in tests.
-  for (const Block& blk : blocks_) {
+  // cross-checks them after every checkpoint round-trip in tests. Only
+  // SLC-mode blocks' records carry a histogram.
+  for (BlockId b = 0; b < blocks_.size(); ++b) {
+    const Block& blk = blocks_[b];
     sink.u8(static_cast<std::uint8_t>(blk.level()));
     sink.u32(blk.erase_count());
     sink.u64(blk.last_erase_time());
@@ -292,7 +302,7 @@ void FlashArray::save(io::StateSink& sink) const {
     sink.u32(blk.valid_);
     sink.u32(blk.invalid_);
     sink.u64(blk.sum_write_time_ms_);
-    blk.age_histogram_.save(sink);
+    if (const AgeHistogram* const hist = age_histogram(b)) hist->save(sink);
   }
 
   for (const Plane& pl : planes_) {
@@ -350,7 +360,7 @@ void FlashArray::restore(io::StateSource& src) {
     blk.valid_ = src.u32();
     blk.invalid_ = src.u32();
     blk.sum_write_time_ms_ = src.u64();
-    blk.age_histogram_.restore(src);
+    if (AgeHistogram* const hist = histogram_of(blk)) hist->restore(src);
     PPSSD_CHECK_MSG(
         blk.frontier_ <= blk.page_count() &&
             blk.valid_ + blk.invalid_ <=

@@ -31,6 +31,7 @@
 #include "common/config.h"
 #include "common/row_alloc.h"
 #include "common/types.h"
+#include "nand/age_histogram.h"
 #include "nand/block.h"
 #include "nand/chip.h"
 #include "nand/disturb.h"
@@ -76,7 +77,7 @@ class BlockObserver {
 /// divisions, plus the two fields the read path needs — where the block's
 /// pages start in the flat page row, and its current P/E count (kept in
 /// step by erase() and restore()). A BER snapshot reads this 20-byte entry
-/// instead of the ~1.7 KB Block.
+/// instead of the 48-byte Block.
 struct BlockStatic {
   /// Index of the block's page 0 in the page row; its slot rows start at
   /// page_base * subpages_per_page.
@@ -98,6 +99,15 @@ class FlashArray {
 
   [[nodiscard]] const Block& block(BlockId b) const { return blocks_[b]; }
   [[nodiscard]] Block& block(BlockId b) { return blocks_[b]; }
+
+  /// Write-time histogram over block `b`'s valid subpages in never-updated
+  /// pages (the Eq. 2 cold population), or nullptr for a block that keeps
+  /// none: only SLC-mode blocks do.
+  [[nodiscard]] const AgeHistogram* age_histogram(BlockId b) const {
+    PPSSD_DCHECK(b < blocks_.size());
+    const std::uint32_t h = blocks_[b].hist_;
+    return h == Block::kNoHistogram ? nullptr : &hists_[h];
+  }
 
   /// Hot per-block row entry: coordinates, page base, P/E count.
   [[nodiscard]] const BlockStatic& block_static(BlockId b) const {
@@ -195,8 +205,8 @@ class FlashArray {
   /// neighbour disturb. Returns true if it was a partial program.
   ///
   /// Fused single-pass implementation: subpage rows, page counters, block
-  /// aggregates, the age histogram and array counters update in one walk
-  /// over `writes`.
+  /// aggregates, the age histogram (SLC blocks) and array counters update
+  /// in one walk over `writes`.
   bool program(BlockId b, PageId p, std::span<const SlotWrite> writes,
                SimTime now) {
     PPSSD_DCHECK(b < blocks_.size());
@@ -208,6 +218,7 @@ class FlashArray {
     Page& pg = pages_[pi];
     const std::size_t base = pi * spp_;
     const std::uint8_t pre_ops = pg.program_ops_;
+    AgeHistogram* const hist = histogram_of(blk);
     if (pre_ops == 0) {
       // First program of a page must land on the write frontier: NAND
       // blocks are programmed page-sequentially after an erase.
@@ -217,13 +228,13 @@ class FlashArray {
     } else {
       PPSSD_CHECK_MSG(pre_ops < cfg_.cache.max_partial_programs,
                       "partial-program limit exceeded or no free slot");
-      if (pre_ops == 1) {
+      if (pre_ops == 1 && hist != nullptr) {
         // The page transitions to "updated": its valid subpages leave the
         // cold (never-updated) population tracked by the age histogram.
         for (std::uint32_t s = 0; s < spp_; ++s) {
           if (sp_state_[base + s] ==
               static_cast<std::uint8_t>(SubpageState::kValid)) {
-            blk.age_histogram_.remove(sp_wtime_[base + s]);
+            hist->remove(sp_wtime_[base + s]);
           }
         }
       }
@@ -250,9 +261,7 @@ class FlashArray {
     const auto n = static_cast<std::uint32_t>(writes.size());
     blk.valid_ += n;
     blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
-    if (pre_ops == 0) {
-      blk.age_histogram_.add(wt, n);
-    }
+    if (pre_ops == 0 && hist != nullptr) hist->add(wt, n);
 
     // Wordline adjacency: programming page p disturbs pages p-1 and p+1
     // of the same block if they already hold data (Figure 1).
@@ -322,7 +331,8 @@ class FlashArray {
   [[nodiscard]] bool can_partial_program(BlockId b, PageId p) const;
 
   /// Fused invalidate: one slot lookup updates the state row, block
-  /// aggregates, the age histogram and the observer in a single pass.
+  /// aggregates, the age histogram (SLC blocks) and the observer in a
+  /// single pass.
   void invalidate(BlockId b, PageId p, SubpageId s) {
     PPSSD_DCHECK(b < blocks_.size());
     Block& blk = blocks_[b];
@@ -339,9 +349,8 @@ class FlashArray {
     --blk.valid_;
     ++blk.invalid_;
     blk.sum_write_time_ms_ -= wt;
-    if (pages_[pi].program_ops_ == 1) {
-      blk.age_histogram_.remove(wt);
-    }
+    AgeHistogram* const hist = histogram_of(blk);
+    if (hist != nullptr && pages_[pi].program_ops_ == 1) hist->remove(wt);
     if (observer_ != nullptr) {
       observer_->on_subpage_invalidated(b, blk.invalid_);
     }
@@ -392,7 +401,7 @@ class FlashArray {
   void set_block_observer(BlockObserver* observer) { observer_ = observer; }
 
   /// Serialize the complete mutable array state (SoA rows, per-page and
-  /// per-block counters, wear, histograms, operation counters) for the
+  /// per-block counters, wear, SLC histograms, operation counters) for the
   /// warm-start checkpoint. Geometry/config are not written — the restore
   /// target must be constructed from the same SsdConfig.
   void save(io::StateSink& sink) const;
@@ -402,10 +411,18 @@ class FlashArray {
   void restore(io::StateSource& src);
 
  private:
+  /// `blk`'s age histogram, or nullptr (MLC blocks keep none).
+  AgeHistogram* histogram_of(const Block& blk) {
+    return blk.hist_ == Block::kNoHistogram ? nullptr : &hists_[blk.hist_];
+  }
+
   SsdConfig cfg_;
   Geometry geom_;
   Row<Block> blocks_;
   Row<BlockStatic> statics_;
+  // One age histogram per SLC-mode block, in block order; Block::hist_
+  // indexes it.
+  Row<AgeHistogram> hists_;
   std::vector<Plane> planes_;
   std::vector<Chip> chips_;
   ArrayCounters counters_;

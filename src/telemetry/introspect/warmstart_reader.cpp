@@ -121,14 +121,16 @@ bool load_warmstart_as_snapshot(const std::string& path, SnapshotFile* out,
     bs.valid_subpages = p.u32();
     bs.invalid_subpages = p.u32();
     (void)p.u64();  // sum_write_time_ms
-    // Skip the sparse age histogram: base_ms, then n (bucket, count, sum)
-    // entries.
-    (void)p.u32();
-    const std::uint32_t hist_n = p.u32();
-    for (std::uint32_t i = 0; p.ok() && i < hist_n; ++i) {
-      (void)p.u16();
+    if (slc) {
+      // Skip the SLC block's sparse age histogram: base_ms, then n
+      // (bucket, count, sum) entries. MLC records carry none.
       (void)p.u32();
-      (void)p.u64();
+      const std::uint32_t hist_n = p.u32();
+      for (std::uint32_t i = 0; p.ok() && i < hist_n; ++i) {
+        (void)p.u16();
+        (void)p.u32();
+        (void)p.u64();
+      }
     }
     if (!p.ok() || frontier > pages) {
       return fail(error, "block record truncated or out of shape");

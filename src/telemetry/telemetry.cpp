@@ -1,7 +1,10 @@
 #include "telemetry/telemetry.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
+#include "common/knob.h"
 #include "common/units.h"
 
 namespace ppssd::telemetry {
@@ -11,6 +14,15 @@ std::string env_or(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return v ? std::string(v) : fallback;
 }
+
+/// A count knob: unset leaves `fallback`; 0 keeps its "off" meaning.
+std::uint64_t env_count(const char* name, std::uint64_t fallback) {
+  const std::string value = env_or(name, "");
+  if (value.empty()) return fallback;
+  const auto parsed = parse_whole<std::uint64_t>(value);
+  if (!parsed) reject_knob(name, value, "a non-negative integer");
+  return *parsed;
+}
 }  // namespace
 
 TelemetryOptions TelemetryOptions::from_env() {
@@ -18,14 +30,25 @@ TelemetryOptions TelemetryOptions::from_env() {
   opts.trace_path = env_or("PPSSD_TRACE", "");
   opts.trace_categories =
       parse_categories(env_or("PPSSD_TRACE_CATEGORIES", ""));
-  const std::string limit = env_or("PPSSD_TRACE_LIMIT", "");
-  if (!limit.empty()) opts.trace_max_events = std::stoull(limit);
+  opts.trace_max_events =
+      env_count("PPSSD_TRACE_LIMIT", opts.trace_max_events);
   opts.metrics_path = env_or("PPSSD_METRICS", "");
   opts.timeseries_path = env_or("PPSSD_TIMESERIES", "");
-  const std::string every = env_or("PPSSD_SAMPLE_REQUESTS", "");
-  if (!every.empty()) opts.sample_every_requests = std::stoull(every);
+  opts.sample_every_requests =
+      env_count("PPSSD_SAMPLE_REQUESTS", opts.sample_every_requests);
   const std::string ms = env_or("PPSSD_SAMPLE_MS", "");
-  if (!ms.empty()) opts.sample_every_ns = ms_to_ns(std::stod(ms));
+  if (!ms.empty()) {
+    // Bounded so the window converts to SimTime nanoseconds exactly.
+    constexpr double kMaxMs =
+        static_cast<double>(std::numeric_limits<SimTime>::max() / 2'000'000);
+    const auto parsed = parse_whole<double>(ms);
+    if (!parsed || !std::isfinite(*parsed) || *parsed < 0.0 ||
+        *parsed > kMaxMs) {
+      reject_knob("PPSSD_SAMPLE_MS", ms,
+                  "a non-negative sim-time window in milliseconds");
+    }
+    opts.sample_every_ns = ms_to_ns(*parsed);
+  }
   opts.attribution_path = env_or("PPSSD_ATTRIB", "");
   return opts;
 }

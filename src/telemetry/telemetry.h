@@ -19,6 +19,9 @@
 //   PPSSD_SAMPLE_MS=f                 window = f ms of sim time
 //   PPSSD_ATTRIB=out.ledger.bin       per-request blame ledger (binary;
 //                                     read with tools/latency_explain)
+//
+// The numeric knobs must parse in full (0 = no cap / no trigger); a
+// malformed value exits 2 with one line naming the knob (common/knob.h).
 #pragma once
 
 #include <cstdint>

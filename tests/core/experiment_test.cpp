@@ -238,6 +238,28 @@ TEST(RunnerDeathTest, DefaultSpecRejectsMalformedScale) {
   unsetenv("PPSSD_SCALE");
 }
 
+TEST(Runner, EnvJobsReadsKnob) {
+  unsetenv("PPSSD_JOBS");
+  EXPECT_EQ(Runner::env_jobs(), 1u);
+  ASSERT_EQ(setenv("PPSSD_JOBS", "3", 1), 0);
+  EXPECT_EQ(Runner::env_jobs(), 3u);
+  unsetenv("PPSSD_JOBS");
+}
+
+TEST(RunnerDeathTest, EnvJobsRejectsMalformedValue) {
+  for (const std::string bad : {"abc", "-2", "0", "4x", " 4", "1.5"}) {
+    ASSERT_EQ(setenv("PPSSD_JOBS", bad.c_str(), 1), 0);
+    EXPECT_EXIT((void)Runner::env_jobs(), ::testing::ExitedWithCode(2),
+                "invalid PPSSD_JOBS='" + bad + "'")
+        << bad;
+    // run_all resolves the same knob when no job count is passed.
+    EXPECT_EXIT((void)Runner("").run_all({}), ::testing::ExitedWithCode(2),
+                "invalid PPSSD_JOBS='" + bad + "'")
+        << bad;
+  }
+  unsetenv("PPSSD_JOBS");
+}
+
 // PPSSD_SHARDS resolution (DESIGN.md §15): channel clamp, auto mode,
 // and the jobs x shards <= hardware oversubscription cap.
 TEST(ResolveShardCount, EnvParsingAndDefaults) {

@@ -156,6 +156,18 @@ TEST_F(WarmStartCacheCorruption, StaleContainerVersionIsAMiss) {
   expect_miss();
 }
 
+TEST_F(WarmStartCacheCorruption, VersionOneCheckpointIsAMiss) {
+  // Version 1 wrote an age histogram into every block record; version 2
+  // writes one for SLC-mode blocks only. An old file under the current
+  // name must miss at the container check, not misparse block records.
+  ASSERT_EQ(io::warmstart::kVersion, 2u);
+  std::vector<std::uint8_t> old = good_;
+  old[8] = 1;  // container_version, little-endian u32 after the magic
+  old[9] = old[10] = old[11] = 0;
+  write_bytes(path_, old);
+  expect_miss();
+}
+
 TEST_F(WarmStartCacheCorruption, TruncationAnywhereIsAMiss) {
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{4}, std::size_t{21}, good_.size() / 2,

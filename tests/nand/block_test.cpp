@@ -1,11 +1,17 @@
 // Block-level invariants (frontier rule, running aggregates, erase
 // lifecycle) driven through the FlashArray — program/invalidate live on
-// the array since the SoA refactor — plus the AgeHistogram unit tests.
+// the array since the SoA refactor — plus the AgeHistogram unit tests and
+// the array's SLC-only histogram row.
 #include "nand/block.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/config.h"
+#include "common/rng.h"
+#include "common/state_io.h"
 #include "common/units.h"
 #include "nand/flash_array.h"
 
@@ -136,6 +142,142 @@ TEST(AgeHistogram, SubBucketsSeparateSameOctave) {
   EXPECT_NE(h.bucket_of(0b100000), h.bucket_of(0b101000));
 }
 
+TEST(AgeHistogramRow, OnlySlcBlocksHaveOne) {
+  const FlashArray arr(small_config());
+  const Geometry& geom = arr.geometry();
+  std::uint32_t with_hist = 0;
+  const AgeHistogram* prev = nullptr;
+  for (BlockId b = 0; b < geom.total_blocks(); ++b) {
+    const AgeHistogram* h = arr.age_histogram(b);
+    ASSERT_EQ(h != nullptr, arr.block(b).mode() == CellMode::kSlc) << b;
+    if (h == nullptr) continue;
+    // Each SLC block owns its own histogram.
+    EXPECT_NE(h, prev) << b;
+    EXPECT_EQ(h->total(), 0u) << b;
+    prev = h;
+    ++with_hist;
+  }
+  EXPECT_EQ(with_hist, geom.slc_block_count());
+}
+
+/// Every SLC block's histogram equals a from-scratch recount of its
+/// never-updated valid subpages, rebased on its last erase; no MLC block
+/// has one.
+void expect_histograms_match_recount(const FlashArray& arr) {
+  for (BlockId b = 0; b < arr.geometry().total_blocks(); ++b) {
+    const Block& blk = arr.block(b);
+    const AgeHistogram* hist = arr.age_histogram(b);
+    if (blk.mode() == CellMode::kMlc) {
+      ASSERT_EQ(hist, nullptr) << "MLC block " << b;
+      continue;
+    }
+    ASSERT_NE(hist, nullptr) << "SLC block " << b;
+    AgeHistogram recount;
+    recount.clear(static_cast<std::uint32_t>(blk.last_erase_time() /
+                                             1'000'000));
+    for (PageId p = 0; p < blk.write_frontier(); ++p) {
+      if (arr.page(b, p).program_ops() != 1) continue;
+      for (SubpageId s = 0; s < arr.subpages_per_page(); ++s) {
+        const Subpage sp = arr.subpage(b, p, s);
+        if (sp.state == SubpageState::kValid) recount.add(sp.write_time_ms);
+      }
+    }
+    ASSERT_TRUE(recount == *hist) << "SLC block " << b;
+  }
+}
+
+TEST(AgeHistogramRow, RandomWalkMatchesRecountAcrossRestore) {
+  const SsdConfig cfg = small_config();
+  FlashArray arr(cfg);
+  const Geometry& geom = arr.geometry();
+  const std::uint32_t spp = arr.subpages_per_page();
+
+  // Four SLC and four MLC blocks, spread over planes.
+  std::vector<BlockId> walked;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const std::uint32_t plane = (i * 5) % geom.planes();
+    walked.push_back(geom.plane_first_block(plane) + i);
+    walked.push_back(geom.plane_first_block(plane) +
+                     geom.slc_blocks_per_plane() + i);
+  }
+  for (std::uint32_t i = 0; i < walked.size(); ++i) {
+    ASSERT_LT(walked[i], geom.total_blocks());
+    ASSERT_EQ(arr.block(walked[i]).mode(),
+              i % 2 == 0 ? CellMode::kSlc : CellMode::kMlc);
+  }
+
+  Rng rng(77);
+  Lsn next_lsn = 0;
+  std::uint64_t erases = 0;
+  std::uint64_t partials = 0;
+  std::uint64_t invalidates = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const BlockId b = walked[rng.next_below(walked.size())];
+    const Block& blk = arr.block(b);
+    // Sim time moves in uneven strides so writes span many buckets.
+    const SimTime now = ms_to_ns(static_cast<double>(step) * 37.0);
+    const double roll = rng.next_double();
+    if (roll < 0.01) {
+      // Erase: retire the block's valid data first, as GC would.
+      for (PageId p = 0; p < blk.write_frontier(); ++p) {
+        for (SubpageId s = 0; s < spp; ++s) {
+          if (arr.subpage_state(b, p, s) == SubpageState::kValid) {
+            arr.invalidate(b, p, s);
+          }
+        }
+      }
+      arr.erase(b, now);
+      ++erases;
+    } else if (roll < 0.35) {
+      // Invalidate one random valid subpage below the frontier.
+      if (blk.write_frontier() == 0) continue;
+      const auto p = static_cast<PageId>(rng.next_below(blk.write_frontier()));
+      const auto s = static_cast<SubpageId>(rng.next_below(spp));
+      if (arr.subpage_state(b, p, s) != SubpageState::kValid) continue;
+      arr.invalidate(b, p, s);
+      ++invalidates;
+    } else {
+      PageId p = 0;
+      if (roll < 0.7 && blk.has_free_page()) {
+        p = static_cast<PageId>(blk.write_frontier());  // first program
+      } else if (blk.write_frontier() > 0) {
+        p = static_cast<PageId>(rng.next_below(blk.write_frontier()));
+        if (!arr.can_partial_program(b, p)) continue;
+        ++partials;
+      } else {
+        continue;
+      }
+      const SubpageId first = arr.page_first_free(b, p);
+      const auto n =
+          static_cast<std::uint32_t>(1 + rng.next_below(spp - first));
+      std::array<SlotWrite, kMaxSubpagesPerPage> writes;
+      for (std::uint32_t k = 0; k < n; ++k) {
+        writes[k] = SlotWrite{static_cast<SubpageId>(first + k), next_lsn++,
+                              1};
+      }
+      arr.program(b, p, std::span<const SlotWrite>(writes.data(), n), now);
+    }
+    if (step % 1500 == 0) expect_histograms_match_recount(arr);
+  }
+  EXPECT_GT(erases, 0u);
+  EXPECT_GT(partials, 0u);
+  EXPECT_GT(invalidates, 0u);
+  expect_histograms_match_recount(arr);
+
+  io::StateSink sink;
+  arr.save(sink);
+  FlashArray restored(cfg);
+  io::StateSource src(sink.buffer());
+  restored.restore(src);
+  EXPECT_TRUE(src.exhausted());
+  expect_histograms_match_recount(restored);
+  for (const BlockId b : walked) {
+    if (arr.age_histogram(b) != nullptr) {
+      EXPECT_TRUE(*arr.age_histogram(b) == *restored.age_histogram(b)) << b;
+    }
+  }
+}
+
 class BlockAggregates : public ::testing::TestWithParam<CellMode> {};
 
 TEST_P(BlockAggregates, MaintainedAcrossLifecycle) {
@@ -145,34 +287,45 @@ TEST_P(BlockAggregates, MaintainedAcrossLifecycle) {
                         : arr.geometry().slc_blocks_per_plane();
   ASSERT_EQ(arr.block(b).mode(), GetParam());
   const Block& blk = arr.block(b);
+  // The cold population (valid subpages of never-updated pages) lives in
+  // the SLC block's age histogram; an MLC block has no histogram at all.
+  const auto expect_cold = [&](std::uint32_t n) {
+    const AgeHistogram* hist = arr.age_histogram(b);
+    if (GetParam() == CellMode::kMlc) {
+      EXPECT_EQ(hist, nullptr);
+      return;
+    }
+    ASSERT_NE(hist, nullptr);
+    EXPECT_EQ(hist->total(), n);
+  };
 
   // First program: both subpages enter the sum and the cold histogram.
   const SlotWrite first[] = {w(0, 1), w(1, 2)};
   arr.program(b, 0, first, ms_to_ns(2.0));
   EXPECT_EQ(blk.sum_write_time_ms(), 4u);  // 2 * 2 ms
-  EXPECT_EQ(blk.never_updated_valid(), 2u);
+  expect_cold(2);
 
   // Partial program: the page becomes "updated", so its valid subpages
   // leave the cold population but stay in the age sum.
   const SlotWrite upd[] = {w(2, 3)};
   arr.program(b, 0, upd, ms_to_ns(7.0));
   EXPECT_EQ(blk.sum_write_time_ms(), 11u);  // 2 + 2 + 7
-  EXPECT_EQ(blk.never_updated_valid(), 0u);
+  expect_cold(0);
 
   // A fresh page keeps its own subpages cold.
   const SlotWrite second[] = {w(0, 4), w(1, 5), w(2, 6), w(3, 7)};
   arr.program(b, 1, second, ms_to_ns(9.0));
   EXPECT_EQ(blk.sum_write_time_ms(), 11u + 4 * 9);
-  EXPECT_EQ(blk.never_updated_valid(), 4u);
+  expect_cold(4);
 
   // Invalidation drops the subpage from the sum; only never-updated pages
   // also shed a histogram entry.
   arr.invalidate(b, 0, 0);  // updated page: histogram untouched
   EXPECT_EQ(blk.sum_write_time_ms(), 9u + 4 * 9);
-  EXPECT_EQ(blk.never_updated_valid(), 4u);
+  expect_cold(4);
   arr.invalidate(b, 1, 3);  // never-updated page
   EXPECT_EQ(blk.sum_write_time_ms(), 9u + 3 * 9);
-  EXPECT_EQ(blk.never_updated_valid(), 3u);
+  expect_cold(3);
 
   // Erase zeroes everything and rebases the histogram on the erase time.
   for (SubpageId s = 0; s < 3; ++s) arr.invalidate(b, 1, s);
@@ -180,14 +333,16 @@ TEST_P(BlockAggregates, MaintainedAcrossLifecycle) {
   arr.invalidate(b, 0, 2);
   arr.erase(b, ms_to_ns(50.0));
   EXPECT_EQ(blk.sum_write_time_ms(), 0u);
-  EXPECT_EQ(blk.never_updated_valid(), 0u);
-  EXPECT_EQ(blk.age_histogram().base_ms(), 50u);
+  expect_cold(0);
+  if (GetParam() == CellMode::kSlc) {
+    EXPECT_EQ(arr.age_histogram(b)->base_ms(), 50u);
+  }
 
   // Reprogram after erase: aggregates restart from the new base.
   const SlotWrite again[] = {w(0, 8)};
   arr.program(b, 0, again, ms_to_ns(60.0));
   EXPECT_EQ(blk.sum_write_time_ms(), 60u);
-  EXPECT_EQ(blk.never_updated_valid(), 1u);
+  expect_cold(1);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, BlockAggregates,

@@ -166,5 +166,47 @@ TEST(TelemetryE2e, DetachedSsdReplaysIdenticallyToNeverAttached) {
   EXPECT_EQ(run(false), run(true));
 }
 
+TEST(TelemetryOptions, FromEnvParsesWindowKnobs) {
+  ::setenv("PPSSD_TRACE_LIMIT", "0", 1);  // 0 = unbounded
+  ::setenv("PPSSD_SAMPLE_REQUESTS", "250", 1);
+  ::setenv("PPSSD_SAMPLE_MS", "2.5", 1);
+  const auto opts = telemetry::TelemetryOptions::from_env();
+  ::unsetenv("PPSSD_TRACE_LIMIT");
+  ::unsetenv("PPSSD_SAMPLE_REQUESTS");
+  ::unsetenv("PPSSD_SAMPLE_MS");
+  EXPECT_EQ(opts.trace_max_events, 0u);
+  EXPECT_EQ(opts.sample_every_requests, 250u);
+  EXPECT_EQ(opts.sample_every_ns, 2'500'000u);
+}
+
+// A malformed telemetry knob ends the process with exit code 2 and one
+// line naming the knob and its value, instead of an uncaught exception
+// from std::stoull / std::stod.
+TEST(TelemetryOptionsDeathTest, FromEnvRejectsMalformedCounts) {
+  for (const char* knob : {"PPSSD_TRACE_LIMIT", "PPSSD_SAMPLE_REQUESTS"}) {
+    for (const std::string bad :
+         {"abc", "-1", "1.5", "10x", " 10", "99999999999999999999"}) {
+      ASSERT_EQ(::setenv(knob, bad.c_str(), 1), 0);
+      EXPECT_EXIT((void)telemetry::TelemetryOptions::from_env(),
+                  ::testing::ExitedWithCode(2),
+                  std::string("invalid ") + knob + "='" + bad + "'")
+          << knob << "=" << bad;
+    }
+    ::unsetenv(knob);
+  }
+}
+
+TEST(TelemetryOptionsDeathTest, FromEnvRejectsMalformedSampleMs) {
+  for (const std::string bad : {"abc", "-1", "nan", "inf", "1e999", "5ms",
+                                "1e300"}) {
+    ASSERT_EQ(::setenv("PPSSD_SAMPLE_MS", bad.c_str(), 1), 0);
+    EXPECT_EXIT((void)telemetry::TelemetryOptions::from_env(),
+                ::testing::ExitedWithCode(2),
+                "invalid PPSSD_SAMPLE_MS='" + bad + "'")
+        << bad;
+  }
+  ::unsetenv("PPSSD_SAMPLE_MS");
+}
+
 }  // namespace
 }  // namespace ppssd

@@ -7,7 +7,10 @@
 // broken the tool path.
 #include "telemetry/introspect/warmstart_reader.h"
 
+#include <sys/wait.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -16,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/warmstart_format.h"
 #include "core/warmstart.h"
 #include "sim/replayer.h"
 #include "sim/ssd.h"
@@ -190,6 +194,58 @@ TEST_F(WarmstartReader, RejectsCorruptOrTruncatedCheckpoints) {
 
   EXPECT_FALSE(
       load_warmstart_as_snapshot(dir_ + "/no_such_file", &sink, &error));
+}
+
+/// Run the device_inspect tool; returns its exit status (-1 if it did not
+/// exit normally) and appends its stdout to `out`.
+int run_device_inspect(const std::string& args, std::string* out) {
+  const std::string cmd =
+      std::string(PPSSD_DEVICE_INSPECT) + " " + args + " 2>/dev/null";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out->append(buf);
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST_F(WarmstartReader, DeviceInspectVerifiesTheCheckpoint) {
+  std::string out;
+  EXPECT_EQ(run_device_inspect("'" + fixture_.ckpt_path + "' --verify", &out),
+            0);
+  EXPECT_NE(out.find("conservation: OK"), std::string::npos) << out;
+}
+
+TEST_F(WarmstartReader, VersionOneCheckpointIsRejectedCleanly) {
+  // A checkpoint written before MLC block records lost their age
+  // histogram: same bytes, container version 1. The reader must refuse
+  // it up front rather than misparse the block records.
+  std::vector<char> bytes;
+  {
+    std::ifstream in(fixture_.ckpt_path, std::ios::binary);
+    ASSERT_TRUE(in.is_open());
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(io::warmstart::kVersion, 2u);
+  ASSERT_GT(bytes.size(), 12u);
+  bytes[8] = 1;  // container_version: the u32 right after the magic
+  bytes[9] = bytes[10] = bytes[11] = 0;
+  const std::string path = dir_ + "/v1.ckpt";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  SnapshotFile sink;
+  std::string error;
+  EXPECT_TRUE(is_warmstart_file(path));
+  EXPECT_FALSE(load_warmstart_as_snapshot(path, &sink, &error));
+  EXPECT_NE(error.find("container version"), std::string::npos) << error;
+
+  std::string out;
+  EXPECT_EQ(run_device_inspect("'" + path + "' --verify", &out), 3)
+      << "expected the malformed-input exit code";
 }
 
 }  // namespace
