@@ -106,23 +106,6 @@ core::ExperimentResult run_warmstart_variant(const std::string& dir) {
   return r;
 }
 
-/// Sharded-replay cell (DESIGN.md §15): the same experiment cell run
-/// end-to-end with PPSSD_SHARDS pinned. Results are bit-identical at any
-/// shard count, so the pair's only signal is wall time: s1 is the
-/// sequential reference, s4 the windowed path at four shards. Speedup
-/// needs hardware threads — on few-core hosts the s4 cell prices the
-/// windowing overhead instead (still worth gating: the overhead
-/// regressing is a real regression).
-core::ExperimentResult run_shard_variant(std::uint32_t shards) {
-  setenv("PPSSD_SHARDS", std::to_string(shards).c_str(), 1);
-  core::ExperimentSpec spec = Runner::default_spec();
-  spec.scheme = "IPU";
-  spec.trace = "ts0";
-  const core::ExperimentResult r = core::run_experiment(spec);
-  unsetenv("PPSSD_SHARDS");
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -209,29 +192,6 @@ int main(int argc, char** argv) {
                   cell.phases.warmup_seconds, cell.wall_seconds);
     }
     std::filesystem::remove_all(scratch_dir);
-  }
-
-  // Sharded-replay pair: the IPU/ts0 cell sequential vs four shards.
-  // Stable keys ("shard/replay/s1", "shard/replay/s4") for CI --require;
-  // the scaling table (perf_compare) reads the sN suffix.
-  for (const std::uint32_t shards : {1u, 4u}) {
-    const core::ExperimentResult r = run_shard_variant(shards);
-    perf::BenchCell cell;
-    cell.key = "shard/replay/s" + std::to_string(shards);
-    cell.scheme = r.spec.scheme;
-    cell.trace = r.spec.trace;
-    cell.requests = r.reads + r.writes;
-    cell.ctrl_events = r.ctrl_events;
-    cell.wall_seconds = r.wall_seconds;
-    cell.reqs_per_sec = r.wall_reqs_per_sec;
-    cell.ctrl_events_per_sec = r.wall_ctrl_events_per_sec;
-    cell.phases.setup_seconds = r.wall_setup_seconds;
-    cell.phases.warmup_seconds = r.wall_warmup_seconds;
-    cell.phases.measure_seconds = r.wall_measure_seconds;
-    cell.phases.report_seconds = r.wall_report_seconds;
-    report.cells.push_back(cell);
-    std::printf("%-16s %8.0f req/s  %8.2f s total\n", cell.key.c_str(),
-                cell.reqs_per_sec, cell.wall_seconds);
   }
 
   if (!report.save(out_path)) {

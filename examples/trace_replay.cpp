@@ -140,14 +140,14 @@ int main(int argc, char** argv) {
               static_cast<double>(fp.mapping_total()) / (1 << 20),
               (fp.normalized() - 1.0) * 100.0);
 
-  const auto& usage = ssd.service_model().usage();
+  const auto& usage = ssd.controller().usage();
   std::printf("chip time (s)  fg: read %.2f prog %.2f | bg: read %.2f prog "
               "%.2f erase %.2f\n",
               ns_to_ms(usage.read_fg) / 1e3, ns_to_ms(usage.program_fg) / 1e3,
               ns_to_ms(usage.read_bg) / 1e3, ns_to_ms(usage.program_bg) / 1e3,
               ns_to_ms(usage.erase_bg) / 1e3);
   {
-    const auto& occ = ssd.service_model().chip_occupancy();
+    const auto& occ = ssd.controller().chip_occupancy();
     SimTime lo = occ[0], hi = occ[0];
     for (const auto t : occ) {
       lo = std::min(lo, t);

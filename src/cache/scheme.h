@@ -24,8 +24,8 @@
 // Schemes self-register in the name-indexed plugin registry
 // (cache/registry.h); construct them with make_scheme(name, cfg, opts).
 //
-// Schemes do not advance time; they emit PhysOps that the service model
-// (sim/service_model.h) prices against chip/channel availability.
+// Schemes do not advance time; they emit PhysOps that the controller
+// (sim/controller.h) prices against chip/channel availability.
 #pragma once
 
 #include <cstdint>

@@ -6,10 +6,15 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
+
+#include "common/types.h"
+#include "common/units.h"
 
 namespace ppssd {
 
@@ -31,6 +36,21 @@ template <typename T>
   std::fprintf(stderr, "ppssd: invalid %s='%s': expected %s\n", name,
                value.c_str(), expected);
   std::exit(2);
+}
+
+/// A sim-time window knob in milliseconds, returned in nanoseconds. The
+/// value must be finite, non-negative and small enough that the SimTime
+/// conversion cannot overflow; anything else is rejected.
+[[nodiscard]] inline SimTime parse_ms_knob(const char* name,
+                                           const std::string& value) {
+  constexpr double kMaxMs =
+      static_cast<double>(std::numeric_limits<SimTime>::max() / 2'000'000);
+  const auto parsed = parse_whole<double>(value);
+  if (!parsed || !std::isfinite(*parsed) || *parsed < 0.0 ||
+      *parsed > kMaxMs) {
+    reject_knob(name, value, "a non-negative sim-time window in milliseconds");
+  }
+  return ms_to_ns(*parsed);
 }
 
 }  // namespace ppssd

@@ -1,19 +1,14 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
-#include <thread>
 
 #include "common/check.h"
 #include "core/warmstart.h"
 #include "perf/profiler.h"
 #include "sim/replayer.h"
-#include "sim/shard_executor.h"
 #include "sim/ssd.h"
 #include "telemetry/introspect/snapshotter.h"
 #include "telemetry/telemetry.h"
@@ -24,8 +19,6 @@ namespace ppssd::core {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-
-std::atomic<std::size_t> g_parallel_jobs{1};
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -73,45 +66,6 @@ void run_warmup(sim::Ssd& ssd, const trace::SyntheticWorkload& workload,
 }
 }  // namespace
 
-void set_parallel_jobs(std::size_t jobs) {
-  g_parallel_jobs.store(std::max<std::size_t>(1, jobs),
-                        std::memory_order_relaxed);
-}
-
-std::size_t parallel_jobs() {
-  return g_parallel_jobs.load(std::memory_order_relaxed);
-}
-
-std::uint32_t resolve_shard_count(const char* env_value,
-                                  std::uint32_t channels, std::uint32_t jobs,
-                                  std::uint32_t hardware) {
-  if (env_value == nullptr || *env_value == '\0') return 1;
-  std::uint32_t shards = 0;
-  try {
-    shards = static_cast<std::uint32_t>(std::stoul(env_value));
-  } catch (...) {
-    return 1;
-  }
-  hardware = std::max(1u, hardware);
-  jobs = std::max(1u, jobs);
-  if (shards == 0) shards = std::max(1u, hardware / jobs);  // auto
-  shards = std::min(shards, std::max(1u, channels));
-  if (jobs > 1 && static_cast<std::uint64_t>(jobs) * shards > hardware) {
-    const std::uint32_t clamped = std::max(1u, hardware / jobs);
-    if (clamped < shards) {
-      static std::atomic<bool> noted{false};
-      if (!noted.exchange(true)) {
-        std::fprintf(stderr,
-                     "[ppssd] PPSSD_SHARDS clamped %u -> %u (%u jobs x %u "
-                     "shards exceeds %u hardware threads)\n",
-                     shards, clamped, jobs, shards, hardware);
-      }
-      shards = clamped;
-    }
-  }
-  return shards;
-}
-
 std::string ExperimentSpec::key() const {
   std::ostringstream os;
   os << scheme << '-' << trace << "-pe" << pe_cycles << "-b" << total_blocks
@@ -157,34 +111,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   const auto& profile = trace::profile_by_name(spec.trace);
   sim::Replayer replayer(ssd);
 
-  // Sharded windowed execution (PPSSD_SHARDS; DESIGN.md §15): attach the
-  // executor before warm-up so the pre-conditioning replay shards too.
-  // Results are bit-identical at any shard count. Trace and time-series
-  // telemetry observe scheme-time instants ahead of the commit replay,
-  // so those runs stay on the sequential path.
-  std::unique_ptr<sim::ShardExecutor> shard_exec;
-  {
-    std::uint32_t shards = resolve_shard_count(
-        std::getenv("PPSSD_SHARDS"),
-        ssd.scheme().array().geometry().channels(),
-        static_cast<std::uint32_t>(parallel_jobs()),
-        std::thread::hardware_concurrency());
-    const auto topt = telemetry::TelemetryOptions::from_env();
-    if (shards > 1 &&
-        (!topt.trace_path.empty() || !topt.timeseries_path.empty())) {
-      static std::atomic<bool> noted{false};
-      if (!noted.exchange(true)) {
-        std::fprintf(stderr,
-                     "[ppssd] PPSSD_SHARDS ignored: trace/time-series "
-                     "telemetry requires the sequential path\n");
-      }
-      shards = 1;
-    }
-    if (shards > 1) {
-      shard_exec = std::make_unique<sim::ShardExecutor>(shards);
-      ssd.set_shard_executor(shard_exec.get());
-    }
-  }
   r.wall_setup_seconds = seconds_since(phase_start);
   phase_start = Clock::now();
 
@@ -286,7 +212,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   r.avg_queue_depth = replay.avg_queue_depth;
   r.avg_queue_depth_at_arrival = replay.avg_queue_depth_at_arrival;
   {
-    const auto& u = ssd.service_model().usage();
+    const auto& u = ssd.controller().usage();
     r.chip_fg_seconds = ns_to_ms(u.read_fg + u.program_fg) / 1e3;
     r.chip_bg_seconds = ns_to_ms(u.read_bg + u.program_bg) / 1e3;
     r.chip_erase_seconds = ns_to_ms(u.erase_bg) / 1e3;

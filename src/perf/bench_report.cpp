@@ -195,44 +195,6 @@ std::string BenchComparison::render() const {
   return os.str();
 }
 
-std::string render_shard_scaling(const BenchReport& report) {
-  // Collect "<group>/s<N>" cells into per-group (N -> rate) maps.
-  std::map<std::string, std::map<std::uint32_t, double>> groups;
-  for (const BenchCell& c : report.cells) {
-    const auto slash = c.key.rfind("/s");
-    if (slash == std::string::npos) continue;
-    const std::string tail = c.key.substr(slash + 2);
-    if (tail.empty() ||
-        tail.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    groups[c.key.substr(0, slash)][static_cast<std::uint32_t>(
-        std::stoul(tail))] = c.reqs_per_sec;
-  }
-
-  std::ostringstream os;
-  char line[256];
-  for (const auto& [group, by_shards] : groups) {
-    const auto s1 = by_shards.find(1);
-    if (s1 == by_shards.end() || s1->second <= 0.0 || by_shards.size() < 2) {
-      continue;
-    }
-    if (os.tellp() == 0) {
-      std::snprintf(line, sizeof line, "\n%-40s %14s %9s %11s\n",
-                    "shard scaling", "req/s", "speedup", "efficiency");
-      os << line;
-    }
-    for (const auto& [shards, rate] : by_shards) {
-      const double speedup = rate / s1->second;
-      std::snprintf(line, sizeof line, "%-40s %14.1f %8.2fx %10.0f%%\n",
-                    (group + "/s" + std::to_string(shards)).c_str(), rate,
-                    speedup, 100.0 * speedup / static_cast<double>(shards));
-      os << line;
-    }
-  }
-  return os.str();
-}
-
 BenchComparison compare_bench(const BenchReport& baseline,
                               const BenchReport& current, double tolerance) {
   BenchComparison out;

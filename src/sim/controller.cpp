@@ -97,123 +97,61 @@ void Controller::attach_telemetry(telemetry::Telemetry* telemetry) {
 }
 
 SimTime Controller::schedule(const cache::PhysOp& op, SimTime ready) {
+  using Kind = cache::PhysOp::Kind;
   PPSSD_CHECK(op.chip < lanes_.size());
   PPSSD_CHECK(op.channel < channel_busy_.size());
-  OpOutcome out;
-  price(op, ready, lanes_[op.chip].busy_until, lanes_[op.chip].erase_until,
-        channel_busy_[op.channel], out);
-  return commit(op, out);
-}
+  advance_to(ready);
 
-void Controller::price(const cache::PhysOp& op, SimTime ready,
-                       SimTime& lane_busy, SimTime& lane_erase,
-                       SimTime& chan_busy, OpOutcome& out) const {
-  using Kind = cache::PhysOp::Kind;
-  out.ready = ready;
+  ChipLane& lane = lanes_[op.chip];
+  SimTime& chan_busy = channel_busy_[op.channel];
   // Horizons before this op claims them — the attribution ledger charges
   // wait intervals against the *previous* occupancy.
-  out.lane_was = lane_busy;
-  out.erase_was = lane_erase;
+  const SimTime lane_was = lane.busy_until;
+  const SimTime erase_was = lane.erase_until;
+  SimTime svc_start = 0;  // array-occupancy start (sense/pulse/erase)
+  SimTime end = 0;
 
   switch (op.kind) {
     case Kind::kRead: {
       // Array sense, then transfer out, then controller-side ECC. A
       // background read must wait for an in-progress erase; a foreground
       // read suspends it.
-      SimTime sense_start = std::max(ready, lane_busy);
-      if (op.background) sense_start = std::max(sense_start, lane_erase);
-      out.svc_start = sense_start;
-      out.sense_end = sense_start + timing_.read_latency(op.mode);
-      lane_busy = out.sense_end;
-      out.xfer_start = std::max(out.sense_end, chan_busy);
-      out.xfer_end = out.xfer_start + timing_.transfer_latency(op.subpages);
-      chan_busy = out.xfer_end;
-      out.ecc_ns = ecc_cost(op);
-      out.end = out.xfer_end + out.ecc_ns;
-      break;
-    }
-    case Kind::kProgram: {
-      // Transfer in, then program pulse on the chip. Background programs
-      // queue behind an in-progress erase; foreground programs suspend it.
-      out.xfer_start = std::max(ready, chan_busy);
-      out.xfer_end = out.xfer_start + timing_.transfer_latency(op.subpages);
-      chan_busy = out.xfer_end;
-      SimTime prog_start = std::max(out.xfer_end, lane_busy);
-      if (op.background) prog_start = std::max(prog_start, lane_erase);
-      out.svc_start = prog_start;
-      out.end = prog_start + timing_.program_latency(op.mode);
-      lane_busy = out.end;
-      break;
-    }
-    case Kind::kReprogram: {
-      // In-place SLC→dense switch (IPS): one continued-ISPP pulse sequence
-      // on the chip — the data never leaves the array, so there is no
-      // channel transfer and no controller-side ECC. Erase interaction
-      // mirrors a program: background reprograms queue behind an
-      // in-progress erase, foreground ones suspend it.
-      SimTime start = std::max(ready, lane_busy);
-      if (op.background) start = std::max(start, lane_erase);
-      out.svc_start = start;
-      out.end = start + timing_.reprogram_latency();
-      lane_busy = out.end;
-      break;
-    }
-    case Kind::kErase: {
-      // Erase-suspend: the controller suspends a background erase when a
-      // host command arrives, so erases occupy a *separate* per-chip
-      // horizon that serialises only background work. Host ops see the
-      // chip as available; the erase's wall-clock completion still gates
-      // background progress on the lane.
-      const SimTime start = std::max({ready, lane_erase, lane_busy});
-      out.svc_start = start;
-      out.end = start + timing_.erase_latency();
-      lane_erase = out.end;
-      break;
-    }
-  }
-}
-
-SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
-  using Kind = cache::PhysOp::Kind;
-  advance_to(out.ready);
-
-  ChipLane& lane = lanes_[op.chip];
-  const SimTime ready = out.ready;
-  const SimTime end = out.end;
-  // Writing the priced horizons back is idempotent on the sequential path
-  // (price already advanced the controller's own references) and is what
-  // re-synchronises the controller when the outcome was priced against a
-  // shard executor's mirrored horizons.
-  switch (op.kind) {
-    case Kind::kRead: {
-      const SimTime sense_start = out.svc_start;
-      lane.busy_until = out.sense_end;
-      channel_busy_[op.channel] = out.xfer_end;
+      SimTime sense_start = std::max(ready, lane_was);
+      if (op.background) sense_start = std::max(sense_start, erase_was);
+      const SimTime sense_end = sense_start + timing_.read_latency(op.mode);
+      lane.busy_until = sense_end;
+      const SimTime xfer_start = std::max(sense_end, chan_busy);
+      const SimTime xfer_end =
+          xfer_start + timing_.transfer_latency(op.subpages);
+      chan_busy = xfer_end;
+      const SimTime ecc_ns = ecc_cost(op);
+      end = xfer_end + ecc_ns;
+      svc_start = sense_start;
       (op.background ? usage_.read_bg : usage_.read_fg) +=
-          out.sense_end - sense_start;
-      chip_occupancy_[op.chip] += out.sense_end - sense_start;
+          sense_end - sense_start;
+      chip_occupancy_[op.chip] += sense_end - sense_start;
       if (attrib_) {
         attrib_->op_begin(scheduled_ops_, classify(op), op.mode,
                           op.background, op.chip, op.channel, ready);
-        const SimTime base = std::max(ready, out.lane_was);
+        const SimTime base = std::max(ready, lane_was);
         attrib_->wait_lane(op.chip, ready, base);
         if (op.background) {
           attrib_->wait_erase(op.chip, base, sense_start);
-        } else if (out.erase_was > sense_start) {
-          attrib_->note_suspend_saved(out.erase_was - sense_start);
+        } else if (erase_was > sense_start) {
+          attrib_->note_suspend_saved(erase_was - sense_start);
         }
-        attrib_->add_service(out.sense_end - sense_start);
-        attrib_->claim_lane(op.chip, out.sense_end);
-        attrib_->wait_channel(op.channel, out.sense_end, out.xfer_start);
-        attrib_->add_service(out.xfer_end - out.xfer_start);
-        attrib_->claim_channel(op.channel, out.xfer_end);
-        attrib_->add_ecc(out.ecc_ns);
+        attrib_->add_service(sense_end - sense_start);
+        attrib_->claim_lane(op.chip, sense_end);
+        attrib_->wait_channel(op.channel, sense_end, xfer_start);
+        attrib_->add_service(xfer_end - xfer_start);
+        attrib_->claim_channel(op.channel, xfer_end);
+        attrib_->add_ecc(ecc_ns);
         attrib_->op_end(end);
       }
       if (tl_ecc_decodes_) {
         tl_ecc_decodes_->inc(op.subpages);
         if (ecc_.saturated(op.ber)) tl_ecc_saturated_->inc(op.subpages);
-        tl_ecc_ns_->observe(static_cast<double>(out.ecc_ns));
+        tl_ecc_ns_->observe(static_cast<double>(ecc_ns));
         tl_ops_[0][static_cast<int>(op.mode)]->inc();
         tl_chip_wait_->observe(static_cast<double>(sense_start - ready));
       }
@@ -228,24 +166,32 @@ SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
       break;
     }
     case Kind::kProgram: {
-      const SimTime prog_start = out.svc_start;
-      channel_busy_[op.channel] = out.xfer_end;
+      // Transfer in, then program pulse on the chip. Background programs
+      // queue behind an in-progress erase; foreground programs suspend it.
+      const SimTime xfer_start = std::max(ready, chan_busy);
+      const SimTime xfer_end =
+          xfer_start + timing_.transfer_latency(op.subpages);
+      chan_busy = xfer_end;
+      SimTime prog_start = std::max(xfer_end, lane_was);
+      if (op.background) prog_start = std::max(prog_start, erase_was);
+      end = prog_start + timing_.program_latency(op.mode);
       lane.busy_until = end;
+      svc_start = prog_start;
       (op.background ? usage_.program_bg : usage_.program_fg) +=
           end - prog_start;
       chip_occupancy_[op.chip] += end - prog_start;
       if (attrib_) {
         attrib_->op_begin(scheduled_ops_, classify(op), op.mode,
                           op.background, op.chip, op.channel, ready);
-        attrib_->wait_channel(op.channel, ready, out.xfer_start);
-        attrib_->add_service(out.xfer_end - out.xfer_start);
-        attrib_->claim_channel(op.channel, out.xfer_end);
-        const SimTime base = std::max(out.xfer_end, out.lane_was);
-        attrib_->wait_lane(op.chip, out.xfer_end, base);
+        attrib_->wait_channel(op.channel, ready, xfer_start);
+        attrib_->add_service(xfer_end - xfer_start);
+        attrib_->claim_channel(op.channel, xfer_end);
+        const SimTime base = std::max(xfer_end, lane_was);
+        attrib_->wait_lane(op.chip, xfer_end, base);
         if (op.background) {
           attrib_->wait_erase(op.chip, base, prog_start);
-        } else if (out.erase_was > prog_start) {
-          attrib_->note_suspend_saved(out.erase_was - prog_start);
+        } else if (erase_was > prog_start) {
+          attrib_->note_suspend_saved(erase_was - prog_start);
         }
         attrib_->add_service(end - prog_start);
         attrib_->claim_lane(op.chip, end);
@@ -258,26 +204,34 @@ SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
       if (trace_ && trace_->enabled(telemetry::TraceCategory::kFlash)) {
         trace_->span(telemetry::TraceCategory::kFlash,
                      op.mode == CellMode::kSlc ? "prog_slc" : "prog_mlc",
-                     out.xfer_start, end, op.chip,
+                     xfer_start, end, op.chip,
                      {{"subpages", static_cast<double>(op.subpages)},
                       {"bg", op.background ? 1.0 : 0.0}});
       }
       break;
     }
     case Kind::kReprogram: {
-      const SimTime start = out.svc_start;
+      // In-place SLC→dense switch (IPS): one continued-ISPP pulse sequence
+      // on the chip — the data never leaves the array, so there is no
+      // channel transfer and no controller-side ECC. Erase interaction
+      // mirrors a program: background reprograms queue behind an
+      // in-progress erase, foreground ones suspend it.
+      SimTime start = std::max(ready, lane_was);
+      if (op.background) start = std::max(start, erase_was);
+      end = start + timing_.reprogram_latency();
       lane.busy_until = end;
+      svc_start = start;
       (op.background ? usage_.program_bg : usage_.program_fg) += end - start;
       chip_occupancy_[op.chip] += end - start;
       if (attrib_) {
         attrib_->op_begin(scheduled_ops_, classify(op), op.mode,
                           op.background, op.chip, op.channel, ready);
-        const SimTime base = std::max(ready, out.lane_was);
+        const SimTime base = std::max(ready, lane_was);
         attrib_->wait_lane(op.chip, ready, base);
         if (op.background) {
           attrib_->wait_erase(op.chip, base, start);
-        } else if (out.erase_was > start) {
-          attrib_->note_suspend_saved(out.erase_was - start);
+        } else if (erase_was > start) {
+          attrib_->note_suspend_saved(erase_was - start);
         }
         attrib_->add_service(end - start);
         attrib_->claim_lane(op.chip, end);
@@ -296,14 +250,21 @@ SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
       break;
     }
     case Kind::kErase: {
-      const SimTime start = out.svc_start;
+      // Erase-suspend: the controller suspends a background erase when a
+      // host command arrives, so erases occupy a *separate* per-chip
+      // horizon that serialises only background work. Host ops see the
+      // chip as available; the erase's wall-clock completion still gates
+      // background progress on the lane.
+      const SimTime start = std::max({ready, erase_was, lane_was});
+      end = start + timing_.erase_latency();
       lane.erase_until = end;
+      svc_start = start;
       usage_.erase_bg += end - start;
       chip_occupancy_[op.chip] += end - start;
       if (attrib_) {
         attrib_->op_begin(scheduled_ops_, classify(op), op.mode,
                           op.background, op.chip, op.channel, ready);
-        const SimTime after_erase = std::max(ready, out.erase_was);
+        const SimTime after_erase = std::max(ready, erase_was);
         attrib_->wait_erase(op.chip, ready, after_erase);
         attrib_->wait_lane(op.chip, after_erase, start);
         attrib_->add_service(end - start);
@@ -331,12 +292,11 @@ SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
     // A foreground array op starting under a pending erase horizon is
     // exactly the condition the attribution layer books as suspend
     // savings; record it with the saved nanoseconds.
-    if (!op.background && op.kind != Kind::kErase &&
-        out.erase_was > out.svc_start) {
+    if (!op.background && op.kind != Kind::kErase && erase_was > svc_start) {
       flight_->record(FlightEvent{
-          out.svc_start, scheduled_ops_, op.chip,
+          svc_start, scheduled_ops_, op.chip,
           static_cast<std::uint32_t>(
-              std::min<SimTime>(out.erase_was - out.svc_start, UINT32_MAX)),
+              std::min<SimTime>(erase_was - svc_start, UINT32_MAX)),
           FlightEventKind::kEraseSuspend, detail});
     }
     flight_->record(FlightEvent{end, scheduled_ops_, op.chip, op.channel,
@@ -346,30 +306,6 @@ SimTime Controller::commit(const cache::PhysOp& op, const OpOutcome& out) {
   ++scheduled_ops_;
   last_completion_ = std::max(last_completion_, end);
   return end;
-}
-
-void Controller::apply_window(const WindowAggregate& agg) {
-  PPSSD_CHECK(agg.lane_busy != nullptr && agg.lane_erase != nullptr &&
-              agg.chan_busy != nullptr && agg.occupancy_delta != nullptr);
-  for (std::size_t c = 0; c < lanes_.size(); ++c) {
-    lanes_[c].busy_until = agg.lane_busy[c];
-    lanes_[c].erase_until = agg.lane_erase[c];
-    chip_occupancy_[c] += agg.occupancy_delta[c];
-  }
-  for (std::size_t ch = 0; ch < channel_busy_.size(); ++ch) {
-    channel_busy_[ch] = agg.chan_busy[ch];
-  }
-  usage_.read_fg += agg.usage.read_fg;
-  usage_.read_bg += agg.usage.read_bg;
-  usage_.program_fg += agg.usage.program_fg;
-  usage_.program_bg += agg.usage.program_bg;
-  usage_.erase_bg += agg.usage.erase_bg;
-  scheduled_ops_ += agg.ops;
-  // The window's latest completion is the max per-op commits would have
-  // folded in, so advance_to(kNoTime) lands the clock on the same value.
-  if (agg.ops > 0) {
-    last_completion_ = std::max(last_completion_, agg.retire_max);
-  }
 }
 
 }  // namespace ppssd::sim

@@ -49,41 +49,6 @@ class Controller {
   /// controller-side ECC decode).
   SimTime schedule(const cache::PhysOp& op, SimTime ready);
 
-  /// Everything price() derives for one command: the resolved horizons it
-  /// consumed (for the attribution ledger's wait intervals) and the
-  /// per-leg times commit() replays into the instrumentation. Pricing is
-  /// pure horizon arithmetic, so an OpOutcome computed against mirrored
-  /// horizons (sim/shard_executor.h) is bit-identical to the sequential
-  /// one.
-  struct OpOutcome {
-    SimTime ready = 0;      // resolved start floor handed to price()
-    SimTime lane_was = 0;   // lane busy horizon before this op claimed it
-    SimTime erase_was = 0;  // erase horizon before this op
-    SimTime svc_start = 0;  // array-occupancy start (sense/pulse/erase)
-    SimTime sense_end = 0;  // reads: end of the array sense
-    SimTime xfer_start = 0; // reads/programs: channel leg start
-    SimTime xfer_end = 0;   // reads/programs: channel leg end
-    SimTime ecc_ns = 0;     // reads: controller-side decode cost
-    SimTime end = 0;        // completion time
-  };
-
-  /// Pure pricing half of schedule(): advance the caller-supplied lane /
-  /// channel horizons exactly as schedule() would advance the
-  /// controller's own, and fill `out`. Reads only the immutable timing
-  /// and ECC models, so concurrent calls are safe as long as no two
-  /// touch the same horizon references — the shard executor's
-  /// partitioning invariant.
-  void price(const cache::PhysOp& op, SimTime ready, SimTime& lane_busy,
-             SimTime& lane_erase, SimTime& chan_busy, OpOutcome& out) const;
-
-  /// Bookkeeping half of schedule(): apply a priced outcome to the
-  /// controller's own horizons and run every observer exactly as the
-  /// sequential path would (usage, occupancy, telemetry counters, blame
-  /// ledger, trace spans, flight recorder, retirement event). Commits
-  /// must arrive in the same order schedule() calls would have — that
-  /// replay order is what keeps instrumentation bit-identical.
-  SimTime commit(const cache::PhysOp& op, const OpOutcome& out);
-
   [[nodiscard]] std::uint32_t chip_count() const {
     return static_cast<std::uint32_t>(lanes_.size());
   }
@@ -127,33 +92,6 @@ class Controller {
     }
   };
   [[nodiscard]] const Usage& usage() const { return usage_; }
-
-  /// Fast-path window merge for runs with no observers attached (see
-  /// has_observers): one call folds a whole priced window into the
-  /// controller — final horizons, usage / occupancy deltas, command
-  /// count, and the window's latest completion folded into the running
-  /// maximum. Every result-visible quantity (integer sums, horizon state,
-  /// clock after a full drain) lands on exactly the values per-op commits
-  /// would produce.
-  struct WindowAggregate {
-    Usage usage;
-    std::uint64_t ops = 0;
-    SimTime retire_max = 0;
-    const SimTime* lane_busy = nullptr;   // [chip_count] final horizons
-    const SimTime* lane_erase = nullptr;  // [chip_count]
-    const SimTime* chan_busy = nullptr;   // [channel_count]
-    const SimTime* occupancy_delta = nullptr;  // [chip_count]
-  };
-  void apply_window(const WindowAggregate& agg);
-
-  /// True when any order-sensitive observer is attached (blame ledger,
-  /// trace log, flight recorder, or metric counters): windowed execution
-  /// must then replay per-op commits sequentially instead of taking the
-  /// aggregate fast path.
-  [[nodiscard]] bool has_observers() const {
-    return attrib_ != nullptr || trace_ != nullptr || flight_ != nullptr ||
-           tl_chip_wait_ != nullptr;
-  }
 
   [[nodiscard]] SimTime chip_erase_free_at(std::uint32_t chip) const {
     return lanes_[chip].erase_until;

@@ -61,12 +61,6 @@ class Replayer {
   /// and decode-loop overhead amortize to noise.
   static constexpr std::size_t kBatch = 256;
 
-  /// Requests admitted per window when the device has a shard executor
-  /// attached: large enough to amortize the per-segment pool barrier,
-  /// small enough that the staged-op arena stays cache-friendly. Any
-  /// value yields the same results (windows only batch the pricing).
-  static constexpr std::size_t kWindowRequests = 2048;
-
   Ssd* ssd_;
   perf::ProgressSink* progress_ = nullptr;
   telemetry::introspect::Snapshotter* snapshot_ = nullptr;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/knob.h"
 #include "common/units.h"
 
 namespace ppssd::telemetry::introspect {
@@ -445,16 +446,20 @@ bool load_flight(const std::string& path, FlightFile* out,
 
 IntrospectOptions IntrospectOptions::from_env() {
   IntrospectOptions opts;
-  if (const char* ms = std::getenv("PPSSD_SNAPSHOT")) {
-    const double v = std::atof(ms);
-    if (v > 0.0) opts.snapshot_every_ns = ms_to_ns(v);
+  // Both knobs keep 0 (or an empty value) as "off"; anything that does
+  // not parse in full is rejected.
+  if (const char* ms = std::getenv("PPSSD_SNAPSHOT"); ms != nullptr && *ms) {
+    opts.snapshot_every_ns = parse_ms_knob("PPSSD_SNAPSHOT", ms);
   }
   if (const char* p = std::getenv("PPSSD_SNAPSHOT_PATH")) {
     if (*p) opts.snapshot_path = p;
   }
-  if (const char* n = std::getenv("PPSSD_FLIGHT")) {
-    const long v = std::atol(n);
-    if (v > 0) opts.flight_capacity = static_cast<std::uint32_t>(v);
+  if (const char* n = std::getenv("PPSSD_FLIGHT"); n != nullptr && *n) {
+    const auto capacity = parse_whole<std::uint32_t>(n);
+    if (!capacity) {
+      reject_knob("PPSSD_FLIGHT", n, "an event count from 0 to 4294967295");
+    }
+    opts.flight_capacity = *capacity;
   }
   if (const char* p = std::getenv("PPSSD_FLIGHT_PATH")) {
     if (*p) opts.flight_path = p;

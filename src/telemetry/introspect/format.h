@@ -218,14 +218,6 @@ class FlightRecorder {
   /// Total events ever recorded (>= capacity once the ring wrapped).
   [[nodiscard]] std::uint64_t recorded() const { return head_; }
 
-  /// Event by absolute record index (0 = first ever recorded). The index
-  /// must still be retained: recorded() - capacity() <= index < recorded().
-  /// Used by the shard executor to replay a staging ring's window slice
-  /// into the run's real recorder at the window barrier.
-  [[nodiscard]] const FlightEvent& event_at(std::uint64_t index) const {
-    return ring_[static_cast<std::size_t>(index % ring_.size())];
-  }
-
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<FlightEvent> events() const;
 
@@ -259,6 +251,10 @@ struct FlightFile {
 ///   PPSSD_FLIGHT=n           flight-recorder ring capacity in events
 ///   PPSSD_FLIGHT_PATH=f      crash/finish dump target (default
 ///                            ppssd_flight.bin)
+///
+/// 0 turns either feature off. A value that does not parse in full, a
+/// negative or non-finite interval, and a capacity above UINT32_MAX exit
+/// 2 with one line naming the knob (common/knob.h).
 struct IntrospectOptions {
   SimTime snapshot_every_ns = 0;  // 0 = snapshots off
   std::string snapshot_path = "ppssd_snapshots.bin";

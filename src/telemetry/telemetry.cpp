@@ -1,8 +1,6 @@
 #include "telemetry/telemetry.h"
 
-#include <cmath>
 #include <cstdlib>
-#include <limits>
 
 #include "common/knob.h"
 #include "common/units.h"
@@ -38,16 +36,7 @@ TelemetryOptions TelemetryOptions::from_env() {
       env_count("PPSSD_SAMPLE_REQUESTS", opts.sample_every_requests);
   const std::string ms = env_or("PPSSD_SAMPLE_MS", "");
   if (!ms.empty()) {
-    // Bounded so the window converts to SimTime nanoseconds exactly.
-    constexpr double kMaxMs =
-        static_cast<double>(std::numeric_limits<SimTime>::max() / 2'000'000);
-    const auto parsed = parse_whole<double>(ms);
-    if (!parsed || !std::isfinite(*parsed) || *parsed < 0.0 ||
-        *parsed > kMaxMs) {
-      reject_knob("PPSSD_SAMPLE_MS", ms,
-                  "a non-negative sim-time window in milliseconds");
-    }
-    opts.sample_every_ns = ms_to_ns(*parsed);
+    opts.sample_every_ns = parse_ms_knob("PPSSD_SAMPLE_MS", ms);
   }
   opts.attribution_path = env_or("PPSSD_ATTRIB", "");
   return opts;

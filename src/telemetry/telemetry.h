@@ -4,7 +4,7 @@
 // wants instrumentation implements an `attach_telemetry(Telemetry*)`
 // hook that registers its handles once; the hot path then works through
 // those (possibly null) handles. `Ssd::attach_telemetry` fans the bundle
-// out to the scheme, block manager, GC policies and service model, and
+// out to the scheme, block manager, GC policies and controller, and
 // the replayer drives the sampler.
 //
 // Environment knobs (read by from_env(); all optional):

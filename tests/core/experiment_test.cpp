@@ -260,44 +260,5 @@ TEST(RunnerDeathTest, EnvJobsRejectsMalformedValue) {
   unsetenv("PPSSD_JOBS");
 }
 
-// PPSSD_SHARDS resolution (DESIGN.md §15): channel clamp, auto mode,
-// and the jobs x shards <= hardware oversubscription cap.
-TEST(ResolveShardCount, EnvParsingAndDefaults) {
-  // Unset / empty / garbage all mean "sequential".
-  EXPECT_EQ(resolve_shard_count(nullptr, 8, 1, 16), 1u);
-  EXPECT_EQ(resolve_shard_count("", 8, 1, 16), 1u);
-  EXPECT_EQ(resolve_shard_count("banana", 8, 1, 16), 1u);
-  // Explicit counts pass through with jobs == 1...
-  EXPECT_EQ(resolve_shard_count("4", 8, 1, 16), 4u);
-  // ...even above the hardware thread count (determinism validation on
-  // small machines must be able to exercise the windowed path).
-  EXPECT_EQ(resolve_shard_count("4", 8, 1, 1), 4u);
-}
-
-TEST(ResolveShardCount, ClampsToChannels) {
-  // More shards than channels cannot partition anything.
-  EXPECT_EQ(resolve_shard_count("16", 4, 1, 32), 4u);
-  EXPECT_EQ(resolve_shard_count("16", 1, 1, 32), 1u);
-}
-
-TEST(ResolveShardCount, AutoModeDividesHardwareByJobs) {
-  // "0" = auto: hardware / jobs, still channel-clamped.
-  EXPECT_EQ(resolve_shard_count("0", 16, 1, 8), 8u);
-  EXPECT_EQ(resolve_shard_count("0", 16, 4, 8), 2u);
-  EXPECT_EQ(resolve_shard_count("0", 2, 1, 8), 2u);
-  // Degenerate hardware never yields zero shards.
-  EXPECT_EQ(resolve_shard_count("0", 16, 8, 4), 1u);
-}
-
-TEST(ResolveShardCount, ParallelMatrixCapsJobsTimesShards) {
-  // jobs x shards must not oversubscribe the machine: 4 jobs x 8 shards
-  // on 16 threads clamps to 4 shards per cell.
-  EXPECT_EQ(resolve_shard_count("8", 16, 4, 16), 4u);
-  // Already within budget: untouched.
-  EXPECT_EQ(resolve_shard_count("4", 16, 2, 16), 4u);
-  // A clamp that would land below 1 still yields a sequential cell.
-  EXPECT_EQ(resolve_shard_count("8", 16, 16, 8), 1u);
-}
-
 }  // namespace
 }  // namespace ppssd::core

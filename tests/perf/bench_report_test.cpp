@@ -191,49 +191,5 @@ TEST(CompareBench, ZeroBaselineRateNeverDividesOrRegresses) {
   EXPECT_FALSE(cmp.cells[0].regression);
 }
 
-TEST(ShardScaling, RendersSpeedupAndEfficiencyPerFamily) {
-  BenchReport report;
-  const auto cell = [](std::string key, double rate) {
-    BenchCell c;
-    c.key = std::move(key);
-    c.reqs_per_sec = rate;
-    return c;
-  };
-  report.cells.push_back(cell("shard/ctrl/s1", 1000.0));
-  report.cells.push_back(cell("shard/ctrl/s4", 3000.0));
-  report.cells.push_back(cell("shard/replay/s1", 500.0));
-  report.cells.push_back(cell("shard/replay/s2", 900.0));
-  // Not shard families: no sN suffix / no s1 anchor / non-numeric tail.
-  report.cells.push_back(cell("shard/ctrl/seq", 1100.0));
-  report.cells.push_back(cell("warmstart/s8", 50.0));
-  report.cells.push_back(cell("snapshot/s4x", 10.0));
-
-  const std::string table = render_shard_scaling(report);
-  // shard/ctrl: s4 at 3x over s1 = 75% efficiency.
-  EXPECT_NE(table.find("shard/ctrl/s4"), std::string::npos);
-  EXPECT_NE(table.find("3.00x"), std::string::npos);
-  EXPECT_NE(table.find("75%"), std::string::npos);
-  // shard/replay: s2 at 1.8x = 90% efficiency.
-  EXPECT_NE(table.find("shard/replay/s2"), std::string::npos);
-  EXPECT_NE(table.find("1.80x"), std::string::npos);
-  EXPECT_NE(table.find("90%"), std::string::npos);
-  // Anchors render too (speedup 1.00x by construction).
-  EXPECT_NE(table.find("shard/ctrl/s1"), std::string::npos);
-  // Non-family keys stay out of the table.
-  EXPECT_EQ(table.find("shard/ctrl/seq"), std::string::npos);
-  EXPECT_EQ(table.find("warmstart/s8"), std::string::npos);
-  EXPECT_EQ(table.find("snapshot/s4x"), std::string::npos);
-}
-
-TEST(ShardScaling, EmptyWithoutShardCellFamilies) {
-  BenchReport report;
-  BenchCell c;
-  c.key = "IPU-ts0";
-  c.reqs_per_sec = 1000.0;
-  report.cells.push_back(c);
-  EXPECT_EQ(render_shard_scaling(report), "");
-  EXPECT_EQ(render_shard_scaling(BenchReport{}), "");
-}
-
 }  // namespace
 }  // namespace ppssd::perf

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/units.h"
 #include "sim/event_queue.h"
 
 namespace ppssd::sim {
@@ -43,6 +44,120 @@ cache::PhysOp erase_op(std::uint32_t chip) {
   op.kind = cache::PhysOp::Kind::kErase;
   op.background = true;
   return op;
+}
+
+// Single-command pricing and resource serialisation (Table 2 timings).
+
+TEST(Controller, SingleReadLatency) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  // sense + transfer + min ECC decode (ber = 0).
+  EXPECT_EQ(ctrl.schedule(read_op(0), 0),
+            c.timing.slc_read + c.timing.transfer_per_subpage +
+                c.ecc.min_decode);
+}
+
+TEST(Controller, SingleProgramLatency) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  EXPECT_EQ(ctrl.schedule(program_op(0), 1000),
+            1000 + c.timing.transfer_per_subpage + c.timing.slc_write);
+}
+
+TEST(Controller, IdleChipStartsAtReadyTime) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  EXPECT_EQ(ctrl.schedule(program_op(0), ms_to_ns(500.0)),
+            ms_to_ns(500.0) + c.timing.transfer_per_subpage +
+                c.timing.slc_write);
+}
+
+TEST(Controller, MlcOpsSlower) {
+  const SsdConfig c = cfg();
+  Controller slc_ctrl(c, 2, 2);
+  Controller mlc_ctrl(c, 2, 2);
+  cache::PhysOp mlc = program_op(0);
+  mlc.mode = CellMode::kMlc;
+  EXPECT_EQ(mlc_ctrl.schedule(mlc, 0) - slc_ctrl.schedule(program_op(0), 0),
+            c.timing.mlc_write - c.timing.slc_write);
+}
+
+TEST(Controller, SameChipSerializes) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  ctrl.schedule(program_op(0), 0);
+  EXPECT_GE(ctrl.schedule(program_op(0), 0), 2 * c.timing.slc_write);
+}
+
+TEST(Controller, DifferentChipsParallel) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  const SimTime a = ctrl.schedule(program_op(0, 0), 0);
+  const SimTime b = ctrl.schedule(program_op(1, 1), 0);  // independent bus
+  EXPECT_EQ(a, c.timing.transfer_per_subpage + c.timing.slc_write);
+  EXPECT_EQ(b, a);
+}
+
+TEST(Controller, ChannelSerializesTransfers) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 1);
+  // Two programs on different chips but one channel: transfers serialize.
+  cache::PhysOp a = program_op(0);
+  cache::PhysOp b = program_op(1);
+  a.subpages = b.subpages = 4;
+  ctrl.schedule(a, 0);
+  EXPECT_EQ(ctrl.schedule(b, 0),
+            2 * 4 * c.timing.transfer_per_subpage + c.timing.slc_write);
+}
+
+TEST(Controller, EccCostScalesWithBer) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  cache::PhysOp op = read_op(0);
+  const SimTime clean = ctrl.ecc_cost(op);
+  op.ber = 5e-4;
+  const SimTime noisy = ctrl.ecc_cost(op);
+  EXPECT_GT(noisy, clean);
+  op.subpages = 4;
+  EXPECT_EQ(ctrl.ecc_cost(op), 4 * noisy);
+}
+
+TEST(Controller, EraseSuspendDoesNotBlockHostOps) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  ctrl.schedule(erase_op(0), 0);
+  // A host program right after the (suspended) erase starts immediately.
+  EXPECT_EQ(ctrl.schedule(program_op(0), 100),
+            100 + c.timing.transfer_per_subpage + c.timing.slc_write);
+}
+
+TEST(Controller, ErasesSerializeWithEachOther) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  ctrl.schedule(erase_op(0), 0);
+  EXPECT_EQ(ctrl.schedule(erase_op(0), 0), 2 * c.timing.erase);
+}
+
+TEST(Controller, UsageAccounting) {
+  const SsdConfig c = cfg();
+  Controller ctrl(c, 2, 2);
+  ctrl.schedule(program_op(0), 0);
+  ctrl.schedule(read_op(1, 0, true), 0);
+  ctrl.schedule(erase_op(0), 0);
+  EXPECT_EQ(ctrl.usage().program_fg, c.timing.slc_write);
+  EXPECT_EQ(ctrl.usage().read_bg, c.timing.slc_read);
+  EXPECT_EQ(ctrl.usage().erase_bg, c.timing.erase);
+  EXPECT_EQ(ctrl.usage().total(),
+            c.timing.slc_write + c.timing.slc_read + c.timing.erase);
+}
+
+TEST(Controller, ResetClearsState) {
+  Controller ctrl(cfg(), 2, 2);
+  ctrl.schedule(program_op(0), 0);
+  EXPECT_GT(ctrl.chip_free_at(0), 0u);
+  ctrl.reset();
+  EXPECT_EQ(ctrl.chip_free_at(0), 0u);
+  EXPECT_EQ(ctrl.usage().total(), 0u);
 }
 
 // A dependency's completion gates the dependent op even when its own chip

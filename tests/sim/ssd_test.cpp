@@ -84,6 +84,37 @@ TEST(Ssd, InlineGcModeHasNoDeferredOps) {
   EXPECT_EQ(ssd.deferred_background_ops(), 0u);
 }
 
+TEST(Ssd, InlineBackgroundOpsDoNotExtendForegroundEnd) {
+  // gc_interleave_ops = 0 schedules a request's GC work with the request
+  // itself, yet the host-visible finish covers the foreground ops only:
+  // the background ops show up in `drained` alone.
+  SsdConfig c = cfg();
+  c.cache.gc_interleave_ops = 0;
+  Ssd ssd(c, "Baseline");
+  const auto background_ns = [&] {
+    const auto& u = ssd.controller().usage();
+    return u.read_bg + u.program_bg + u.erase_bg;
+  };
+  SimTime now = 0;
+  std::uint64_t gc_requests = 0;
+  std::uint64_t extended = 0;
+  for (Lsn lsn = 0; lsn < 30'000; lsn += 2) {
+    const SimTime bg_before = background_ns();
+    const auto done = ssd.submit(OpType::kWrite, lsn * kSubpageBytes, 8192,
+                                 now += ms_to_ns(0.05));
+    if (background_ns() == bg_before) {
+      ASSERT_EQ(done.drained, done.finish);
+      continue;
+    }
+    ++gc_requests;
+    ASSERT_GE(done.drained, done.finish);
+    if (done.drained > done.finish) ++extended;
+  }
+  EXPECT_GT(gc_requests, 0u);
+  EXPECT_GT(extended, 0u);
+  EXPECT_EQ(ssd.deferred_background_ops(), 0u);
+}
+
 TEST(Ssd, EnqueueMatchesSubmitTiming) {
   // The pipelined path schedules through the same controller: identical
   // request streams produce identical completion times.

@@ -258,10 +258,44 @@ TEST(IntrospectOptions, FromEnvParsesKnobsAndDefaults) {
   EXPECT_EQ(opts.snapshot_path, "snap.bin");
   EXPECT_EQ(opts.flight_path, "flight.bin");
 
+  // 0 keeps its "off" meaning; the capacity takes the full uint32 range.
+  setenv("PPSSD_SNAPSHOT", "0", 1);
+  setenv("PPSSD_FLIGHT", "0", 1);
+  EXPECT_FALSE(IntrospectOptions::from_env().any());
+  setenv("PPSSD_SNAPSHOT", "0.5", 1);
+  setenv("PPSSD_FLIGHT", "4294967295", 1);
+  EXPECT_EQ(IntrospectOptions::from_env().snapshot_every_ns, 500'000u);
+  EXPECT_EQ(IntrospectOptions::from_env().flight_capacity, 4294967295u);
+
   unsetenv("PPSSD_SNAPSHOT");
   unsetenv("PPSSD_SNAPSHOT_PATH");
   unsetenv("PPSSD_FLIGHT");
   unsetenv("PPSSD_FLIGHT_PATH");
+}
+
+TEST(IntrospectOptionsDeathTest, FromEnvRejectsMalformedSnapshot) {
+  for (const std::string bad :
+       {"abc", "-1", "nan", "inf", "1e999", "5ms", " 5", "1e300"}) {
+    ASSERT_EQ(setenv("PPSSD_SNAPSHOT", bad.c_str(), 1), 0);
+    EXPECT_EXIT((void)IntrospectOptions::from_env(),
+                ::testing::ExitedWithCode(2),
+                "invalid PPSSD_SNAPSHOT='" + bad + "'")
+        << bad;
+  }
+  unsetenv("PPSSD_SNAPSHOT");
+}
+
+TEST(IntrospectOptionsDeathTest, FromEnvRejectsMalformedFlight) {
+  // 4294967296 and up do not fit the uint32_t ring capacity.
+  for (const std::string bad : {"abc", "-1", "1.5", "10x", " 10",
+                                "4294967296", "5000000000"}) {
+    ASSERT_EQ(setenv("PPSSD_FLIGHT", bad.c_str(), 1), 0);
+    EXPECT_EXIT((void)IntrospectOptions::from_env(),
+                ::testing::ExitedWithCode(2),
+                "invalid PPSSD_FLIGHT='" + bad + "'")
+        << bad;
+  }
+  unsetenv("PPSSD_FLIGHT");
 }
 
 }  // namespace
