@@ -1,15 +1,13 @@
-// Write-path microbenchmark: fused vs reference program/invalidate cost.
+// Write-path microbenchmark: program/invalidate cost.
 //
 //   ./write_bench [report.json]          default: BENCH_perf.json
 //
 // For each device size (2048 / 8192 / 32768 blocks) and each cell mode the
-// bench drives the same fill/drain cycle through both implementations of
-// the two hottest array operations:
+// bench drives a fill/drain cycle through the two hottest array
+// operations:
 //
-//   write/program/fused        FlashArray::program (single-pass, PR 5)
-//   write/program/reference    FlashArray::program_reference (per-layer)
+//   write/program/fused        FlashArray::program (single-pass)
 //   write/invalidate/fused     FlashArray::invalidate (single-pass)
-//   write/invalidate/reference FlashArray::invalidate_reference
 //
 // plus the attribution-overhead pair — the full Ssd submit path with the
 // per-request blame ledger detached (null-handle hot path) and attached:
@@ -17,9 +15,11 @@
 //   write/attrib/off           Ssd::submit, ledger detached
 //   write/attrib/on            Ssd::submit, ledger attached
 //
-// A cycle fills plane 0's region page by page through the real allocator
-// (conventional program of all-but-one slot, partial program of the last
-// slot on every other page), then drains it: every valid subpage is
+// A cycle fills plane 0's region page by page through the real allocator,
+// then drains it. An SLC-mode page takes a conventional program of
+// all-but-one slot, and every other page a partial program of the last
+// slot; an MLC page takes one whole-page program (one program per erase).
+// The drain is symmetric: every valid subpage is
 // invalidated — exercising the BlockManager victim-index observer exactly
 // like the simulator's supersede path — and the blocks are erased and
 // released. Program timing covers the fill loop, invalidate timing the
@@ -55,7 +55,6 @@ namespace {
 
 /// One fill/drain cycle over plane 0's region. Accumulates program timing
 /// over the fill loop and invalidate timing over the drain loop.
-template <bool kFused>
 void run_cycle(nand::FlashArray& arr, ftl::BlockManager& bm, CellMode mode,
                SimTime& now, Timing& program, Timing& invalidate) {
   using clock = std::chrono::steady_clock;
@@ -63,9 +62,11 @@ void run_cycle(nand::FlashArray& arr, ftl::BlockManager& bm, CellMode mode,
       mode == CellMode::kSlc ? BlockLevel::kWork : BlockLevel::kHighDensity;
   const std::uint32_t floor = bm.gc_threshold_blocks(mode) + 1;
   const std::uint32_t spp = arr.geometry().subpages_per_page();
-  // Conventional programs fill all but the last slot; every other page
-  // then takes a partial program, mirroring the cache's update pattern.
-  const std::uint32_t head = spp > 1 ? spp - 1 : 1;
+  // SLC conventional programs fill all but the last slot; every other
+  // page then takes a partial program, mirroring the cache's update
+  // pattern. MLC pages are programmed whole, once.
+  const bool partial = mode == CellMode::kSlc && spp > 1;
+  const std::uint32_t head = partial ? spp - 1 : spp;
 
   Lsn lsn = 0;
   std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
@@ -77,21 +78,13 @@ void run_cycle(nand::FlashArray& arr, ftl::BlockManager& bm, CellMode mode,
     for (std::uint32_t s = 0; s < head; ++s) {
       writes[s] = {static_cast<SubpageId>(s), lsn + s, 1};
     }
-    const std::span<const nand::SlotWrite> first(writes.data(), head);
-    if constexpr (kFused) {
-      arr.program(alloc->block, alloc->page, first, now);
-    } else {
-      arr.program_reference(alloc->block, alloc->page, first, now);
-    }
+    arr.program(alloc->block, alloc->page,
+                std::span<const nand::SlotWrite>(writes.data(), head), now);
     ++program.calls;
-    if (spp > 1 && alloc->page % 2 == 0) {
+    if (partial && alloc->page % 2 == 0) {
       const nand::SlotWrite upd[] = {
           {static_cast<SubpageId>(spp - 1), lsn + spp - 1, 1}};
-      if constexpr (kFused) {
-        arr.program(alloc->block, alloc->page, upd, now);
-      } else {
-        arr.program_reference(alloc->block, alloc->page, upd, now);
-      }
+      arr.program(alloc->block, alloc->page, upd, now);
       ++program.calls;
     }
     lsn += spp;
@@ -114,13 +107,7 @@ void run_cycle(nand::FlashArray& arr, ftl::BlockManager& bm, CellMode mode,
             nand::SubpageState::kValid) {
           continue;
         }
-        if constexpr (kFused) {
-          arr.invalidate(b, static_cast<PageId>(p),
-                         static_cast<SubpageId>(s));
-        } else {
-          arr.invalidate_reference(b, static_cast<PageId>(p),
-                                   static_cast<SubpageId>(s));
-        }
+        arr.invalidate(b, static_cast<PageId>(p), static_cast<SubpageId>(s));
         ++invalidate.calls;
       }
     }
@@ -136,7 +123,6 @@ void run_cycle(nand::FlashArray& arr, ftl::BlockManager& bm, CellMode mode,
 
 /// Repeat cycles on a fresh device until both loops have accrued enough
 /// measured time.
-template <bool kFused>
 std::pair<Timing, Timing> run_variant(std::uint32_t blocks, CellMode mode) {
   nand::FlashArray arr(bench::single_plane_config(blocks));
   ftl::BlockManager bm(arr);
@@ -146,7 +132,7 @@ std::pair<Timing, Timing> run_variant(std::uint32_t blocks, CellMode mode) {
   SimTime now = 0;
   while (program.seconds < kMinMeasureSeconds ||
          invalidate.seconds < kMinMeasureSeconds) {
-    run_cycle<kFused>(arr, bm, mode, now, program, invalidate);
+    run_cycle(arr, bm, mode, now, program, invalidate);
   }
   return {program, invalidate};
 }
@@ -199,24 +185,17 @@ int main(int argc, char** argv) {
   Table table({"cell", "ns/op", "ops/s"});
   for (const std::uint32_t blocks : bench::kMicroSizes) {
     for (const CellMode mode : {CellMode::kSlc, CellMode::kMlc}) {
-      const auto [fused_prog, fused_inv] = run_variant<true>(blocks, mode);
-      const auto [ref_prog, ref_inv] = run_variant<false>(blocks, mode);
+      const auto [prog, inv] = run_variant(blocks, mode);
       struct Cell {
         const char* family;
-        const char* variant;
         const Timing& timing;
-      } cells[] = {
-          {"program", "fused", fused_prog},
-          {"program", "reference", ref_prog},
-          {"invalidate", "fused", fused_inv},
-          {"invalidate", "reference", ref_inv},
-      };
+      } cells[] = {{"program", prog}, {"invalidate", inv}};
       for (const Cell& c : cells) {
-        const std::string key = std::string("write/") + c.family + "/" +
-                                c.variant + "/" + mode_name(mode) + "/" +
+        const std::string key = std::string("write/") + c.family +
+                                "/fused/" + mode_name(mode) + "/" +
                                 std::to_string(blocks);
         bench::add_micro_cell(report, key, "WritePath",
-                              std::string(c.family) + "-" + c.variant + "@" +
+                              std::string(c.family) + "-fused@" +
                                   mode_name(mode) + std::to_string(blocks),
                               c.timing);
         table.add_row({key, Table::fmt(c.timing.ns_per_call(), 1),

@@ -130,7 +130,8 @@ std::uint32_t IpuScheme::append_cold(Lsn lsn, std::uint32_t count,
   for (std::uint32_t k = 0; k < n; ++k) {
     const Lsn cur = lsn + k;
     invalidate_previous(cur);
-    writes[k] = {static_cast<SubpageId>(first + k), cur, bump_version(cur)};
+    writes[k] = {static_cast<SubpageId>(first + k), cur,
+                 map_.bump_version(cur)};
   }
   array_.program(open.block, open.page,
                  std::span<const nand::SlotWrite>(writes.data(), n), now);
@@ -168,7 +169,7 @@ void IpuScheme::update_cached_run(Lsn lsn, std::uint32_t n, SimTime now,
     std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
     SubpageId slot = array_.page_first_free(first.block, first.page);
     for (std::uint32_t k = 0; k < n; ++k) {
-      writes[k] = {slot, lsn + k, bump_version(lsn + k)};
+      writes[k] = {slot, lsn + k, map_.bump_version(lsn + k)};
       slot = static_cast<SubpageId>(slot + 1);
     }
     // Retire the old versions first (they live in this same page), then
@@ -232,7 +233,7 @@ void IpuScheme::update_cached_run(Lsn lsn, std::uint32_t n, SimTime now,
   std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
   for (std::uint32_t k = 0; k < n; ++k) {
     lsns[k] = lsn + k;
-    vers[k] = bump_version(lsn + k);
+    vers[k] = map_.bump_version(lsn + k);
   }
   const std::span<const Lsn> run(lsns.data(), n);
   // Round-robin the destination plane: hot extents would otherwise stay
@@ -241,7 +242,7 @@ void IpuScheme::update_cached_run(Lsn lsn, std::uint32_t n, SimTime now,
       next_plane(), dest, run, std::span<const std::uint32_t>(vers.data(), n),
       now, /*host=*/true, ops);
   if (!alloc) {
-    for (const Lsn l : run) versions_[l] -= 1;
+    for (const Lsn l : run) map_.rollback_version(l);
     direct_mlc_write(lsn, n, now, ops);
   }
 }

@@ -21,10 +21,10 @@ Scheme::Scheme(const SsdConfig& cfg)
     : cfg_(cfg),
       array_(cfg),
       bm_(array_),
-      map_(array_.geometry().logical_subpages()),
+      map_(array_.geometry().logical_subpages(),
+           cfg.geometry.slot_page_bits(), cfg.geometry.slot_subpage_bits()),
       ber_model_(cfg.ber),
       ecc_model_(cfg.ecc),
-      versions_(array_.geometry().logical_subpages(), 0),
       spp_(cfg.geometry.subpages_per_page()) {}
 
 void Scheme::attach_telemetry(telemetry::Telemetry* telemetry) {
@@ -78,11 +78,6 @@ std::uint32_t Scheme::next_plane() {
   const std::uint32_t p = rr_plane_;
   rr_plane_ = (rr_plane_ + 1) % array_.geometry().planes();
   return p;
-}
-
-std::uint32_t Scheme::bump_version(Lsn lsn) {
-  PPSSD_CHECK(lsn < versions_.size());
-  return ++versions_[lsn];
 }
 
 double Scheme::ber_of(const PhysicalAddress& addr) const {
@@ -289,7 +284,7 @@ void Scheme::write_work_page(Lsn lsn, std::uint32_t n, SimTime now,
   std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
   for (std::uint32_t k = 0; k < n; ++k) {
     chunk[k] = lsn + k;
-    vers[k] = bump_version(lsn + k);
+    vers[k] = map_.bump_version(lsn + k);
   }
   const std::span<const Lsn> run(chunk.data(), n);
   const auto alloc = program_new_slc_page(
@@ -299,7 +294,7 @@ void Scheme::write_work_page(Lsn lsn, std::uint32_t n, SimTime now,
   if (!alloc) {
     // SLC region exhausted even for Work blocks: write through to MLC.
     // Roll the versions back first — direct_mlc_write bumps them itself.
-    for (const Lsn l : run) versions_[l] -= 1;
+    for (const Lsn l : run) map_.rollback_version(l);
     direct_mlc_write(lsn, n, now, ops);
   }
 }
@@ -314,7 +309,7 @@ void Scheme::direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
     std::size_t n = 0;
     while (i < count && n < spp_) {
       chunk[n] = lsn + i;
-      vers[n] = bump_version(lsn + i);
+      vers[n] = map_.bump_version(lsn + i);
       ++n;
       ++i;
     }
@@ -348,7 +343,7 @@ std::uint64_t Scheme::prefill_mlc(std::uint64_t max_subpages,
     std::size_t n = 0;
     while (n < spp_ && filled < max_subpages) {
       const Lsn lsn = filled++;
-      writes[n] = {static_cast<SubpageId>(n), lsn, bump_version(lsn)};
+      writes[n] = {static_cast<SubpageId>(n), lsn, map_.bump_version(lsn)};
       ++n;
     }
     // Bulk setup entry point: frontier fill at sim time 0, skipping the
@@ -701,7 +696,6 @@ void Scheme::save(io::StateSink& sink) const {
   array_.save(sink);
   bm_.save(sink);
   map_.save(sink);
-  sink.vec(versions_);
   sink.u32(rr_plane_);
   save_scheme_state(sink);
 }
@@ -712,10 +706,8 @@ void Scheme::restore(io::StateSource& src) {
   array_.restore(src);
   bm_.restore(src);
   map_.restore(src);
-  (void)src.vec_into(versions_);
   const std::uint32_t rr = src.u32();
-  PPSSD_CHECK_MSG(src.ok(),
-                  "warm-start checkpoint does not match version-table shape");
+  PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint truncated");
   rr_plane_ = rr;
   restore_scheme_state(src);
 }
@@ -765,7 +757,7 @@ void Scheme::check_consistency() const {
                             mapped.page == static_cast<PageId>(p) &&
                             mapped.subpage == static_cast<SubpageId>(s),
                         "valid subpage is not its owner's current mapping");
-        PPSSD_CHECK_MSG(sp.version == versions_[lsn],
+        PPSSD_CHECK_MSG(sp.version == map_.version(lsn),
                         "stored version is stale");
       }
     }
@@ -774,6 +766,9 @@ void Scheme::check_consistency() const {
     // The GC-score aggregates must agree with a from-scratch rebuild.
     PPSSD_CHECK_MSG(recount_wt_sum == blk.sum_write_time_ms(),
                     "running write-time sum is stale");
+    // Only SLC-mode slots keep a write time (DESIGN.md §10).
+    PPSSD_CHECK_MSG(hist != nullptr || blk.sum_write_time_ms() == 0,
+                    "MLC block carries a write-time sum");
     PPSSD_CHECK_MSG(hist == nullptr || recount_hist == *hist,
                     "age histogram disagrees with page state");
   }

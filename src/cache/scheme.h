@@ -145,7 +145,7 @@ class Scheme {
 
   /// Current stored version of an LSN (0 = never written).
   [[nodiscard]] std::uint32_t version_of(Lsn lsn) const {
-    return versions_[lsn];
+    return map_.version(lsn);
   }
 
   /// True if the LSN's current copy lives in the SLC-mode cache.
@@ -196,10 +196,10 @@ class Scheme {
   virtual void inspect(telemetry::introspect::StateSink& sink) const;
 
   /// Warm-start checkpointing (DESIGN.md §14): serialize the device's
-  /// complete mutable state — flash array, block manager, mapping table,
-  /// version table, round-robin cursor — then scheme-specific side state
-  /// via save_scheme_state(). Must be called at a quiescent point (no
-  /// staged evictions, no GC victim mid-flight); metrics are NOT
+  /// complete mutable state — flash array, block manager, device map
+  /// (mappings and versions), round-robin cursor — then scheme-specific
+  /// side state via save_scheme_state(). Must be called at a quiescent
+  /// point (no staged evictions, no GC victim mid-flight); metrics are NOT
   /// serialized — callers checkpoint right after reset_metrics() so both
   /// cold and warm paths start the measured phase from zero.
   void save(io::StateSink& sink) const;
@@ -274,9 +274,6 @@ class Scheme {
 
   /// Next plane in round-robin order for new-page placement.
   std::uint32_t next_plane();
-
-  /// Bump and return the LSN's version (host writes only).
-  std::uint32_t bump_version(Lsn lsn);
 
   /// Drop the previous version of `lsn` wherever it lives. Safe to call
   /// for never-written LSNs.
@@ -381,7 +378,6 @@ class Scheme {
   ecc::EccLatencyModel ecc_model_;
   ftl::GreedyPolicy greedy_;
   SchemeMetrics metrics_;
-  Row<std::uint32_t> versions_;
   /// Trace log adopted from the attached bundle (null when disabled);
   /// subclasses may emit their own category-filtered events through it.
   telemetry::TraceLog* tlog_ = nullptr;

@@ -1,6 +1,7 @@
 #include "common/config.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 namespace ppssd {
@@ -55,6 +56,24 @@ std::string SsdConfig::validate() const {
   }
   if (g.pages_per_slc_block == 0 || g.pages_per_mlc_block == 0) {
     err << "pages per block must be nonzero; ";
+  } else if (g.subpage_bytes != 0) {
+    // The flat page row takes a 32-bit page index (bounded here with
+    // every block at the larger page count) and the device map a 32-bit
+    // slot code.
+    const std::uint64_t pages =
+        std::uint64_t{g.total_blocks} *
+        std::max(g.pages_per_slc_block, g.pages_per_mlc_block);
+    if (pages > std::numeric_limits<std::uint32_t>::max()) {
+      err << "device has more pages (" << pages
+          << ") than a 32-bit page index; ";
+    }
+    const std::uint32_t low_bits = g.slot_page_bits() + g.slot_subpage_bits();
+    if (low_bits >= 32 || (std::uint64_t{g.total_blocks} << low_bits) >
+                              std::numeric_limits<std::uint32_t>::max()) {
+      err << "total_blocks (" << g.total_blocks
+          << ") does not fit a 32-bit slot code beside " << low_bits
+          << " page and subpage bits; ";
+    }
   }
   if (cache.slc_ratio <= 0.0 || cache.slc_ratio >= 1.0) {
     err << "slc_ratio must be in (0,1); ";

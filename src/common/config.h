@@ -6,6 +6,8 @@
 // the benches back to paper scale.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -37,6 +39,18 @@ struct GeometryConfig {
   }
   [[nodiscard]] std::uint32_t subpages_per_page() const {
     return page_bytes / subpage_bytes;
+  }
+  /// Widths of the page and subpage fields of an ftl::DeviceMap slot code
+  /// (DESIGN.md §10); the block id takes the bits above them.
+  [[nodiscard]] std::uint32_t slot_page_bits() const {
+    const std::uint32_t pages =
+        std::max(pages_per_mlc_block, pages_per_slc_block);
+    return pages == 0 ? 0
+                      : static_cast<std::uint32_t>(std::bit_width(pages - 1));
+  }
+  [[nodiscard]] std::uint32_t slot_subpage_bits() const {
+    const std::uint32_t spp = subpages_per_page();
+    return spp == 0 ? 0 : static_cast<std::uint32_t>(std::bit_width(spp - 1));
   }
   [[nodiscard]] std::uint64_t mlc_capacity_bytes() const {
     return static_cast<std::uint64_t>(total_blocks) * pages_per_mlc_block *

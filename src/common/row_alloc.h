@@ -1,14 +1,15 @@
 // Allocator for the simulator's big flat rows (DESIGN.md §10).
 //
-// The device state is a handful of long rows — the mapping and version
-// tables, the block row, the page row and the subpage SoA rows — that the
-// per-request paths index at random. On 4 KiB pages nearly every such
-// access is a TLB miss, so every row of at least kHugeRowBytes is mapped
-// on its own with mmap at a 2 MiB boundary and advised MADV_HUGEPAGE over
-// its whole huge pages (the tail stays on 4 KiB pages, so a row never
-// pins memory it does not use). Releasing a row unmaps it: the memory
-// goes back to the kernel instead of into malloc's free lists, where a
-// later small allocation could fault a whole THP-advised huge page in.
+// The device state is a handful of long rows — the device map (one
+// mapping-and-version entry per LSN), the block row, the page row and the
+// subpage SoA rows — that the per-request paths index at random. On
+// 4 KiB pages nearly every such access is a TLB miss, so every row of at
+// least kHugeRowBytes is mapped on its own with mmap at a 2 MiB boundary
+// and advised MADV_HUGEPAGE over its whole huge pages (the tail stays on
+// 4 KiB pages, so a row never pins memory it does not use). Releasing a
+// row unmaps it: the memory goes back to the kernel instead of into
+// malloc's free lists, where a later small allocation could fault a whole
+// THP-advised huge page in.
 //
 // Smaller rows use plain operator new. So does every row under
 // AddressSanitizer (it only checks heap memory it allocated), and a big

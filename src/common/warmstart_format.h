@@ -32,7 +32,10 @@ namespace ppssd::io::warmstart {
 
 inline constexpr char kMagic[9] = "PPSSDWRM";
 /// Container version. 2: MLC block records carry no age histogram.
-inline constexpr std::uint32_t kVersion = 2;
+/// 3: one 8-byte (slot code, version) device-map entry per LSN and no
+/// separate version row; write-time and disturb-snapshot rows cover
+/// SLC-mode slots only.
+inline constexpr std::uint32_t kVersion = 3;
 
 struct Header {
   std::string key;

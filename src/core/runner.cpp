@@ -159,6 +159,16 @@ ExperimentSpec Runner::default_spec() {
     }
     spec.trace_scale = *parsed;
   }
+  // An impossible geometry stops here with one line, not with an abort
+  // inside FlashArray or an allocation failure.
+  if (!blocks.empty()) {
+    std::string err = config_for(spec).validate();
+    if (!err.empty()) {
+      if (err.ends_with("; ")) err.resize(err.size() - 2);
+      err = "a block count giving a valid device (" + err + ")";
+      reject_knob("PPSSD_BLOCKS", blocks, err.c_str());
+    }
+  }
   return spec;
 }
 

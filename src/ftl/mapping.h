@@ -11,9 +11,17 @@
 // structures (page-level for Baseline, two-level for MGA, page-level +
 // offsets for IPU) is modelled separately by mapping_footprint.h — the
 // Figure 11 numbers do not depend on this ground-truth representation.
+//
+// Each LSN's entry is 8 bytes: a 32-bit slot code and the LSN's current
+// version, which the write path reads and bumps together with the
+// mapping, so a supersede touches one cache line. The slot code packs
+// block, page and subpage with widths derived from the geometry
+// (GeometryConfig::slot_page_bits/slot_subpage_bits); SsdConfig::validate
+// rejects a device whose block ids do not fit the bits above them.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "common/check.h"
 #include "common/row_alloc.h"
@@ -24,8 +32,17 @@ namespace ppssd::ftl {
 
 class DeviceMap {
  public:
-  explicit DeviceMap(std::uint64_t logical_subpages)
-      : table_(logical_subpages) {}
+  /// `page_bits`/`subpage_bits` are the slot code's field widths: enough
+  /// bits for the largest page and subpage index of the geometry.
+  DeviceMap(std::uint64_t logical_subpages, std::uint32_t page_bits,
+            std::uint32_t subpage_bits)
+      : table_(logical_subpages),
+        sub_bits_(subpage_bits),
+        block_shift_(page_bits + subpage_bits),
+        page_mask_((std::uint32_t{1} << page_bits) - 1),
+        sub_mask_((std::uint32_t{1} << subpage_bits) - 1) {
+    PPSSD_CHECK(block_shift_ < 32);
+  }
 
   [[nodiscard]] std::uint64_t logical_subpages() const {
     return table_.size();
@@ -34,49 +51,71 @@ class DeviceMap {
   /// Physical location of a logical subpage (invalid when unmapped).
   [[nodiscard]] PhysicalAddress lookup(Lsn lsn) const {
     PPSSD_DCHECK(lsn < table_.size());
-    return table_[lsn].unpack();
+    return unpack(table_[lsn].slot);
   }
 
   [[nodiscard]] bool mapped(Lsn lsn) const {
-    return table_[lsn].block != kInvalidBlock;
+    return table_[lsn].slot != kUnmapped;
   }
 
   /// Bind a logical subpage to a slot. The LSN must currently be unmapped
   /// (supersede via clear() first) — this keeps every transition explicit.
+  /// The LSN's version is untouched.
   void set(Lsn lsn, const PhysicalAddress& addr) {
     PPSSD_CHECK(lsn < table_.size());
     PPSSD_CHECK(addr.valid());
-    Packed& e = table_[lsn];
-    PPSSD_CHECK_MSG(e.block == kInvalidBlock,
+    Entry& e = table_[lsn];
+    PPSSD_CHECK_MSG(e.slot == kUnmapped,
                     "mapping an LSN that is already mapped");
-    e = Packed::pack(addr);
+    e.slot = pack(addr);
     ++mapped_count_;
   }
 
   /// Fused lookup-and-clear: unbind `lsn` and return its previous slot in
   /// one table access, or an invalid address when the LSN was unmapped
   /// (never-written LSNs are a legal fast-path case for the write path's
-  /// supersede step, so this does not abort like clear()).
+  /// supersede step, so this does not abort like clear()). The LSN's
+  /// version is untouched.
   [[nodiscard]] PhysicalAddress take(Lsn lsn) {
     PPSSD_DCHECK(lsn < table_.size());
-    Packed& e = table_[lsn];
-    const PhysicalAddress addr = e.unpack();
-    if (e.block != kInvalidBlock) {
-      e = Packed{};
+    Entry& e = table_[lsn];
+    const std::uint32_t slot = e.slot;
+    if (slot != kUnmapped) {
+      e.slot = kUnmapped;
       PPSSD_DCHECK(mapped_count_ > 0);
       --mapped_count_;
     }
-    return addr;
+    return unpack(slot);
   }
 
-  /// Unbind a mapped logical subpage.
+  /// Unbind a mapped logical subpage. The LSN's version is untouched.
   void clear(Lsn lsn) {
     PPSSD_CHECK(lsn < table_.size());
-    Packed& e = table_[lsn];
-    PPSSD_CHECK_MSG(e.block != kInvalidBlock, "clearing an unmapped LSN");
-    e = Packed{};
+    Entry& e = table_[lsn];
+    PPSSD_CHECK_MSG(e.slot != kUnmapped, "clearing an unmapped LSN");
+    e.slot = kUnmapped;
     PPSSD_CHECK(mapped_count_ > 0);
     --mapped_count_;
+  }
+
+  /// Current stored version of an LSN (0 = never written).
+  [[nodiscard]] std::uint32_t version(Lsn lsn) const {
+    PPSSD_DCHECK(lsn < table_.size());
+    return table_[lsn].version;
+  }
+
+  /// Bump and return the LSN's version; the mapping is untouched.
+  std::uint32_t bump_version(Lsn lsn) {
+    PPSSD_CHECK(lsn < table_.size());
+    return ++table_[lsn].version;
+  }
+
+  /// Undo one bump_version() whose write did not land.
+  void rollback_version(Lsn lsn) {
+    PPSSD_CHECK(lsn < table_.size());
+    PPSSD_CHECK_MSG(table_[lsn].version > 0,
+                    "rolling back an LSN that was never versioned");
+    --table_[lsn].version;
   }
 
   /// Number of currently mapped logical subpages.
@@ -98,24 +137,34 @@ class DeviceMap {
   }
 
  private:
-  struct Packed {
-    BlockId block = kInvalidBlock;
-    PageId page = 0;
-    SubpageId subpage = 0;
-    std::uint8_t reserved = 0;
+  /// Slot code of an unmapped LSN.
+  static constexpr std::uint32_t kUnmapped =
+      std::numeric_limits<std::uint32_t>::max();
 
-    static Packed pack(const PhysicalAddress& a) {
-      return Packed{a.block, a.page, a.subpage, 0};
-    }
-    [[nodiscard]] PhysicalAddress unpack() const {
-      if (block == kInvalidBlock) return PhysicalAddress{};
-      return PhysicalAddress{block, page, subpage};
-    }
+  struct Entry {
+    std::uint32_t slot = kUnmapped;
+    std::uint32_t version = 0;
   };
-  static_assert(sizeof(Packed) == 8, "DeviceMap entries should stay 8B");
+  static_assert(sizeof(Entry) == 8, "DeviceMap entries should stay 8B");
 
-  Row<Packed> table_;
+  [[nodiscard]] std::uint32_t pack(const PhysicalAddress& a) const {
+    PPSSD_DCHECK(a.page <= page_mask_ && a.subpage <= sub_mask_);
+    return a.block << block_shift_ |
+           static_cast<std::uint32_t>(a.page) << sub_bits_ | a.subpage;
+  }
+  [[nodiscard]] PhysicalAddress unpack(std::uint32_t slot) const {
+    if (slot == kUnmapped) return PhysicalAddress{};
+    return PhysicalAddress{slot >> block_shift_,
+                           static_cast<PageId>(slot >> sub_bits_ & page_mask_),
+                           static_cast<SubpageId>(slot & sub_mask_)};
+  }
+
+  Row<Entry> table_;
   std::uint64_t mapped_count_ = 0;
+  std::uint32_t sub_bits_;
+  std::uint32_t block_shift_;
+  std::uint32_t page_mask_;
+  std::uint32_t sub_mask_;
 };
 
 }  // namespace ppssd::ftl

@@ -3,13 +3,15 @@
 // A block operates in a fixed cell mode (SLC-mode cache block or native
 // MLC block). Pages within a block must be programmed in ascending order
 // for the *first* program (NAND sequential-program rule); partial programs
-// may later revisit a page's free subpage slots, bounded by the per-page
-// partial-program limit enforced by the caller.
+// may later revisit an SLC-mode page's free subpage slots, bounded by the
+// per-page partial-program limit. An MLC page takes one program per erase.
 //
 // GC support: the block maintains running aggregates over its subpage
 // population so victim scoring never walks pages:
 //  * sum_write_time_ms() — sum of write times over *valid* subpages, so a
 //    policy can form sum-of-ages as valid * now_ms - sum_write_time_ms.
+//    Only SLC-mode slots keep a write time (ISR and the SLC GC fallback
+//    are its only readers), so an MLC block's sum stays 0.
 //  * an SLC-mode block's age histogram (FlashArray::age_histogram) — the
 //    valid subpages living in never-updated pages (the Eq. 2 cold-movement
 //    candidates), bucketed by log2(write time - last erase time) so an
@@ -59,7 +61,8 @@ class Block {
     return valid_ + invalid_;
   }
 
-  /// Sum of write_time_ms over the block's valid subpages.
+  /// Sum of write_time_ms over the block's valid subpages; always 0 for an
+  /// MLC block, which keeps no write times.
   [[nodiscard]] std::uint64_t sum_write_time_ms() const {
     return sum_write_time_ms_;
   }
@@ -71,14 +74,16 @@ class Block {
 
  private:
   /// The fused array-level paths update frontier, counters and the age
-  /// histogram directly in one pass over the touched slots.
+  /// histogram directly in one pass over the touched slots; so do their
+  /// test-only layer-by-layer oracles.
   friend class FlashArray;
+  friend struct ReferencePaths;
 
-  /// hist_ of a block without an age histogram (every MLC block).
-  static constexpr std::uint32_t kNoHistogram =
+  /// slc_ordinal_ of an MLC block.
+  static constexpr std::uint32_t kNotSlc =
       std::numeric_limits<std::uint32_t>::max();
 
-  // Every field is a write-path scalar; the histogram index sits in what
+  // Every field is a write-path scalar; the SLC ordinal sits in what
   // would be padding before the 8-byte fields.
   CellMode mode_;
   BlockLevel level_;
@@ -88,9 +93,9 @@ class Block {
   std::uint32_t valid_ = 0;
   std::uint32_t invalid_ = 0;
   std::uint32_t erase_count_ = 0;
-  /// Index of the block's histogram in FlashArray's histogram row, or
-  /// kNoHistogram.
-  std::uint32_t hist_ = kNoHistogram;
+  /// Dense ordinal of an SLC-mode block (Geometry::slc_ordinal), or
+  /// kNotSlc. It indexes FlashArray's histogram row and SLC-only slot rows.
+  std::uint32_t slc_ordinal_ = kNotSlc;
   std::uint64_t sum_write_time_ms_ = 0;
   SimTime last_erase_time_ = 0;
 };

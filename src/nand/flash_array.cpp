@@ -16,31 +16,33 @@ FlashArray::FlashArray(const SsdConfig& cfg)
   blocks_.reserve(geom_.total_blocks());
   statics_.reserve(geom_.total_blocks());
   hists_.resize(geom_.slc_block_count());
-  std::uint32_t next_hist = 0;
+  std::uint32_t next_ordinal = 0;
   std::uint64_t pages = 0;
   for (BlockId b = 0; b < geom_.total_blocks(); ++b) {
     const CellMode mode =
         geom_.is_slc_block(b) ? CellMode::kSlc : CellMode::kMlc;
     Block& blk = blocks_.emplace_back(mode, geom_.pages_per_block(mode),
                                       geom_.subpages_per_page());
-    if (mode == CellMode::kSlc) blk.hist_ = next_hist++;
+    if (mode == CellMode::kSlc) blk.slc_ordinal_ = next_ordinal++;
     statics_.push_back(BlockStatic{
         static_cast<std::uint32_t>(pages), cfg_.wear.initial_pe_cycles,
         geom_.plane_of(b), static_cast<std::uint16_t>(geom_.chip_of(b)),
         static_cast<std::uint16_t>(geom_.channel_of(b)), mode});
     pages += geom_.pages_per_block(mode);
   }
-  PPSSD_CHECK(next_hist == hists_.size());
-  PPSSD_CHECK_MSG(pages <= std::numeric_limits<std::uint32_t>::max(),
-                  "device has more pages than a 32-bit page index");
+  PPSSD_CHECK(next_ordinal == hists_.size());
+  // SsdConfig::validate() bounds the page count to a 32-bit page index.
   pages_.resize(pages);
   const std::size_t slots = static_cast<std::size_t>(pages) * spp_;
   sp_state_.assign(slots, 0);
   sp_owner_.assign(slots, 0);
-  sp_wtime_.assign(slots, 0);
   sp_version_.assign(slots, 0);
-  sp_programs_before_.assign(slots, 0);
-  sp_neighbors_before_.assign(slots, 0);
+  slc_block_slots_ = geom_.pages_per_block(CellMode::kSlc) * spp_;
+  const std::size_t slc_slots =
+      static_cast<std::size_t>(hists_.size()) * slc_block_slots_;
+  slc_wtime_.assign(slc_slots, 0);
+  slc_programs_before_.assign(slc_slots, 0);
+  slc_neighbors_before_.assign(slc_slots, 0);
 
   planes_.reserve(geom_.planes());
   for (std::uint32_t p = 0; p < geom_.planes(); ++p) {
@@ -49,83 +51,6 @@ FlashArray::FlashArray(const SsdConfig& cfg)
                          geom_.chip_of(first), geom_.channel_of(first));
   }
   chips_.resize(geom_.chips());
-}
-
-bool FlashArray::program_reference(BlockId b, PageId p,
-                                   std::span<const SlotWrite> writes,
-                                   SimTime now) {
-  PPSSD_CHECK(b < blocks_.size());
-  PPSSD_CHECK(!writes.empty());
-  Block& blk = blocks_[b];
-  PPSSD_CHECK(p < blk.page_count());
-  const std::size_t pi = page_index(b, p);
-  Page& pg = pages_[pi];
-  if (pg.programmed()) {
-    PPSSD_CHECK_MSG(can_partial_program(b, p),
-                    "partial-program limit exceeded or no free slot");
-  }
-  const std::size_t base = pi * spp_;
-
-  // Layer "block": frontier rule and the cold-population transition.
-  const std::uint8_t pre_ops = pg.program_ops_;
-  AgeHistogram* const hist = histogram_of(blk);
-  if (pre_ops == 0) {
-    PPSSD_CHECK_MSG(p == blk.frontier_, "out-of-order first program of a page");
-    ++blk.frontier_;
-  } else if (pre_ops == 1 && hist != nullptr) {
-    for (std::uint32_t s = 0; s < spp_; ++s) {
-      if (sp_state_[base + s] ==
-          static_cast<std::uint8_t>(SubpageState::kValid)) {
-        hist->remove(sp_wtime_[base + s]);
-      }
-    }
-  }
-
-  // Layer "page": write-once slot stamping in its own pass.
-  PPSSD_CHECK_MSG(pre_ops < std::numeric_limits<std::uint8_t>::max(),
-                  "page program-op counter overflow");
-  const auto wt = static_cast<std::uint32_t>(now / 1'000'000);
-  for (const SlotWrite& w : writes) {
-    PPSSD_CHECK(w.slot < spp_);
-    const std::size_t i = base + w.slot;
-    PPSSD_CHECK_MSG(sp_state_[i] ==
-                        static_cast<std::uint8_t>(SubpageState::kFree),
-                    "programming a non-free subpage (NAND write-once rule)");
-    sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
-    sp_owner_[i] = static_cast<std::uint32_t>(w.lsn);
-    sp_version_[i] = w.version;
-    sp_wtime_[i] = wt;
-    sp_programs_before_[i] = pre_ops;
-    sp_neighbors_before_[i] = pg.neighbor_programs_;
-  }
-  pg.program_ops_ = static_cast<std::uint8_t>(pre_ops + 1);
-  const bool partial = pre_ops > 0;
-
-  // Layer "block" aggregates, separate pass.
-  const auto n = static_cast<std::uint32_t>(writes.size());
-  blk.valid_ += n;
-  blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
-  if (pre_ops == 0 && hist != nullptr) hist->add(wt, n);
-
-  // Wordline adjacency: programming page p disturbs pages p-1 and p+1 of
-  // the same block if they already hold data (Figure 1).
-  if (p > 0 && pages_[pi - 1].programmed()) {
-    pages_[pi - 1].absorb_neighbor_program();
-  }
-  if (p + 1u < blk.page_count() && pages_[pi + 1].programmed()) {
-    pages_[pi + 1].absorb_neighbor_program();
-  }
-
-  if (blk.mode() == CellMode::kSlc) {
-    ++counters_.slc_program_ops;
-    counters_.slc_subpages_written += n;
-  } else {
-    ++counters_.mlc_program_ops;
-    counters_.mlc_subpages_written += n;
-  }
-  if (partial) ++counters_.partial_program_ops;
-  planes_[geom_.plane_of(b)].count_program();
-  return partial;
 }
 
 void FlashArray::prefill_page(BlockId b, PageId p,
@@ -146,7 +71,7 @@ void FlashArray::prefill_page(BlockId b, PageId p,
     sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
     sp_owner_[i] = static_cast<std::uint32_t>(w.lsn);
     sp_version_[i] = w.version;
-    // write_time_ms, programs_before, neighbors_before stay 0: a frontier
+    // An SLC slot's write time and disturb snapshots stay 0: a frontier
     // fill at sim time 0 has seen no prior programs or neighbour disturbs.
   }
   pages_[pi].program_ops_ = 1;
@@ -173,36 +98,11 @@ void FlashArray::prefill_page(BlockId b, PageId p,
 }
 
 bool FlashArray::can_partial_program(BlockId b, PageId p) const {
-  if (page(b, p).program_ops() >= cfg_.cache.max_partial_programs) {
+  if (statics_[b].mode != CellMode::kSlc ||
+      page(b, p).program_ops() >= cfg_.cache.max_partial_programs) {
     return false;
   }
   return page_first_free(b, p) != kInvalidSubpage;
-}
-
-void FlashArray::invalidate_reference(BlockId b, PageId p, SubpageId s) {
-  PPSSD_CHECK(b < blocks_.size());
-  Block& blk = blocks_[b];
-  PPSSD_CHECK(p < blk.page_count());
-  PPSSD_CHECK(s < spp_);
-  const std::size_t i = slot_index(b, p, s);
-
-  // Layer "page": the state flip.
-  PPSSD_CHECK_MSG(sp_state_[i] ==
-                      static_cast<std::uint8_t>(SubpageState::kValid),
-                  "invalidating a subpage that is not valid");
-  sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kInvalid);
-
-  // Layer "block": aggregates in a separate pass.
-  const std::uint32_t wt = sp_wtime_[i];
-  PPSSD_CHECK(blk.valid_ > 0);
-  --blk.valid_;
-  ++blk.invalid_;
-  blk.sum_write_time_ms_ -= wt;
-  AgeHistogram* const hist = histogram_of(blk);
-  if (page(b, p).program_ops() == 1 && hist != nullptr) hist->remove(wt);
-  if (observer_ != nullptr) {
-    observer_->on_subpage_invalidated(b, blk.invalid_);
-  }
 }
 
 void FlashArray::erase(BlockId b, SimTime now) {
@@ -225,11 +125,12 @@ void FlashArray::erase(BlockId b, SimTime now) {
   const std::size_t n = static_cast<std::size_t>(blk.page_count()) * spp_;
   std::fill_n(sp_state_.begin() + base, n, std::uint8_t{0});
   std::fill_n(sp_owner_.begin() + base, n, std::uint32_t{0});
-  std::fill_n(sp_wtime_.begin() + base, n, std::uint32_t{0});
   std::fill_n(sp_version_.begin() + base, n, std::uint32_t{0});
-  std::fill_n(sp_programs_before_.begin() + base, n, std::uint8_t{0});
-  std::fill_n(sp_neighbors_before_.begin() + base, n, std::uint16_t{0});
   if (bs.mode == CellMode::kSlc) {
+    const std::size_t sbase = slc_slot(blk.slc_ordinal_, 0, 0);
+    std::fill_n(slc_wtime_.begin() + sbase, n, std::uint32_t{0});
+    std::fill_n(slc_programs_before_.begin() + sbase, n, std::uint8_t{0});
+    std::fill_n(slc_neighbors_before_.begin() + sbase, n, std::uint16_t{0});
     ++counters_.slc_erases;
   } else {
     ++counters_.mlc_erases;
@@ -264,10 +165,10 @@ void FlashArray::save(io::StateSink& sink) const {
 
   sink.vec(sp_state_);
   sink.vec(sp_owner_);
-  sink.vec(sp_wtime_);
   sink.vec(sp_version_);
-  sink.vec(sp_programs_before_);
-  sink.vec(sp_neighbors_before_);
+  sink.vec(slc_wtime_);
+  sink.vec(slc_programs_before_);
+  sink.vec(slc_neighbors_before_);
 
   // Page fields as three SoA rows in page-row order (block-major), so
   // restore ingests them as three bulk copies instead of a per-page
@@ -325,10 +226,10 @@ void FlashArray::restore(io::StateSource& src) {
   // vec_into sticky-fails on any length mismatch.
   (void)src.vec_into(sp_state_);
   (void)src.vec_into(sp_owner_);
-  (void)src.vec_into(sp_wtime_);
   (void)src.vec_into(sp_version_);
-  (void)src.vec_into(sp_programs_before_);
-  (void)src.vec_into(sp_neighbors_before_);
+  (void)src.vec_into(slc_wtime_);
+  (void)src.vec_into(slc_programs_before_);
+  (void)src.vec_into(slc_neighbors_before_);
   PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint rows truncated");
 
   const std::vector<std::uint8_t> pg_ops = src.vec<std::uint8_t>();
@@ -366,6 +267,9 @@ void FlashArray::restore(io::StateSource& src) {
             blk.valid_ + blk.invalid_ <=
                 static_cast<std::uint64_t>(blk.frontier_) * spp_,
         "warm-start checkpoint block aggregates out of shape");
+    PPSSD_CHECK_MSG(blk.slc_ordinal_ != Block::kNotSlc ||
+                        blk.sum_write_time_ms_ == 0,
+                    "warm-start checkpoint gives an MLC block a write time");
   }
 
   for (Plane& pl : planes_) {

@@ -4,8 +4,9 @@
 // logical addresses or caching policy; the FTL and cache schemes above it
 // decide *where* to program, the array enforces *how* programming behaves:
 // write-once subpages, page-sequential first programs, the per-page
-// partial-program limit, disturb propagation to wordline neighbours, and
-// erase/wear accounting.
+// partial-program limit (an MLC page takes one program per erase: only the
+// SLC-mode cache is partial-programmed), disturb propagation to wordline
+// neighbours, and erase/wear accounting.
 //
 // Hot-path layout (DESIGN.md §10, §14): program() and invalidate() are
 // *fused* single-pass implementations, and the per-subpage fields they
@@ -13,13 +14,14 @@
 // indexed by the block's page base) so a state scan touches one densely
 // packed row instead of striding over interleaved structs. Page counters
 // live in one flat page row too, and every big row sits on huge pages
-// (common/row_alloc.h).
-// The layer-by-layer chains survive as program_reference()/
-// invalidate_reference() oracles, held state-identical by
-// tests/nand/fused_path_test.cpp. Contract invariants (write-once,
-// frontier order, partial-program limit, valid-state) stay PPSSD_CHECK in
-// every build; bounds and secondary state checks are PPSSD_DCHECK and
-// compile out of Release.
+// (common/row_alloc.h). A slot's write time and disturb snapshots are
+// kept for SLC-mode slots only: an MLC slot is written by its page's one
+// program, when both snapshots are 0, and no reader needs its write time.
+// The layer-by-layer oracles that hold the fused paths state-identical
+// live in tests/nand/fused_path_test.cpp. Contract invariants (write-once,
+// frontier order, one MLC program, partial-program limit, valid-state)
+// stay PPSSD_CHECK in every build; bounds and secondary state checks are
+// PPSSD_DCHECK and compile out of Release.
 #pragma once
 
 #include <cstdint>
@@ -105,8 +107,8 @@ class FlashArray {
   /// none: only SLC-mode blocks do.
   [[nodiscard]] const AgeHistogram* age_histogram(BlockId b) const {
     PPSSD_DCHECK(b < blocks_.size());
-    const std::uint32_t h = blocks_[b].hist_;
-    return h == Block::kNoHistogram ? nullptr : &hists_[h];
+    const std::uint32_t h = blocks_[b].slc_ordinal_;
+    return h == Block::kNotSlc ? nullptr : &hists_[h];
   }
 
   /// Hot per-block row entry: coordinates, page base, P/E count.
@@ -149,16 +151,21 @@ class FlashArray {
     return static_cast<SubpageState>(sp_state_[slot_index(b, p, s)]);
   }
 
-  /// Materialized copy of one subpage's stored fields (SoA gather).
+  /// Materialized copy of one subpage's stored fields (SoA gather). An
+  /// MLC slot's write time and disturb snapshots read as 0.
   [[nodiscard]] Subpage subpage(BlockId b, PageId p, SubpageId s) const {
     const std::size_t i = slot_index(b, p, s);
     Subpage sp;
     sp.owner_lsn = sp_owner_[i];
-    sp.write_time_ms = sp_wtime_[i];
     sp.version = sp_version_[i];
     sp.state = static_cast<SubpageState>(sp_state_[i]);
-    sp.programs_before = sp_programs_before_[i];
-    sp.neighbors_before = sp_neighbors_before_[i];
+    const Block& blk = blocks_[b];
+    if (blk.slc_ordinal_ != Block::kNotSlc) {
+      const std::size_t j = slc_slot(blk.slc_ordinal_, p, s);
+      sp.write_time_ms = slc_wtime_[j];
+      sp.programs_before = slc_programs_before_[j];
+      sp.neighbors_before = slc_neighbors_before_[j];
+    }
     return sp;
   }
 
@@ -201,8 +208,9 @@ class FlashArray {
   }
 
   /// Apply one program operation to block `b`, page `p`, filling the given
-  /// slots. Enforces the per-page partial-program limit and propagates
-  /// neighbour disturb. Returns true if it was a partial program.
+  /// slots. Enforces the per-page partial-program limit (an MLC page takes
+  /// one program per erase) and propagates neighbour disturb. Returns true
+  /// if it was a partial program.
   ///
   /// Fused single-pass implementation: subpage rows, page counters, block
   /// aggregates, the age histogram (SLC blocks) and array counters update
@@ -219,22 +227,30 @@ class FlashArray {
     const std::size_t base = pi * spp_;
     const std::uint8_t pre_ops = pg.program_ops_;
     AgeHistogram* const hist = histogram_of(blk);
+    // SLC-only rows: write time and disturb snapshots (MLC slots keep none).
+    const std::size_t sbase =
+        hist != nullptr ? slc_slot(blk.slc_ordinal_, p, 0) : 0;
     if (pre_ops == 0) {
       // First program of a page must land on the write frontier: NAND
-      // blocks are programmed page-sequentially after an erase.
+      // blocks are programmed page-sequentially after an erase. The page
+      // ahead is unprogrammed and the page behind was programmed while
+      // this one was empty, so no neighbour program has reached it yet.
       PPSSD_CHECK_MSG(p == blk.frontier_,
                       "out-of-order first program of a page");
+      PPSSD_DCHECK(pg.neighbor_programs_ == 0);
       ++blk.frontier_;
     } else {
+      PPSSD_CHECK_MSG(hist != nullptr,
+                      "second program of an MLC page (one program per erase)");
       PPSSD_CHECK_MSG(pre_ops < cfg_.cache.max_partial_programs,
                       "partial-program limit exceeded or no free slot");
-      if (pre_ops == 1 && hist != nullptr) {
+      if (pre_ops == 1) {
         // The page transitions to "updated": its valid subpages leave the
         // cold (never-updated) population tracked by the age histogram.
         for (std::uint32_t s = 0; s < spp_; ++s) {
           if (sp_state_[base + s] ==
               static_cast<std::uint8_t>(SubpageState::kValid)) {
-            hist->remove(sp_wtime_[base + s]);
+            hist->remove(slc_wtime_[sbase + s]);
           }
         }
       }
@@ -252,16 +268,19 @@ class FlashArray {
       sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
       sp_owner_[i] = static_cast<std::uint32_t>(w.lsn);
       sp_version_[i] = w.version;
-      sp_wtime_[i] = wt;
-      sp_programs_before_[i] = pre_ops;
-      sp_neighbors_before_[i] = pg.neighbor_programs_;
+      if (hist != nullptr) {
+        slc_wtime_[sbase + w.slot] = wt;
+        slc_programs_before_[sbase + w.slot] = pre_ops;
+        slc_neighbors_before_[sbase + w.slot] = pg.neighbor_programs_;
+      }
+    }
+    const auto n = static_cast<std::uint32_t>(writes.size());
+    if (hist != nullptr) {
+      blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
+      if (pre_ops == 0) hist->add(wt, n);
     }
     pg.program_ops_ = static_cast<std::uint8_t>(pre_ops + 1);
-
-    const auto n = static_cast<std::uint32_t>(writes.size());
     blk.valid_ += n;
-    blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
-    if (pre_ops == 0 && hist != nullptr) hist->add(wt, n);
 
     // Wordline adjacency: programming page p disturbs pages p-1 and p+1
     // of the same block if they already hold data (Figure 1).
@@ -283,12 +302,6 @@ class FlashArray {
     planes_[bs.plane].count_program();
     return pre_ops > 0;
   }
-
-  /// Layer-by-layer program chain (checks, then per-slot stamping, then
-  /// aggregate updates as separate passes), kept as the equivalence
-  /// oracle for the fused program().
-  bool program_reference(BlockId b, PageId p,
-                         std::span<const SlotWrite> writes, SimTime now);
 
   /// In-place switch (IPS, arXiv 2409.14360): promote an SLC-mode cache
   /// page to a dense-mode destination by continuing the ISPP sequence on
@@ -326,8 +339,9 @@ class FlashArray {
   /// program(b, p, writes, 0) on a free frontier page.
   void prefill_page(BlockId b, PageId p, std::span<const SlotWrite> writes);
 
-  /// True if page (b, p) may accept another program operation (partial-
-  /// program limit not yet reached and free subpage slots remain).
+  /// True if page (b, p) may accept another program operation: an SLC-mode
+  /// page below the partial-program limit with free subpage slots left.
+  /// Always false for a programmed MLC page.
   [[nodiscard]] bool can_partial_program(BlockId b, PageId p) const;
 
   /// Fused invalidate: one slot lookup updates the state row, block
@@ -344,21 +358,18 @@ class FlashArray {
                         static_cast<std::uint8_t>(SubpageState::kValid),
                     "invalidating a subpage that is not valid");
     sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kInvalid);
-    const std::uint32_t wt = sp_wtime_[i];
     PPSSD_DCHECK(blk.valid_ > 0);
     --blk.valid_;
     ++blk.invalid_;
-    blk.sum_write_time_ms_ -= wt;
-    AgeHistogram* const hist = histogram_of(blk);
-    if (hist != nullptr && pages_[pi].program_ops_ == 1) hist->remove(wt);
+    if (AgeHistogram* const hist = histogram_of(blk)) {
+      const std::uint32_t wt = slc_wtime_[slc_slot(blk.slc_ordinal_, p, s)];
+      blk.sum_write_time_ms_ -= wt;
+      if (pages_[pi].program_ops_ == 1) hist->remove(wt);
+    }
     if (observer_ != nullptr) {
       observer_->on_subpage_invalidated(b, blk.invalid_);
     }
   }
-
-  /// Layer-by-layer invalidate chain, kept as the equivalence oracle for
-  /// the fused invalidate().
-  void invalidate_reference(BlockId b, PageId p, SubpageId s);
 
   /// Erase a block. All subpages must already be invalid or free — the
   /// caller (GC) is responsible for relocating valid data first.
@@ -368,21 +379,33 @@ class FlashArray {
   void count_read(BlockId b);
 
   /// Disturb snapshot of a stored subpage for the BER model. One read of
-  /// the hot block row yields the page base; the page entry and the two
-  /// slot snapshot fields then load independently.
+  /// the hot block row yields the page base and mode; the page entry and,
+  /// for an SLC-mode slot, the two snapshot fields then load
+  /// independently. An MLC slot was written by its page's only program,
+  /// with both snapshots 0.
   [[nodiscard]] DisturbSnapshot disturb_of(BlockId b, PageId p,
                                            SubpageId s) const {
     const BlockStatic& bs = block_static(b);
     const std::size_t pi = page_index(b, p);
-    const std::size_t i = slot_index(b, p, s);
-    PPSSD_DCHECK(sp_state_[i] !=
+    PPSSD_DCHECK(s < spp_);
+    PPSSD_DCHECK(sp_state_[pi * spp_ + s] !=
                  static_cast<std::uint8_t>(SubpageState::kFree));
     const Page& pg = pages_[pi];
     DisturbSnapshot snap;
     snap.mode = bs.mode;
     snap.pe_cycles = bs.pe_cycles;
-    snap.in_page_disturbs = pg.program_ops_ - sp_programs_before_[i] - 1;
-    snap.neighbor_disturbs = pg.neighbor_programs_ - sp_neighbors_before_[i];
+    snap.in_page_disturbs = pg.program_ops_ - 1u;
+    snap.neighbor_disturbs = pg.neighbor_programs_;
+    if (bs.mode == CellMode::kSlc) {
+      // The SLC ordinal from the plane already in hand (no block-row load).
+      const std::uint32_t ordinal =
+          bs.plane * geom_.slc_blocks_per_plane() +
+          (b - geom_.plane_first_block(bs.plane));
+      PPSSD_DCHECK(ordinal == blocks_[b].slc_ordinal_);
+      const std::size_t j = slc_slot(ordinal, p, s);
+      snap.in_page_disturbs -= slc_programs_before_[j];
+      snap.neighbor_disturbs -= slc_neighbors_before_[j];
+    }
     snap.reprogrammed = pg.reprogrammed_;
     return snap;
   }
@@ -411,9 +434,22 @@ class FlashArray {
   void restore(io::StateSource& src);
 
  private:
+  /// The layer-by-layer oracles of the fused paths (test target only).
+  friend struct ReferencePaths;
+
   /// `blk`'s age histogram, or nullptr (MLC blocks keep none).
   AgeHistogram* histogram_of(const Block& blk) {
-    return blk.hist_ == Block::kNoHistogram ? nullptr : &hists_[blk.hist_];
+    return blk.slc_ordinal_ == Block::kNotSlc ? nullptr
+                                              : &hists_[blk.slc_ordinal_];
+  }
+
+  /// Index of slot (p, s) of the SLC-mode block with ordinal `ordinal` in
+  /// the SLC-only slot rows.
+  [[nodiscard]] std::size_t slc_slot(std::uint32_t ordinal, PageId p,
+                                     std::uint32_t s) const {
+    PPSSD_DCHECK(ordinal < hists_.size());
+    return static_cast<std::size_t>(ordinal) * slc_block_slots_ +
+           static_cast<std::size_t>(p) * spp_ + s;
   }
 
   SsdConfig cfg_;
@@ -438,10 +474,15 @@ class FlashArray {
   std::uint32_t spp_ = 0;
   Row<std::uint8_t> sp_state_;
   Row<std::uint32_t> sp_owner_;
-  Row<std::uint32_t> sp_wtime_;
   Row<std::uint32_t> sp_version_;
-  Row<std::uint8_t> sp_programs_before_;
-  Row<std::uint16_t> sp_neighbors_before_;
+
+  // SLC-only slot rows (DESIGN.md §10): write time and the two disturb
+  // snapshots, which stay 0 for every MLC slot. Index = SLC ordinal *
+  // slc_block_slots_ + page * spp_ + slot (slc_slot()).
+  std::uint32_t slc_block_slots_ = 0;
+  Row<std::uint32_t> slc_wtime_;
+  Row<std::uint8_t> slc_programs_before_;
+  Row<std::uint16_t> slc_neighbors_before_;
 };
 
 }  // namespace ppssd::nand

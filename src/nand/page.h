@@ -3,18 +3,22 @@
 // A 16 KiB page holds four 4 KiB subpages — the partial-programming unit.
 // Each program operation writes one or more subpage slots of a page; the
 // first program of a page is "conventional", every later one is a partial
-// program (Figure 1). Disturb bookkeeping is snapshot-based: every subpage
-// remembers how many program operations and neighbouring-page programs the
-// page had seen when the subpage was written, so the disturb *it* has
-// absorbed since is a subtraction, not a per-event fan-out.
+// program (Figure 1). Only SLC-mode pages take partial programs: an MLC
+// page takes one program per erase. Disturb bookkeeping is snapshot-based:
+// every subpage remembers how many program operations and
+// neighbouring-page programs the page had seen when the subpage was
+// written, so the disturb *it* has absorbed since is a subtraction, not a
+// per-event fan-out. An MLC subpage's snapshots are both 0 (its page's one
+// program saw neither), so only SLC-mode subpages store them.
 //
-// Storage layout (DESIGN.md §14): per-subpage fields live in
+// Storage layout (DESIGN.md §10, §14): per-subpage fields live in
 // structure-of-arrays rows owned by FlashArray — the fused program/
 // invalidate paths and the GC oracles walk one field's row each instead of
-// striding over interleaved structs. `Subpage` survives as the *value*
-// type those rows gather into (accessors, tests, BER snapshots). `Page`
-// keeps only the per-page counters the disturb model subtracts against,
-// one entry per page in FlashArray's flat page row.
+// striding over interleaved structs. The write time and the two snapshots
+// have SLC-only rows. `Subpage` survives as the *value* type those rows
+// gather into (accessors, tests, BER snapshots). `Page` keeps only the
+// per-page counters the disturb model subtracts against, one entry per
+// page in FlashArray's flat page row.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +38,8 @@ enum class SubpageState : std::uint8_t {
 struct Subpage {
   /// Logical subpage stored here (valid only when state == kValid).
   std::uint32_t owner_lsn = 0;
-  /// Wall-clock (sim) write time, milliseconds. Used by the IS' age model.
+  /// Wall-clock (sim) write time, milliseconds. Used by the IS' age model;
+  /// kept for SLC-mode slots only (0 for an MLC slot).
   std::uint32_t write_time_ms = 0;
   /// Monotonic per-LSN version, for integrity checking.
   std::uint32_t version = 0;
@@ -87,8 +92,10 @@ class Page {
 
  private:
   /// The fused array-level paths stamp page counters directly (one pass
-  /// over the touched slots instead of one per layer).
+  /// over the touched slots instead of one per layer); so do their
+  /// test-only layer-by-layer oracles.
   friend class FlashArray;
+  friend struct ReferencePaths;
 
   // Widest field first: four bytes with no padding, so the flat page row
   // packs sixteen pages per cache line.

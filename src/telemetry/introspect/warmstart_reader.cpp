@@ -81,10 +81,10 @@ bool load_warmstart_as_snapshot(const std::string& path, SnapshotFile* out,
   }
   const std::vector<std::uint8_t> sp_state = p.vec<std::uint8_t>();
   (void)p.vec<std::uint32_t>();  // sp_owner
-  (void)p.vec<std::uint32_t>();  // sp_wtime
   (void)p.vec<std::uint32_t>();  // sp_version
-  (void)p.vec<std::uint8_t>();   // sp_programs_before
-  (void)p.vec<std::uint16_t>();  // sp_neighbors_before
+  (void)p.vec<std::uint32_t>();  // slc_wtime (SLC-mode slots only)
+  (void)p.vec<std::uint8_t>();   // slc_programs_before
+  (void)p.vec<std::uint16_t>();  // slc_neighbors_before
   if (!p.ok() || sp_state.size() != slot_count) {
     return fail(error, "subpage-state rows truncated or missized");
   }

@@ -82,6 +82,32 @@ TEST(SsdConfig, ValidateCatchesBadPageSplit) {
   EXPECT_FALSE(cfg.validate().empty());
 }
 
+// Geometries the device rows cannot index are rejected by validate(),
+// before any row is sized.
+TEST(SsdConfig, ValidateRejectsTooFewBlocks) {
+  const SsdConfig cfg = SsdConfig::scaled(100);
+  EXPECT_NE(cfg.validate().find("slc region too small"), std::string::npos)
+      << cfg.validate();
+}
+
+TEST(SsdConfig, ValidateBoundsTheSlotCodeAndPageIndex) {
+  const GeometryConfig paper;
+  EXPECT_EQ(paper.slot_page_bits(), 7u);     // 128 MLC pages
+  EXPECT_EQ(paper.slot_subpage_bits(), 2u);  // 4 subpages
+
+  const SsdConfig huge = SsdConfig::scaled(3'000'000'000u);
+  const std::string err = huge.validate();
+  EXPECT_NE(err.find("32-bit slot code"), std::string::npos) << err;
+  EXPECT_NE(err.find("32-bit page index"), std::string::npos) << err;
+
+  // 23 block bits remain at 128 pages and 4 subpages.
+  SsdConfig edge = SsdConfig::paper();
+  edge.geometry.total_blocks = (1u << 23) - edge.geometry.planes();
+  EXPECT_TRUE(edge.validate().empty()) << edge.validate();
+  edge.geometry.total_blocks = 1u << 23;
+  EXPECT_NE(edge.validate().find("slot code"), std::string::npos);
+}
+
 TEST(Units, Conversions) {
   EXPECT_EQ(ms_to_ns(1.0), 1'000'000u);
   EXPECT_EQ(ms_to_ns(0.0005), 500u);

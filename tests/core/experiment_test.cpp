@@ -226,6 +226,21 @@ TEST(RunnerDeathTest, DefaultSpecRejectsMalformedBlocks) {
   unsetenv("PPSSD_BLOCKS");
 }
 
+// A well-formed block count whose device cannot be built exits 2 with
+// one line, instead of aborting in FlashArray or failing an allocation.
+TEST(RunnerDeathTest, DefaultSpecRejectsImpossibleGeometry) {
+  unsetenv("PPSSD_SCALE");
+  for (const std::string bad : {"100", "3000000000"}) {
+    ASSERT_EQ(setenv("PPSSD_BLOCKS", bad.c_str(), 1), 0);
+    EXPECT_EXIT(Runner::default_spec(), ::testing::ExitedWithCode(2),
+                "^ppssd: invalid PPSSD_BLOCKS='" + bad +
+                    "': expected a block count giving a valid device "
+                    "\\([^\n]*\\)\n$")
+        << bad;
+  }
+  unsetenv("PPSSD_BLOCKS");
+}
+
 TEST(RunnerDeathTest, DefaultSpecRejectsMalformedScale) {
   unsetenv("PPSSD_BLOCKS");
   for (const std::string bad :

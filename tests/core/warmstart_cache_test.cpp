@@ -157,12 +157,26 @@ TEST_F(WarmStartCacheCorruption, StaleContainerVersionIsAMiss) {
 }
 
 TEST_F(WarmStartCacheCorruption, VersionOneCheckpointIsAMiss) {
-  // Version 1 wrote an age histogram into every block record; version 2
-  // writes one for SLC-mode blocks only. An old file under the current
-  // name must miss at the container check, not misparse block records.
-  ASSERT_EQ(io::warmstart::kVersion, 2u);
+  // Version 1 wrote an age histogram into every block record; later
+  // versions write one for SLC-mode blocks only. An old file under the
+  // current name must miss at the container check, not misparse block
+  // records.
+  ASSERT_EQ(io::warmstart::kVersion, 3u);
   std::vector<std::uint8_t> old = good_;
   old[8] = 1;  // container_version, little-endian u32 after the magic
+  old[9] = old[10] = old[11] = 0;
+  write_bytes(path_, old);
+  expect_miss();
+}
+
+TEST_F(WarmStartCacheCorruption, VersionTwoCheckpointIsAMiss) {
+  // Version 2 kept a separate version row and full-length write-time and
+  // disturb-snapshot rows; version 3 folds versions into the device-map
+  // entries and keeps those rows for SLC-mode slots only. A version-2
+  // file must miss at the container check, not misparse the rows.
+  ASSERT_EQ(io::warmstart::kVersion, 3u);
+  std::vector<std::uint8_t> old = good_;
+  old[8] = 2;  // container_version, little-endian u32 after the magic
   old[9] = old[10] = old[11] = 0;
   write_bytes(path_, old);
   expect_miss();

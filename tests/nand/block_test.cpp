@@ -280,18 +280,22 @@ TEST(AgeHistogramRow, RandomWalkMatchesRecountAcrossRestore) {
 
 class BlockAggregates : public ::testing::TestWithParam<CellMode> {};
 
+// The SLC lifecycle takes a partial program; the MLC one cannot (one
+// program per erase) and keeps no write times, so its sum stays 0.
 TEST_P(BlockAggregates, MaintainedAcrossLifecycle) {
   FlashArray arr(small_config());
-  const BlockId b = GetParam() == CellMode::kSlc
-                        ? BlockId{0}
-                        : arr.geometry().slc_blocks_per_plane();
+  const bool slc = GetParam() == CellMode::kSlc;
+  const BlockId b = slc ? BlockId{0} : arr.geometry().slc_blocks_per_plane();
   ASSERT_EQ(arr.block(b).mode(), GetParam());
   const Block& blk = arr.block(b);
+  const auto expect_sum = [&](std::uint64_t slc_sum) {
+    EXPECT_EQ(blk.sum_write_time_ms(), slc ? slc_sum : 0u);
+  };
   // The cold population (valid subpages of never-updated pages) lives in
   // the SLC block's age histogram; an MLC block has no histogram at all.
   const auto expect_cold = [&](std::uint32_t n) {
     const AgeHistogram* hist = arr.age_histogram(b);
-    if (GetParam() == CellMode::kMlc) {
+    if (!slc) {
       EXPECT_EQ(hist, nullptr);
       return;
     }
@@ -302,47 +306,58 @@ TEST_P(BlockAggregates, MaintainedAcrossLifecycle) {
   // First program: both subpages enter the sum and the cold histogram.
   const SlotWrite first[] = {w(0, 1), w(1, 2)};
   arr.program(b, 0, first, ms_to_ns(2.0));
-  EXPECT_EQ(blk.sum_write_time_ms(), 4u);  // 2 * 2 ms
+  expect_sum(4);  // 2 * 2 ms
   expect_cold(2);
 
-  // Partial program: the page becomes "updated", so its valid subpages
-  // leave the cold population but stay in the age sum.
-  const SlotWrite upd[] = {w(2, 3)};
-  arr.program(b, 0, upd, ms_to_ns(7.0));
-  EXPECT_EQ(blk.sum_write_time_ms(), 11u);  // 2 + 2 + 7
-  expect_cold(0);
+  // Partial program (SLC only): the page becomes "updated", so its valid
+  // subpages leave the cold population but stay in the age sum.
+  EXPECT_EQ(arr.can_partial_program(b, 0), slc);
+  std::uint64_t page0 = 4;
+  if (slc) {
+    const SlotWrite upd[] = {w(2, 3)};
+    arr.program(b, 0, upd, ms_to_ns(7.0));
+    page0 += 7;  // 2 + 2 + 7
+    expect_sum(page0);
+    expect_cold(0);
+  }
+  const std::uint32_t page0_cold = slc ? 0 : 2;
 
   // A fresh page keeps its own subpages cold.
   const SlotWrite second[] = {w(0, 4), w(1, 5), w(2, 6), w(3, 7)};
   arr.program(b, 1, second, ms_to_ns(9.0));
-  EXPECT_EQ(blk.sum_write_time_ms(), 11u + 4 * 9);
-  expect_cold(4);
+  expect_sum(page0 + 4 * 9);
+  expect_cold(page0_cold + 4);
 
   // Invalidation drops the subpage from the sum; only never-updated pages
   // also shed a histogram entry.
-  arr.invalidate(b, 0, 0);  // updated page: histogram untouched
-  EXPECT_EQ(blk.sum_write_time_ms(), 9u + 4 * 9);
-  expect_cold(4);
+  arr.invalidate(b, 0, 0);  // SLC: updated page, histogram untouched
+  expect_sum(page0 - 2 + 4 * 9);
+  expect_cold(page0_cold + 4 - (slc ? 0 : 1));
   arr.invalidate(b, 1, 3);  // never-updated page
-  EXPECT_EQ(blk.sum_write_time_ms(), 9u + 3 * 9);
-  expect_cold(3);
+  expect_sum(page0 - 2 + 3 * 9);
 
   // Erase zeroes everything and rebases the histogram on the erase time.
-  for (SubpageId s = 0; s < 3; ++s) arr.invalidate(b, 1, s);
-  arr.invalidate(b, 0, 1);
-  arr.invalidate(b, 0, 2);
+  for (PageId p = 0; p < 2; ++p) {
+    for (SubpageId s = 0; s < 4; ++s) {
+      if (arr.subpage_state(b, p, s) == SubpageState::kValid) {
+        arr.invalidate(b, p, s);
+      }
+    }
+  }
+  EXPECT_EQ(blk.valid_subpages(), 0u);
   arr.erase(b, ms_to_ns(50.0));
-  EXPECT_EQ(blk.sum_write_time_ms(), 0u);
+  expect_sum(0);
   expect_cold(0);
-  if (GetParam() == CellMode::kSlc) {
+  if (slc) {
     EXPECT_EQ(arr.age_histogram(b)->base_ms(), 50u);
   }
 
   // Reprogram after erase: aggregates restart from the new base.
   const SlotWrite again[] = {w(0, 8)};
   arr.program(b, 0, again, ms_to_ns(60.0));
-  EXPECT_EQ(blk.sum_write_time_ms(), 60u);
+  expect_sum(60);
   expect_cold(1);
+  EXPECT_EQ(arr.subpage(b, 0, 0).write_time_ms, slc ? 60u : 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, BlockAggregates,

@@ -135,5 +135,35 @@ TEST(FlashArrayDeathTest, ProgramPastPartialLimitAborts) {
   EXPECT_DEATH(arr.program(0, 0, s1, 0), "partial-program limit");
 }
 
+// Only the SLC-mode cache is partial-programmed: an MLC page takes one
+// program per erase, whatever the partial-program limit and free slots.
+TEST(FlashArray, MlcPagesNeverTakeAPartialProgram) {
+  FlashArray arr(small_config());
+  const BlockId mlc = arr.geometry().slc_blocks_per_plane();
+  ASSERT_EQ(arr.block(mlc).mode(), CellMode::kMlc);
+  const SlotWrite s0[] = {w(0, 1)};
+  arr.program(mlc, 0, s0, 0);
+  EXPECT_EQ(arr.page_first_free(mlc, 0), 1u);
+  EXPECT_FALSE(arr.can_partial_program(mlc, 0));
+  // The same state on an SLC-mode page accepts a partial program.
+  arr.program(0, 0, s0, 0);
+  EXPECT_TRUE(arr.can_partial_program(0, 0));
+  // After an erase the MLC page takes its one program again.
+  arr.invalidate(mlc, 0, 0);
+  arr.erase(mlc, 0);
+  arr.program(mlc, 0, s0, 0);
+  EXPECT_EQ(arr.page(mlc, 0).program_ops(), 1u);
+}
+
+TEST(FlashArrayDeathTest, SecondProgramOfAnMlcPageAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FlashArray arr(small_config());
+  const BlockId mlc = arr.geometry().slc_blocks_per_plane();
+  const SlotWrite s0[] = {w(0, 1)};
+  const SlotWrite s1[] = {w(1, 2)};
+  arr.program(mlc, 0, s0, 0);
+  EXPECT_DEATH(arr.program(mlc, 0, s1, 0), "second program of an MLC page");
+}
+
 }  // namespace
 }  // namespace ppssd::nand

@@ -24,6 +24,7 @@ struct ShadowPage {
 };
 
 struct ShadowBlock {
+  bool mlc = false;
   std::vector<ShadowPage> pages;
   std::uint32_t frontier = 0;
   std::uint32_t erases = 0;
@@ -36,6 +37,7 @@ class ShadowModel {
       const CellMode mode =
           geom.is_slc_block(b) ? CellMode::kSlc : CellMode::kMlc;
       ShadowBlock blk;
+      blk.mlc = mode == CellMode::kMlc;
       blk.pages.resize(geom.pages_per_block(mode));
       for (auto& p : blk.pages) {
         p.slots.resize(geom.subpages_per_page());
@@ -50,7 +52,10 @@ class ShadowModel {
     if (p >= blk.pages.size()) return false;
     const ShadowPage& page = blk.pages[p];
     if (page.program_ops == 0 && p != blk.frontier) return false;
-    if (page.program_ops > 0 && page.program_ops >= max_partials) {
+    // Only SLC-mode pages take partial programs: an MLC page takes one
+    // program per erase.
+    if (page.program_ops > 0 &&
+        (blk.mlc || page.program_ops >= max_partials)) {
       return false;
     }
     for (const auto& w : ws) {
@@ -119,6 +124,9 @@ class ShadowModel {
       }
       ASSERT_EQ(valid, rblk.valid_subpages()) << "block " << b;
       ASSERT_EQ(invalid, rblk.invalid_subpages()) << "block " << b;
+      if (sblk.mlc) {
+        ASSERT_EQ(rblk.sum_write_time_ms(), 0u) << "block " << b;
+      }
     }
   }
 
@@ -146,6 +154,7 @@ TEST_P(NandShadowFuzz, RandomOpsAgreeWithReference) {
   std::uint32_t version = 1;
 
   int programs = 0;
+  int mlc_programs = 0;
   int erases = 0;
   for (int iter = 0; iter < 20'000; ++iter) {
     const BlockId b = pool[rng.next_below(pool.size())];
@@ -178,6 +187,15 @@ TEST_P(NandShadowFuzz, RandomOpsAgreeWithReference) {
         shadow.program(b, p, span);
         arr.program(b, p, span, iter * 1000);
         ++programs;
+        if (shadow.block(b).mlc) ++mlc_programs;
+      }
+      // The array's own rule agrees with the shadow's.
+      if (arr.page(b, p).programmed()) {
+        ASSERT_EQ(arr.can_partial_program(b, p),
+                  !shadow.block(b).mlc &&
+                      arr.page(b, p).program_ops() <
+                          cfg.cache.max_partial_programs &&
+                      arr.page_first_free(b, p) != kInvalidSubpage);
       }
     } else if (choice < 9) {
       // Invalidate a random valid subpage of the block.
@@ -223,6 +241,7 @@ TEST_P(NandShadowFuzz, RandomOpsAgreeWithReference) {
   }
   shadow.verify_against(arr);
   EXPECT_GT(programs, 1000);
+  EXPECT_GT(mlc_programs, 100);
   EXPECT_GT(erases, 50);
 }
 
