@@ -1,20 +1,17 @@
-// GC victim-selection microbenchmark: indexed vs full-scan cost.
+// GC victim-selection microbenchmark.
 //
 //   ./gc_bench [report.json]          default: BENCH_perf.json
 //
 // For each device size (2048 / 8192 / 32768 blocks) the bench builds a
 // steady-state SLC region on one plane — staggered write times, a share
-// of updated pages, per-block invalidation counts — then times four
-// victim-selection variants on identical state:
+// of updated pages, per-block invalidation counts — then times the two
+// library policies on identical state:
 //
 //   greedy/indexed    BlockManager bucket index (O(1) amortized)
-//   greedy/scan       pre-index full candidate scan
 //   isr/indexed       block aggregates: O(1) age sums + histogram folds
-//   isr/scan          pre-optimization two-pass page walk
 //
-// Selection cost of the scan variants grows with candidate count (and,
-// for ISR, with pages × subpages); the indexed variants should stay flat
-// — that sublinear gap is what the committed BENCH_perf.json pins.
+// Both should stay flat as the candidate count grows with device size.
+// Their full-scan oracles are test-only (tests/support/gc_reference.h).
 //
 // Results are merged into the report as the "gc/select/..." cell family:
 // any existing gc/select cells are replaced, every other cell (the
@@ -112,8 +109,7 @@ int main(int argc, char** argv) {
   Table table({"cell", "candidates", "ns/select", "selects/s"});
   for (const std::uint32_t blocks : bench::kMicroSizes) {
     // One plane: the whole block budget lands in a single SLC region, so
-    // candidate count grows with device size, which is what separates
-    // O(candidates) scans from the index.
+    // candidate count grows with device size.
     nand::FlashArray arr(bench::single_plane_config(blocks));
     ftl::BlockManager bm(arr);
     const SimTime now = populate_slc_plane(arr, bm);
@@ -129,15 +125,8 @@ int main(int argc, char** argv) {
         {"greedy/indexed", time_select([&] {
            return greedy.select_victim(arr, bm, 0, CellMode::kSlc, now);
          })},
-        {"greedy/scan", time_select([&] {
-           return greedy.select_victim_reference(arr, bm, 0, CellMode::kSlc);
-         })},
         {"isr/indexed", time_select([&] {
            return isr.select_victim(arr, bm, 0, CellMode::kSlc, now);
-         })},
-        {"isr/scan", time_select([&] {
-           return isr.select_victim_reference(arr, bm, 0, CellMode::kSlc,
-                                              now);
          })},
     };
 

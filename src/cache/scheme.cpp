@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <utility>
+#include <vector>
 
 #include "cache/registry.h"
 #include "common/check.h"
@@ -322,37 +323,85 @@ void Scheme::direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
 std::uint64_t Scheme::prefill_mlc(std::uint64_t max_subpages,
                                   std::uint32_t free_floor_blocks) {
   const auto& geom = array_.geometry();
+  PPSSD_CHECK_MSG(map_.mapped_count() == 0,
+                  "MLC prefill needs a never-written device");
   max_subpages = std::min(max_subpages, geom.logical_subpages());
-  std::uint64_t filled = 0;
-  std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
-  while (filled < max_subpages) {
-    // Stop once the region is as full as an aged drive would run.
-    std::uint32_t plane = next_plane();
-    bool room = false;
-    for (std::uint32_t attempts = 0; attempts < geom.planes(); ++attempts) {
-      if (bm_.free_blocks(plane, CellMode::kMlc) > free_floor_blocks) {
-        room = true;
-        break;
-      }
-      plane = next_plane();
-    }
-    if (!room) break;
+  const std::uint32_t planes = geom.planes();
+  const std::uint32_t free = bm_.free_blocks(0, CellMode::kMlc);
+  for (std::uint32_t q = 1; q < planes; ++q) {
+    PPSSD_CHECK_MSG(bm_.free_blocks(q, CellMode::kMlc) == free,
+                    "MLC prefill needs equal free MLC blocks on every plane");
+  }
 
-    const auto alloc = bm_.allocate_page(plane, BlockLevel::kHighDensity);
-    PPSSD_CHECK(alloc.has_value());
-    std::size_t n = 0;
-    while (n < spp_ && filled < max_subpages) {
-      const Lsn lsn = filled++;
-      writes[n] = {static_cast<SubpageId>(n), lsn, map_.bump_version(lsn)};
-      ++n;
+  // Round-robin placement (DESIGN.md §10, "Bulk prefill"): logical page g
+  // is page ⌊g/P⌋ of plane (r0 + g) mod P, and a plane takes pages while
+  // it has more than `free_floor_blocks` free blocks — (F - floor - 1)·B
+  // + 1 of them, the last one opening a block.
+  const std::uint32_t per_block = geom.pages_per_block(CellMode::kMlc);
+  std::uint64_t plane_cap = 0;
+  if (free > free_floor_blocks) {
+    plane_cap =
+        static_cast<std::uint64_t>(free - free_floor_blocks - 1) * per_block +
+        1;
+  }
+  const std::uint64_t wanted = (max_subpages + spp_ - 1) / spp_;
+  const std::uint64_t pages = std::min(wanted, plane_cap * planes);
+  const std::uint32_t r0 = rr_plane_;
+  // The page-at-a-time fill ends by polling every plane once more (one
+  // pick plus P retries) when the floor, not `max_subpages`, stops it.
+  rr_plane_ = static_cast<std::uint32_t>(
+      (r0 + pages + (wanted > pages ? 1 + planes : 0)) % planes);
+  if (pages == 0) {
+    reset_metrics();
+    return 0;
+  }
+  const std::uint64_t filled = std::min(max_subpages, pages * spp_);
+  const auto tail_slots =
+      static_cast<std::uint32_t>(filled - (pages - 1) * spp_);
+  const std::uint64_t stride = static_cast<std::uint64_t>(planes) * spp_;
+
+  // Pass A, block-major: each plane opens its blocks in allocation order
+  // and each block is filled front to back in one sweep.
+  const std::uint64_t plane_pages_max = (pages + planes - 1) / planes;
+  const std::uint64_t plane_blocks =
+      (plane_pages_max + per_block - 1) / per_block;
+  std::vector<BlockId> opened(planes * plane_blocks, kInvalidBlock);
+  for (std::uint32_t i = 0; i < planes && i < pages; ++i) {
+    const std::uint32_t q = (r0 + i) % planes;
+    const std::uint64_t plane_pages = (pages - 1 - i) / planes + 1;
+    for (std::uint64_t k = 0; k * per_block < plane_pages; ++k) {
+      const auto alloc = bm_.allocate_page(q, BlockLevel::kHighDensity);
+      PPSSD_CHECK(alloc.has_value() && alloc->page == 0);
+      opened[q * plane_blocks + k] = alloc->block;
+      const std::uint64_t first_page = k * per_block;
+      const auto n = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(per_block, plane_pages - first_page));
+      const bool last = first_page + n == plane_pages &&
+                        (pages - 1) % planes == i;
+      array_.prefill_block(alloc->block, n,
+                           (first_page * planes + i) * spp_, stride,
+                           last ? tail_slots : spp_, /*version=*/1);
     }
-    // Bulk setup entry point: frontier fill at sim time 0, skipping the
-    // partial-program and forward-neighbour work of the general path.
-    array_.prefill_page(alloc->block, alloc->page,
-                        std::span<const nand::SlotWrite>(writes.data(), n));
-    for (std::size_t i = 0; i < n; ++i) {
-      map_.set(writes[i].lsn, PhysicalAddress{alloc->block, alloc->page,
-                                              static_cast<SubpageId>(i)});
+  }
+
+  // Pass B, LSN order: page g = j·P + i of the fill holds LSNs
+  // [g·spp, g·spp + spp) on page j of plane (r0 + i) mod P.
+  Lsn lsn = 0;
+  for (std::uint64_t j = 0; lsn < filled; ++j) {
+    const auto p = static_cast<PageId>(j % per_block);
+    const std::uint64_t k = j / per_block;
+    std::uint32_t q = r0;
+    for (std::uint32_t i = 0; i < planes && lsn < filled; ++i) {
+      const BlockId b = opened[q * plane_blocks + k];
+      const std::uint32_t n = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(spp_, filled - lsn));
+      for (std::uint32_t s = 0; s < n; ++s, ++lsn) {
+        // Every version on a never-written device is 0.
+        const std::uint32_t version = map_.bump_version(lsn);
+        PPSSD_CHECK(version == 1);
+        map_.set(lsn, PhysicalAddress{b, p, static_cast<SubpageId>(s)});
+      }
+      if (++q == planes) q = 0;
     }
   }
   reset_metrics();

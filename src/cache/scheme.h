@@ -167,8 +167,11 @@ class Scheme {
 
   /// Pre-fill the MLC region with logical pages [0, max_subpages), as an
   /// aged drive would be, stopping when every plane is down to
-  /// `free_floor_blocks` free MLC blocks. No timing is simulated; call
-  /// before replay. Returns the number of subpages filled.
+  /// `free_floor_blocks` free MLC blocks. No timing is simulated. The
+  /// device must be freshly built — nothing written, no earlier prefill
+  /// (always-on check) — so the round-robin layout is laid down in
+  /// closed form (DESIGN.md §10, "Bulk prefill"). Returns the number of
+  /// subpages filled.
   std::uint64_t prefill_mlc(std::uint64_t max_subpages,
                             std::uint32_t free_floor_blocks);
 
@@ -383,6 +386,9 @@ class Scheme {
   telemetry::TraceLog* tlog_ = nullptr;
 
  private:
+  /// The page-at-a-time prefill oracle (tests/support/reference_paths.h).
+  friend struct ReferencePrefill;
+
   /// One GC pass on a plane's region; returns false if no victim.
   bool slc_gc_once(std::uint32_t plane, SimTime now, std::vector<PhysOp>& ops);
   /// One greedy MLC GC pass; returns false if no victim. maybe_mlc_gc()

@@ -137,12 +137,6 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double alpha) {
   if (index_[buckets_] >= n) index_[buckets_] = n - 1;
 }
 
-std::uint64_t ZipfSampler::sample_reference(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin());
-}
-
 double ZipfSampler::pmf(std::uint64_t k) const {
   PPSSD_CHECK(k < cdf_.size());
   return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];

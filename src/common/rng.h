@@ -50,9 +50,9 @@ class Rng {
 /// stores lower_bound(cdf, j/K)) and finishes with a branchless binary
 /// search over the bracket, so a draw costs O(log(n/K)) well-predicted
 /// steps instead of a full O(log n) lower_bound. The result is defined to
-/// be *identical* to sample_reference() — the plain lower_bound over the
-/// whole CDF — for every u, so workload streams are unchanged
-/// (tests/common/rng_test.cpp locks the two together).
+/// be *identical* to the plain lower_bound over the whole CDF for every u,
+/// so workload streams are unchanged (tests/common/rng_test.cpp holds that
+/// oracle and locks the two together).
 class ZipfSampler {
  public:
   ZipfSampler(std::uint64_t n, double alpha);
@@ -79,10 +79,6 @@ class ZipfSampler {
     }
     return lo;
   }
-
-  /// Plain lower_bound over the full CDF: the reference oracle sample()
-  /// must match draw for draw.
-  std::uint64_t sample_reference(Rng& rng) const;
 
   [[nodiscard]] std::uint64_t size() const { return cdf_.size(); }
 

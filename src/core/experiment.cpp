@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -27,9 +28,17 @@ double seconds_since(Clock::time_point t0) {
 /// Cold warm-up: pre-fill the MLC region, then stream ~1.2x the SLC cache
 /// capacity of writes from the trace's address model, and land the device
 /// on the quiescent post-warm-up boundary (metrics and timing reset).
-/// This is the work a warm-start checkpoint hit replaces.
-void run_warmup(sim::Ssd& ssd, const trace::SyntheticWorkload& workload,
-                const trace::TraceProfile& profile) {
+/// This is the work a warm-start checkpoint hit replaces. Returns the
+/// wall seconds the prefill took.
+///
+/// The prefill is a closed-form bulk fill of the freshly built device
+/// (Scheme::prefill_mlc). The warm replay submits straight to
+/// Ssd::submit: nothing reads its completions or latencies, and
+/// reset_timing() discards its timing, so it skips the Replayer and the
+/// host completion queue. Ssd::submit is the path Ssd::enqueue takes
+/// before its completion push, so the device state it leaves is the same.
+double run_warmup(sim::Ssd& ssd, const trace::SyntheticWorkload& workload,
+                  const trace::TraceProfile& profile) {
   const auto& geom = ssd.scheme().array().geometry();
   // Fill the whole logical space: an aged drive holds the trace's
   // footprint plus other resident data, so the MLC region runs near its
@@ -41,7 +50,9 @@ void run_warmup(sim::Ssd& ssd, const trace::SyntheticWorkload& workload,
           3, static_cast<std::uint32_t>(
                  0.03 * (geom.blocks_per_plane() -
                          geom.slc_blocks_per_plane())));
+  const auto prefill_start = Clock::now();
   ssd.scheme().prefill_mlc(prefill_subpages, free_floor);
+  const double prefill_seconds = seconds_since(prefill_start);
   const std::uint64_t cache_bytes =
       static_cast<std::uint64_t>(geom.slc_block_count()) *
       geom.pages_per_block(CellMode::kSlc) * geom.config().page_bytes;
@@ -57,12 +68,18 @@ void run_warmup(sim::Ssd& ssd, const trace::SyntheticWorkload& workload,
   // Warm-up ops carry the kPrefill origin so a blame ledger attached
   // around this phase (telemetry tour, bench harnesses) separates
   // pre-conditioning traffic from measured host work.
-  sim::Replayer replayer(ssd);
   ssd.scheme().set_origin_phase(cache::OpOrigin::kPrefill);
-  replayer.replay(warmup);
+  std::array<trace::TraceRecord, sim::Replayer::kBatch> batch;
+  while (const std::size_t got = warmup.next_batch(batch)) {
+    for (std::size_t i = 0; i < got; ++i) {
+      const trace::TraceRecord& rec = batch[i];
+      ssd.submit(rec.op, rec.offset, rec.size, rec.arrival);
+    }
+  }
   ssd.scheme().set_origin_phase(cache::OpOrigin::kHost);
   ssd.scheme().reset_metrics();
   ssd.reset_timing();
+  return prefill_seconds;
 }
 }  // namespace
 
@@ -133,7 +150,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     const WarmStartCache warmstart = WarmStartCache::from_env();
     const std::string spec_key = spec.key();
     if (!warmstart.try_restore(spec_key, ssd)) {
-      run_warmup(ssd, workload, profile);
+      r.wall_prefill_seconds = run_warmup(ssd, workload, profile);
       warmstart.store(spec_key, ssd);
     }
   }
@@ -280,6 +297,7 @@ std::string ExperimentResult::serialize() const {
      << "wall_seconds=" << wall_seconds << '\n'
      << "wall_setup_seconds=" << wall_setup_seconds << '\n'
      << "wall_warmup_seconds=" << wall_warmup_seconds << '\n'
+     << "wall_prefill_seconds=" << wall_prefill_seconds << '\n'
      << "wall_measure_seconds=" << wall_measure_seconds << '\n'
      << "wall_report_seconds=" << wall_report_seconds << '\n'
      << "wall_reqs_per_sec=" << wall_reqs_per_sec << '\n'
@@ -386,6 +404,8 @@ std::optional<ExperimentResult> ExperimentResult::deserialize(
         r.wall_setup_seconds = std::stod(v);
       } else if (k == "wall_warmup_seconds") {
         r.wall_warmup_seconds = std::stod(v);
+      } else if (k == "wall_prefill_seconds") {
+        r.wall_prefill_seconds = std::stod(v);
       } else if (k == "wall_measure_seconds") {
         r.wall_measure_seconds = std::stod(v);
       } else if (k == "wall_report_seconds") {

@@ -92,6 +92,8 @@ struct ExperimentResult {
   double wall_seconds = 0.0;          // whole cell, all phases
   double wall_setup_seconds = 0.0;    // config + scheme + workload build
   double wall_warmup_seconds = 0.0;   // prefill + cache warm replay
+  double wall_prefill_seconds = 0.0;  // MLC prefill share of warm-up
+                                      // (0 on a warm-start hit)
   double wall_measure_seconds = 0.0;  // measured replay
   double wall_report_seconds = 0.0;   // metric collection + assembly
   double wall_reqs_per_sec = 0.0;     // host requests / measured second

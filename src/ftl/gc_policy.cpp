@@ -26,26 +26,6 @@ BlockId GreedyPolicy::select_victim(const nand::FlashArray& /*array*/,
   return best;
 }
 
-BlockId GreedyPolicy::select_victim_reference(const nand::FlashArray& array,
-                                              const BlockManager& bm,
-                                              std::uint32_t plane,
-                                              CellMode mode) const {
-  BlockId best = kInvalidBlock;
-  std::uint32_t best_invalid = 0;
-  bm.for_each_candidate(plane, mode, [&](BlockId b) {
-    const auto& blk = array.block(b);
-    // A victim must reclaim at least one subpage, otherwise GC would churn.
-    const std::uint32_t invalid = blk.invalid_subpages();
-    if (invalid > best_invalid ||
-        (invalid == best_invalid && invalid > 0 && b < best)) {
-      best = b;
-      best_invalid = invalid;
-    }
-  });
-  if (best_invalid == 0) best = kInvalidBlock;
-  return best;
-}
-
 std::pair<double, std::uint64_t> IsrPolicy::age_sum(const nand::Block& block,
                                                     SimTime now) {
   // sum_j (now - wt_j) over valid subpages == valid * now - sum_j wt_j,
@@ -54,26 +34,6 @@ std::pair<double, std::uint64_t> IsrPolicy::age_sum(const nand::Block& block,
   return {static_cast<double>(valid) * ns_to_ms(now) -
               static_cast<double>(block.sum_write_time_ms()),
           valid};
-}
-
-std::pair<double, std::uint64_t> IsrPolicy::age_sum_exact(
-    const nand::FlashArray& array, BlockId block, SimTime now) {
-  const nand::Block& blk = array.block(block);
-  const double now_ms = ns_to_ms(now);
-  const std::uint32_t spp = blk.subpages_per_page();
-  double sum = 0.0;
-  std::uint64_t valid = 0;
-  for (std::uint32_t p = 0; p < blk.write_frontier(); ++p) {
-    for (std::uint32_t s = 0; s < spp; ++s) {
-      const nand::Subpage sp = array.subpage(
-          block, static_cast<PageId>(p), static_cast<SubpageId>(s));
-      if (sp.state == nand::SubpageState::kValid) {
-        sum += now_ms - sp.write_time_ms;
-        ++valid;
-      }
-    }
-  }
-  return {sum, valid};
 }
 
 double IsrPolicy::cold_weight(const nand::FlashArray& array, BlockId block,
@@ -92,45 +52,12 @@ double IsrPolicy::cold_weight(const nand::FlashArray& array, BlockId block,
   });
 }
 
-double IsrPolicy::cold_weight_exact(const nand::FlashArray& array,
-                                    BlockId block, SimTime now,
-                                    double mean_age_ms) {
-  if (mean_age_ms <= 0.0) return 0.0;
-  const nand::Block& blk = array.block(block);
-  const double now_ms = ns_to_ms(now);
-  const std::uint32_t spp = blk.subpages_per_page();
-
-  // IS' sums the age weight of valid subpages in never-updated pages.
-  double weight = 0.0;
-  for (std::uint32_t p = 0; p < blk.write_frontier(); ++p) {
-    if (page_updated(array.page(block, static_cast<PageId>(p)))) continue;
-    for (std::uint32_t s = 0; s < spp; ++s) {
-      const nand::Subpage sp = array.subpage(
-          block, static_cast<PageId>(p), static_cast<SubpageId>(s));
-      if (sp.state == nand::SubpageState::kValid) {
-        const double age = now_ms - sp.write_time_ms;
-        weight += 1.0 - std::exp(-age / mean_age_ms);
-      }
-    }
-  }
-  return weight;
-}
-
 double IsrPolicy::isr(const nand::FlashArray& array, BlockId block,
                       SimTime now, double mean_age_ms) {
   const nand::Block& blk = array.block(block);
   const double total = blk.total_subpages();
   return (blk.invalid_subpages() +
           cold_weight(array, block, now, mean_age_ms)) /
-         total;
-}
-
-double IsrPolicy::isr_exact(const nand::FlashArray& array, BlockId block,
-                            SimTime now, double mean_age_ms) {
-  const nand::Block& blk = array.block(block);
-  const double total = blk.total_subpages();
-  return (blk.invalid_subpages() +
-          cold_weight_exact(array, block, now, mean_age_ms)) /
          total;
 }
 
@@ -164,38 +91,6 @@ BlockId IsrPolicy::select_victim(const nand::FlashArray& array,
     }
   }
   count_selection(best != kInvalidBlock);
-  return best;
-}
-
-BlockId IsrPolicy::select_victim_reference(const nand::FlashArray& array,
-                                           const BlockManager& bm,
-                                           std::uint32_t plane, CellMode mode,
-                                           SimTime now) const {
-  // Pass 1: T = mean valid-subpage age over the plane's candidates.
-  double age_total = 0.0;
-  std::uint64_t valid_total = 0;
-  std::vector<BlockId> candidates;
-  bm.for_each_candidate(plane, mode, [&](BlockId b) {
-    candidates.push_back(b);
-    const auto [sum, count] = age_sum_exact(array, b, now);
-    age_total += sum;
-    valid_total += count;
-  });
-  const double mean_age =
-      valid_total > 0 ? age_total / static_cast<double>(valid_total) : 0.0;
-
-  // Pass 2: score by Equation 1.
-  BlockId best = kInvalidBlock;
-  double best_isr = 0.0;
-  for (const BlockId b : candidates) {
-    const auto& blk = array.block(b);
-    if (blk.programmed_subpages() == 0) continue;  // nothing to reclaim
-    const double v = isr_exact(array, b, now, mean_age);
-    if (v > best_isr) {
-      best = b;
-      best_isr = v;
-    }
-  }
   return best;
 }
 

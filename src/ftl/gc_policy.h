@@ -22,9 +22,9 @@
 // which the FlashArray keeps for SLC-mode blocks only (one exp per
 // occupied bucket instead of one per valid subpage; see
 // DESIGN.md's GC-complexity section for the approximation bound). The
-// original full-scan forms survive as *_exact / select_victim_reference —
-// they define the semantics the fast paths are tested against and anchor
-// the gc_bench comparison.
+// original full-scan forms are test-only oracles
+// (tests/support/gc_reference.h): they define the semantics the fast
+// paths are tested against.
 #pragma once
 
 #include <cstdint>
@@ -91,13 +91,6 @@ class GreedyPolicy final : public GcPolicy {
                                       const BlockManager& bm,
                                       std::uint32_t plane, CellMode mode,
                                       SimTime now) const override;
-
-  /// The pre-index full candidate scan. Semantically identical to
-  /// select_victim(); kept as the test oracle and gc_bench baseline.
-  [[nodiscard]] BlockId select_victim_reference(const nand::FlashArray& array,
-                                                const BlockManager& bm,
-                                                std::uint32_t plane,
-                                                CellMode mode) const;
 };
 
 class IsrPolicy final : public GcPolicy {
@@ -108,14 +101,6 @@ class IsrPolicy final : public GcPolicy {
                                       const BlockManager& bm,
                                       std::uint32_t plane, CellMode mode,
                                       SimTime now) const override;
-
-  /// The pre-optimization two-pass page walk (exact per-subpage terms).
-  /// Kept as the test oracle and gc_bench baseline.
-  [[nodiscard]] BlockId select_victim_reference(const nand::FlashArray& array,
-                                                const BlockManager& bm,
-                                                std::uint32_t plane,
-                                                CellMode mode,
-                                                SimTime now) const;
 
   /// ISR_i of Equation 1 for one SLC-mode block. `mean_age_ms` is T_i —
   /// the average valid-subpage age the exponential is normalised by. The
@@ -138,17 +123,6 @@ class IsrPolicy final : public GcPolicy {
   /// O(1): valid * now_ms - sum_write_time_ms.
   [[nodiscard]] static std::pair<double, std::uint64_t> age_sum(
       const nand::Block& block, SimTime now);
-
-  /// Per-subpage page-walk forms of the three terms above — the exact
-  /// semantics the aggregate-driven versions approximate.
-  [[nodiscard]] static double isr_exact(const nand::FlashArray& array,
-                                        BlockId block, SimTime now,
-                                        double mean_age_ms);
-  [[nodiscard]] static double cold_weight_exact(const nand::FlashArray& array,
-                                                BlockId block, SimTime now,
-                                                double mean_age_ms);
-  [[nodiscard]] static std::pair<double, std::uint64_t> age_sum_exact(
-      const nand::FlashArray& array, BlockId block, SimTime now);
 
  private:
   // Candidate scratch for select_victim(): reused across calls so the

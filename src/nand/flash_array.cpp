@@ -53,48 +53,51 @@ FlashArray::FlashArray(const SsdConfig& cfg)
   chips_.resize(geom_.chips());
 }
 
-void FlashArray::prefill_page(BlockId b, PageId p,
-                              std::span<const SlotWrite> writes) {
+void FlashArray::prefill_block(BlockId b, std::uint32_t pages, Lsn first_lsn,
+                               std::uint64_t lsn_stride,
+                               std::uint32_t last_slots,
+                               std::uint32_t version) {
   PPSSD_DCHECK(b < blocks_.size());
-  PPSSD_DCHECK(!writes.empty());
   Block& blk = blocks_[b];
-  PPSSD_CHECK_MSG(p == blk.frontier_, "out-of-order first program of a page");
-  ++blk.frontier_;
-  const std::size_t pi = page_index(b, p);
-  const std::size_t base = pi * spp_;
-  for (const SlotWrite& w : writes) {
-    PPSSD_DCHECK(w.slot < spp_);
-    const std::size_t i = base + w.slot;
-    PPSSD_CHECK_MSG(sp_state_[i] ==
-                        static_cast<std::uint8_t>(SubpageState::kFree),
-                    "programming a non-free subpage (NAND write-once rule)");
-    sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
-    sp_owner_[i] = static_cast<std::uint32_t>(w.lsn);
-    sp_version_[i] = w.version;
-    // An SLC slot's write time and disturb snapshots stay 0: a frontier
-    // fill at sim time 0 has seen no prior programs or neighbour disturbs.
+  PPSSD_CHECK_MSG(blk.frontier_ == 0, "bulk prefill of a programmed block");
+  PPSSD_CHECK(pages > 0 && pages <= blk.page_count());
+  PPSSD_CHECK(last_slots > 0 && last_slots <= spp_);
+  blk.frontier_ = pages;
+  const BlockStatic& bs = statics_[b];
+  std::uint64_t written = 0;
+  for (std::uint32_t p = 0; p < pages; ++p) {
+    const std::size_t pi = bs.page_base + p;
+    const std::size_t base = pi * spp_;
+    const std::uint32_t n = p + 1 == pages ? last_slots : spp_;
+    const Lsn lsn = first_lsn + p * lsn_stride;
+    for (std::uint32_t s = 0; s < n; ++s) {
+      const std::size_t i = base + s;
+      PPSSD_CHECK_MSG(sp_state_[i] ==
+                          static_cast<std::uint8_t>(SubpageState::kFree),
+                      "programming a non-free subpage (NAND write-once rule)");
+      sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
+      sp_owner_[i] = static_cast<std::uint32_t>(lsn + s);
+      sp_version_[i] = version;
+      // An SLC slot's write time and disturb snapshots stay 0: a frontier
+      // fill at sim time 0 has seen no prior programs or neighbour disturbs.
+    }
+    pages_[pi].program_ops_ = 1;
+    // Programming page p disturbs the page behind it, already filled.
+    if (p > 0) pages_[pi - 1].absorb_neighbor_program();
+    written += n;
   }
-  pages_[pi].program_ops_ = 1;
 
-  const auto n = static_cast<std::uint32_t>(writes.size());
+  const auto n = static_cast<std::uint32_t>(written);
   blk.valid_ += n;
   if (AgeHistogram* const hist = histogram_of(blk)) hist->add(0, n);
-
-  // Only the page behind the frontier can absorb this program; the page
-  // ahead has never been programmed.
-  if (p > 0 && pages_[pi - 1].program_ops_ > 0) {
-    pages_[pi - 1].absorb_neighbor_program();
-  }
-
-  const BlockStatic& bs = statics_[b];
   if (bs.mode == CellMode::kSlc) {
-    ++counters_.slc_program_ops;
+    counters_.slc_program_ops += pages;
     counters_.slc_subpages_written += n;
   } else {
-    ++counters_.mlc_program_ops;
+    counters_.mlc_program_ops += pages;
     counters_.mlc_subpages_written += n;
   }
-  planes_[bs.plane].count_program();
+  planes_[bs.plane].count_program(pages);
 }
 
 bool FlashArray::can_partial_program(BlockId b, PageId p) const {

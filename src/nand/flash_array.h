@@ -332,12 +332,18 @@ class FlashArray {
     counters_.reprogrammed_subpages += writes.size();
   }
 
-  /// Bulk first-program entry point for setup (Scheme prefill): programs
-  /// the write frontier of `b` at sim time 0. Skips the partial-program
+  /// Bulk first-program entry point for setup (Scheme prefill): fills
+  /// pages [0, pages) of block `b`, which has no programmed page, front
+  /// to back at sim time 0. Page p's slot s holds LSN
+  /// first_lsn + p·lsn_stride + s at `version`; every page takes all
+  /// subpages_per_page() slots except the last, which takes
+  /// `last_slots`. Skips the partial-program
   /// branches and the forward-neighbour probe — a frontier fill can only
   /// disturb the page behind it. State produced is identical to
-  /// program(b, p, writes, 0) on a free frontier page.
-  void prefill_page(BlockId b, PageId p, std::span<const SlotWrite> writes);
+  /// program(b, p, writes, 0) for each page in turn.
+  void prefill_block(BlockId b, std::uint32_t pages, Lsn first_lsn,
+                     std::uint64_t lsn_stride, std::uint32_t last_slots,
+                     std::uint32_t version);
 
   /// True if page (b, p) may accept another program operation: an SLC-mode
   /// page below the partial-program limit with free subpage slots left.

@@ -25,7 +25,7 @@ class Plane {
   [[nodiscard]] std::uint32_t chip() const { return chip_; }
   [[nodiscard]] std::uint32_t channel() const { return channel_; }
 
-  void count_program() { ++programs_; }
+  void count_program(std::uint64_t n = 1) { programs_ += n; }
   void count_read() { ++reads_; }
   void count_erase() { ++erases_; }
 

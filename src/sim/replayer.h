@@ -34,6 +34,11 @@ struct ReplayResult {
 
 class Replayer {
  public:
+  /// Records fetched per TraceSource::next_batch call. Small enough that
+  /// the arena stays cache-resident, large enough that virtual dispatch
+  /// and decode-loop overhead amortize to noise.
+  static constexpr std::size_t kBatch = 256;
+
   explicit Replayer(Ssd& ssd) : ssd_(&ssd) {}
 
   /// Replay the source to exhaustion (or `max_requests` if nonzero).
@@ -55,11 +60,6 @@ class Replayer {
   /// Tick granularity: frequent enough for a smooth ETA, rare enough to
   /// stay invisible in the replay loop's profile.
   static constexpr std::uint64_t kProgressMask = (1u << 14) - 1;
-
-  /// Records fetched per TraceSource::next_batch call. Small enough that
-  /// the arena stays cache-resident, large enough that virtual dispatch
-  /// and decode-loop overhead amortize to noise.
-  static constexpr std::size_t kBatch = 256;
 
   Ssd* ssd_;
   perf::ProgressSink* progress_ = nullptr;

@@ -99,6 +99,19 @@ TEST(ExperimentResult, SerializeRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed->chip_fg_seconds, r.chip_fg_seconds);
 }
 
+TEST(ExperimentResult, PrefillSecondsRoundTripsAsAWallKey) {
+  ExperimentResult r;
+  r.wall_warmup_seconds = 0.75;
+  r.wall_prefill_seconds = 0.375;
+  const std::string text = r.serialize();
+  // A wall_ key: the determinism checks and result digests skip it.
+  EXPECT_NE(text.find("\nwall_prefill_seconds=0.375\n"), std::string::npos);
+  const auto parsed = ExperimentResult::deserialize(text);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_DOUBLE_EQ(parsed->wall_prefill_seconds, r.wall_prefill_seconds);
+  EXPECT_DOUBLE_EQ(parsed->wall_warmup_seconds, r.wall_warmup_seconds);
+}
+
 TEST(ExperimentResult, DeserializeRejectsGarbage) {
   EXPECT_FALSE(ExperimentResult::deserialize("").has_value());
   EXPECT_FALSE(ExperimentResult::deserialize("not a result").has_value());
@@ -135,6 +148,12 @@ TEST(RunExperiment, TinyCellEndToEnd) {
   EXPECT_GT(r.ctrl_events, 0u);
   EXPECT_GT(r.wall_reqs_per_sec, 0.0);
   EXPECT_GT(r.wall_ctrl_events_per_sec, 0.0);
+}
+
+TEST(RunExperiment, PrefillIsAShareOfWarmup) {
+  const ExperimentResult r = run_experiment(tiny_spec());
+  EXPECT_GT(r.wall_prefill_seconds, 0.0);
+  EXPECT_LE(r.wall_prefill_seconds, r.wall_warmup_seconds);
 }
 
 TEST(RunExperiment, CtrlEventsDeterministic) {

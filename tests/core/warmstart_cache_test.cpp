@@ -271,5 +271,18 @@ TEST(RunExperimentWarmStart, ColdAndWarmRunsAreByteIdentical) {
   fs::remove_all(dir);
 }
 
+TEST(RunExperimentWarmStart, HitReportsNoPrefillTime) {
+  const std::string dir = fresh_dir("ppssd_ws_prefill");
+  ASSERT_EQ(setenv("PPSSD_WARMSTART", "1", 1), 0);
+  ASSERT_EQ(setenv("PPSSD_WARMSTART_DIR", dir.c_str(), 1), 0);
+  const ExperimentResult cold = run_experiment(tiny_spec());  // writes ckpt
+  const ExperimentResult warm = run_experiment(tiny_spec());  // restores
+  unsetenv("PPSSD_WARMSTART");
+  unsetenv("PPSSD_WARMSTART_DIR");
+  EXPECT_GT(cold.wall_prefill_seconds, 0.0);
+  EXPECT_EQ(warm.wall_prefill_seconds, 0.0);
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace ppssd::core

@@ -7,6 +7,7 @@
 
 #include "common/units.h"
 #include "nand/flash_array.h"
+#include "support/gc_reference.h"
 
 namespace ppssd::ftl {
 namespace {
@@ -239,7 +240,7 @@ TEST(GcEquivalence, AggregateAgeSumMatchesExactWalk) {
   const SimTime now = ms_to_ns(500'000);
   for (const BlockId b : f.blocks) {
     const auto [opt_sum, opt_n] = IsrPolicy::age_sum(f.arr.block(b), now);
-    const auto [ref_sum, ref_n] = IsrPolicy::age_sum_exact(f.arr, b, now);
+    const auto [ref_sum, ref_n] = reference::age_sum_exact(f.arr, b, now);
     EXPECT_EQ(opt_n, ref_n);
     EXPECT_NEAR(opt_sum, ref_sum, 1e-6 * std::max(1.0, ref_sum));
   }
@@ -249,10 +250,10 @@ TEST(GcEquivalence, BucketedColdWeightTracksExact) {
   EquivalenceFixture f;
   const SimTime now = ms_to_ns(500'000);
   for (const BlockId b : f.blocks) {
-    const auto [sum, n] = IsrPolicy::age_sum_exact(f.arr, b, now);
+    const auto [sum, n] = reference::age_sum_exact(f.arr, b, now);
     const double mean = n ? sum / static_cast<double>(n) : 0.0;
     const double opt = IsrPolicy::cold_weight(f.arr, b, now, mean);
-    const double ref = IsrPolicy::cold_weight_exact(f.arr, b, now, mean);
+    const double ref = reference::cold_weight_exact(f.arr, b, now, mean);
     // The bucketed fold evaluates the concave kernel at per-bucket mean
     // write times; with sub-octave buckets the error stays well under 1%.
     EXPECT_NEAR(opt, ref, 0.01 * std::max(1.0, ref));
@@ -264,10 +265,10 @@ TEST(GcEquivalence, SelectVictimMatchesReference) {
   const SimTime now = ms_to_ns(500'000);
   const GreedyPolicy greedy;
   EXPECT_EQ(greedy.select_victim(f.arr, f.bm, 0, CellMode::kSlc, now),
-            greedy.select_victim_reference(f.arr, f.bm, 0, CellMode::kSlc));
+            reference::greedy_select_victim(f.arr, f.bm, 0, CellMode::kSlc));
   const IsrPolicy isr;
   EXPECT_EQ(isr.select_victim(f.arr, f.bm, 0, CellMode::kSlc, now),
-            isr.select_victim_reference(f.arr, f.bm, 0, CellMode::kSlc, now));
+            reference::isr_select_victim(f.arr, f.bm, 0, CellMode::kSlc, now));
 }
 
 }  // namespace

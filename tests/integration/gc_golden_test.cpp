@@ -9,8 +9,8 @@
 //     victim) in order, for all three schemes on two synthetic traces —
 //     is reproduced exactly.
 //  2. Oracle: the indexed / aggregate-driven select_victim() agrees with
-//     its retained full-scan reference (select_victim_reference) on the
-//     live device state at the moment of the decision.
+//     the full-scan reference (tests/support/gc_reference.h) on the live
+//     device state at the moment of the decision.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -22,6 +22,7 @@
 #include "cache/scheme.h"
 #include "ftl/gc_policy.h"
 #include "sim/ssd.h"
+#include "support/gc_reference.h"
 #include "trace/profiles.h"
 #include "trace/synthetic.h"
 
@@ -79,14 +80,14 @@ TEST(GcGolden, OptimizedPoliciesReproduceSeedDecisions) {
         actual.emplace_back(buf);
 
         // Oracle check on the live state: the fast path must agree with
-        // the retained full-scan reference.
+        // the full-scan reference.
         const auto& array = scheme.array();
         const auto& bm = scheme.blocks();
         if (mode == CellMode::kMlc || !slc_isr) {
           const BlockId opt =
               greedy.select_victim(array, bm, plane, mode, now);
           const BlockId ref =
-              greedy.select_victim_reference(array, bm, plane, mode);
+              ftl::reference::greedy_select_victim(array, bm, plane, mode);
           ASSERT_EQ(opt, ref) << buf;
           // SLC GC may fall back to oldest-data eviction when no greedy
           // victim exists; the committed victim matches the policy only
@@ -97,7 +98,7 @@ TEST(GcGolden, OptimizedPoliciesReproduceSeedDecisions) {
         } else {
           const BlockId opt = isr.select_victim(array, bm, plane, mode, now);
           const BlockId ref =
-              isr.select_victim_reference(array, bm, plane, mode, now);
+              ftl::reference::isr_select_victim(array, bm, plane, mode, now);
           ASSERT_EQ(opt, ref) << buf;
           if (opt != kInvalidBlock) {
             ASSERT_EQ(victim, opt) << buf;

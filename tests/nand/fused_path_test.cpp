@@ -1,15 +1,16 @@
 // Fused vs reference write-path equivalence (DESIGN.md §10).
 //
 // FlashArray::program / ::invalidate are single-pass fused
-// implementations. This file holds their layer-by-layer oracles
-// (ReferencePaths, a friend of FlashArray) and drives thousands of
+// implementations. Their layer-by-layer oracles are ReferencePaths
+// (tests/support/reference_paths.h, a friend of FlashArray); this file
+// drives thousands of
 // randomized program / invalidate / erase sequences through two arrays
 // built from the same config — one using the fused entry points, one the
 // oracles — asserting the complete observable state stays identical at
 // every step: per-subpage fields (owner, version, write time, disturb
 // snapshots), page counters, block running aggregates including the age
 // histogram, array counters, and the BlockObserver event stream.
-// prefill_page is additionally locked to a frontier-fill through the
+// prefill_block is additionally locked to frontier programs through the
 // reference path at sim time 0.
 #include <gtest/gtest.h>
 
@@ -20,132 +21,9 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "nand/flash_array.h"
+#include "support/reference_paths.h"
 
 namespace ppssd::nand {
-
-/// The layer-by-layer program and invalidate chains: checks, then
-/// per-slot stamping, then aggregate updates, each as its own pass, with
-/// SLC-only row indices derived from the geometry rather than the block's
-/// cached ordinal.
-struct ReferencePaths {
-  static std::size_t slc_slot(const FlashArray& a, BlockId b, PageId p,
-                              SubpageId s) {
-    const Geometry& g = a.geom_;
-    return (static_cast<std::size_t>(g.slc_ordinal(b)) *
-                g.pages_per_block(CellMode::kSlc) +
-            p) *
-               a.spp_ +
-           s;
-  }
-
-  static bool program(FlashArray& a, BlockId b, PageId p,
-                      std::span<const SlotWrite> writes, SimTime now) {
-    PPSSD_CHECK(b < a.blocks_.size());
-    PPSSD_CHECK(!writes.empty());
-    Block& blk = a.blocks_[b];
-    PPSSD_CHECK(p < blk.page_count());
-    const bool slc = a.geom_.is_slc_block(b);
-    const std::size_t pi = a.page_index(b, p);
-    Page& pg = a.pages_[pi];
-    if (pg.programmed()) {
-      PPSSD_CHECK_MSG(a.can_partial_program(b, p),
-                      "partial-program limit exceeded or no free slot");
-    }
-    const std::size_t base = pi * a.spp_;
-
-    // Layer "block": frontier rule and the cold-population transition.
-    const std::uint8_t pre_ops = pg.program_ops_;
-    AgeHistogram* const hist = a.histogram_of(blk);
-    if (pre_ops == 0) {
-      PPSSD_CHECK_MSG(p == blk.frontier_,
-                      "out-of-order first program of a page");
-      ++blk.frontier_;
-    } else if (pre_ops == 1 && hist != nullptr) {
-      for (std::uint32_t s = 0; s < a.spp_; ++s) {
-        if (a.sp_state_[base + s] ==
-            static_cast<std::uint8_t>(SubpageState::kValid)) {
-          hist->remove(
-              a.slc_wtime_[slc_slot(a, b, p, static_cast<SubpageId>(s))]);
-        }
-      }
-    }
-
-    // Layer "page": write-once slot stamping in its own pass.
-    PPSSD_CHECK(pre_ops < std::numeric_limits<std::uint8_t>::max());
-    const auto wt = static_cast<std::uint32_t>(now / 1'000'000);
-    for (const SlotWrite& w : writes) {
-      PPSSD_CHECK(w.slot < a.spp_);
-      const std::size_t i = base + w.slot;
-      PPSSD_CHECK_MSG(a.sp_state_[i] ==
-                          static_cast<std::uint8_t>(SubpageState::kFree),
-                      "programming a non-free subpage (NAND write-once rule)");
-      a.sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
-      a.sp_owner_[i] = static_cast<std::uint32_t>(w.lsn);
-      a.sp_version_[i] = w.version;
-      if (slc) {
-        const std::size_t j = slc_slot(a, b, p, w.slot);
-        a.slc_wtime_[j] = wt;
-        a.slc_programs_before_[j] = pre_ops;
-        a.slc_neighbors_before_[j] = pg.neighbor_programs_;
-      }
-    }
-    pg.program_ops_ = static_cast<std::uint8_t>(pre_ops + 1);
-    const bool partial = pre_ops > 0;
-
-    // Layer "block" aggregates, separate pass.
-    const auto n = static_cast<std::uint32_t>(writes.size());
-    blk.valid_ += n;
-    if (slc) blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
-    if (pre_ops == 0 && hist != nullptr) hist->add(wt, n);
-
-    // Wordline adjacency: programming page p disturbs pages p-1 and p+1
-    // of the same block if they already hold data (Figure 1).
-    if (p > 0 && a.pages_[pi - 1].programmed()) {
-      a.pages_[pi - 1].absorb_neighbor_program();
-    }
-    if (p + 1u < blk.page_count() && a.pages_[pi + 1].programmed()) {
-      a.pages_[pi + 1].absorb_neighbor_program();
-    }
-
-    if (blk.mode() == CellMode::kSlc) {
-      ++a.counters_.slc_program_ops;
-      a.counters_.slc_subpages_written += n;
-    } else {
-      ++a.counters_.mlc_program_ops;
-      a.counters_.mlc_subpages_written += n;
-    }
-    if (partial) ++a.counters_.partial_program_ops;
-    a.planes_[a.geom_.plane_of(b)].count_program();
-    return partial;
-  }
-
-  static void invalidate(FlashArray& a, BlockId b, PageId p, SubpageId s) {
-    PPSSD_CHECK(b < a.blocks_.size());
-    Block& blk = a.blocks_[b];
-    PPSSD_CHECK(p < blk.page_count());
-    PPSSD_CHECK(s < a.spp_);
-    const std::size_t i = a.slot_index(b, p, s);
-
-    // Layer "page": the state flip.
-    PPSSD_CHECK_MSG(a.sp_state_[i] ==
-                        static_cast<std::uint8_t>(SubpageState::kValid),
-                    "invalidating a subpage that is not valid");
-    a.sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kInvalid);
-
-    // Layer "block": aggregates in a separate pass.
-    PPSSD_CHECK(blk.valid_ > 0);
-    --blk.valid_;
-    ++blk.invalid_;
-    if (a.geom_.is_slc_block(b)) {
-      const std::uint32_t wt = a.slc_wtime_[slc_slot(a, b, p, s)];
-      blk.sum_write_time_ms_ -= wt;
-      if (a.page(b, p).program_ops() == 1) a.histogram_of(blk)->remove(wt);
-    }
-    if (a.observer_ != nullptr) {
-      a.observer_->on_subpage_invalidated(b, blk.invalid_);
-    }
-  }
-};
 
 namespace {
 
@@ -315,33 +193,57 @@ TEST_P(FusedPathEquivalence, RandomSequencesAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FusedPathEquivalence,
                          ::testing::Values(1u, 2u, 3u, 29u, 1234567u));
 
-// prefill_page must equal a frontier program through the reference chain
-// at sim time 0 — it is the Scheme setup fast path.
+// prefill_block must equal one frontier program per page through the
+// reference chain at sim time 0 — it is the Scheme setup fast path.
 TEST(FusedPathEquivalence, PrefillMatchesReferenceFrontierFill) {
   SsdConfig cfg = SsdConfig::scaled(1024);
   FlashArray fused(cfg);
   FlashArray ref(cfg);
   const auto& geom = fused.geometry();
+  const std::uint32_t spp = geom.subpages_per_page();
   const BlockId mlc0 = geom.slc_blocks_per_plane();  // first MLC, plane 0
-  Lsn lsn = 0;
+  struct Case {
+    BlockId block;
+    std::uint32_t pages;
+    Lsn first_lsn;
+    std::uint64_t stride;
+    std::uint32_t last_slots;
+  };
+  const std::uint32_t slc_pages = geom.pages_per_block(CellMode::kSlc);
+  const std::uint32_t mlc_pages = geom.pages_per_block(CellMode::kMlc);
+  // Whole and partial blocks, strided like prefill_mlc's round-robin
+  // layout, with full and short final pages.
+  const Case cases[] = {
+      {0, slc_pages, 0, spp, 1},
+      {1, 1, 7, spp, spp},
+      {mlc0, mlc_pages, 3 * spp, 16 * spp, spp},
+      {mlc0 + 1, mlc_pages / 3, 5, 128 * spp, spp - 1},
+      {mlc0 + 2, 1, 11, spp, 2},
+  };
   std::vector<SlotWrite> writes;
-  for (const BlockId b : {BlockId{0}, mlc0}) {
-    const std::uint32_t pages = fused.block(b).page_count();
-    for (PageId p = 0; p < pages; ++p) {
+  for (const Case& c : cases) {
+    fused.prefill_block(c.block, c.pages, c.first_lsn, c.stride, c.last_slots,
+                        /*version=*/1);
+    for (PageId p = 0; p < c.pages; ++p) {
       writes.clear();
-      // Vary fill width like prefill_mlc's final partial page.
-      const std::uint32_t n = static_cast<std::uint32_t>(p) + 1 == pages
-                                  ? 1u
-                                  : geom.subpages_per_page();
+      const std::uint32_t n = p + 1u == c.pages ? c.last_slots : spp;
       for (std::uint32_t s = 0; s < n; ++s) {
-        writes.push_back({static_cast<SubpageId>(s), lsn, 1});
-        ++lsn;
+        writes.push_back(
+            {static_cast<SubpageId>(s), c.first_lsn + p * c.stride + s, 1});
       }
-      fused.prefill_page(b, p, writes);
-      ReferencePaths::program(ref, b, p, writes, /*now=*/0);
+      ReferencePaths::program(ref, c.block, p, writes, /*now=*/0);
     }
   }
   expect_same_state(fused, ref);
+}
+
+TEST(FusedPathDeathTest, PrefillBlockRejectsProgrammedBlock) {
+  SsdConfig cfg = SsdConfig::scaled(1024);
+  FlashArray arr(cfg);
+  const BlockId mlc0 = arr.geometry().slc_blocks_per_plane();
+  arr.prefill_block(mlc0, 2, 0, 4, 4, 1);
+  EXPECT_DEATH(arr.prefill_block(mlc0, 2, 8, 4, 4, 1),
+               "bulk prefill of a programmed block");
 }
 
 }  // namespace
