@@ -2,12 +2,13 @@
 // trade-off — the tuning exercise an integrator of this library would run
 // before sizing a product's SLC-mode region.
 //
-//   ./cache_tuning [trace] [scale]
+//   ./cache_tuning [trace] [scale]     defaults: ts0 0.03
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/report.h"
+#include "example_args.h"
 #include "sim/replayer.h"
 #include "sim/ssd.h"
 #include "trace/profiles.h"
@@ -47,8 +48,9 @@ Cell run_cell(const std::string& trace, double scale, double slc_ratio,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string trace = argc > 1 ? argv[1] : "ts0";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 0.03;
+  const std::string trace =
+      argc > 1 ? examples::check_trace_name("trace", argv[1]) : "ts0";
+  const double scale = argc > 2 ? parse_scale_knob("scale", argv[2]) : 0.03;
 
   std::printf("IPU cache tuning on trace %s (scale %.2f)\n\n", trace.c_str(),
               scale);

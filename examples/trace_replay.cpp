@@ -3,17 +3,24 @@
 //
 //   ./trace_replay <scheme> <trace>            synthetic paper profile
 //   ./trace_replay <scheme> --file <path.csv>  real MSR-format trace file
-//   options: --scale f      fraction of the trace to replay (default 0.1)
+//   options: --scale f      fraction of the trace to replay, in (0, 1]
+//                           (default 0.1)
 //            --blocks n     device size in blocks (default 16384)
 //            --export path  also write the replayed trace as MSR CSV
 //
 // e.g.  ./trace_replay ipu ts0 --scale 0.05
+//
+// A bad argument (unparsable number, impossible device, unknown trace,
+// unreadable file) exits 2 with one line naming it.
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
+#include "common/knob.h"
+#include "example_args.h"
 #include "sim/replayer.h"
 #include "sim/ssd.h"
 #include "telemetry/telemetry.h"
@@ -60,29 +67,32 @@ int main(int argc, char** argv) {
     if (arg == "--file" && i + 1 < argc) {
       file_path = argv[++i];
     } else if (arg == "--scale" && i + 1 < argc) {
-      scale = std::atof(argv[++i]);
+      scale = parse_scale_knob("--scale", argv[++i]);
     } else if (arg == "--blocks" && i + 1 < argc) {
-      blocks = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      blocks = parse_blocks_knob("--blocks", argv[++i]);
     } else if (arg == "--export" && i + 1 < argc) {
       export_path = argv[++i];
     } else if (trace_name.empty() && arg[0] != '-') {
-      trace_name = arg;
+      trace_name = examples::check_trace_name("trace", arg);
     } else {
       usage();
     }
   }
+  if (file_path.empty() && trace_name.empty()) usage();
 
   const SsdConfig cfg = SsdConfig::scaled(blocks);
   sim::Ssd ssd(cfg, scheme_arg);
 
   std::unique_ptr<trace::TraceSource> source;
   if (!file_path.empty()) {
-    source = std::make_unique<trace::MsrTraceParser>(file_path);
+    try {
+      source = std::make_unique<trace::MsrTraceParser>(file_path);
+    } catch (const std::runtime_error&) {
+      reject_knob("--file", file_path, "a readable MSR trace file");
+    }
   } else {
-    if (trace_name.empty()) usage();
-    const auto& profile = trace::profile_by_name(trace_name);
     source = std::make_unique<trace::SyntheticWorkload>(
-        profile, ssd.logical_bytes(), scale);
+        trace::profile_by_name(trace_name), ssd.logical_bytes(), scale);
   }
 
   std::printf("replaying %s on %s (%u blocks, %.1f GiB logical)...\n",

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/report.h"
+#include "example_args.h"
 #include "sim/replayer.h"
 #include "sim/ssd.h"
 #include "telemetry/introspect/format.h"
@@ -128,8 +129,9 @@ std::vector<TrajectoryPoint> sample(const std::vector<TrajectoryPoint>& pts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string trace = argc > 1 ? argv[1] : "ts0";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 0.05;
+  const std::string trace =
+      argc > 1 ? examples::check_trace_name("trace", argv[1]) : "ts0";
+  const double scale = argc > 2 ? parse_scale_knob("scale", argv[2]) : 0.05;
 
   std::printf("Endurance study on %s (scale %.2f): SLC endures %ux, MLC %ux "
               "P/E cycles\n\n",

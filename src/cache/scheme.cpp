@@ -473,12 +473,6 @@ bool Scheme::slc_gc_once(std::uint32_t plane, SimTime now,
   if (gc_decision_hook_) {
     gc_decision_hook_(plane, CellMode::kSlc, victim, now);
   }
-  if (flight_ != nullptr) {
-    flight_->record(telemetry::introspect::FlightEvent{
-        now, victim, plane, bm_.free_blocks(plane, CellMode::kSlc),
-        telemetry::introspect::FlightEventKind::kGcDecision,
-        static_cast<std::uint8_t>(CellMode::kSlc)});
-  }
 
   nand::Block& blk = array_.block(victim);
   ++metrics_.slc_gc_count;
@@ -552,12 +546,6 @@ bool Scheme::mlc_gc_once(std::uint32_t plane, SimTime now,
                    "victim-index watermark disagrees with the greedy victim");
   if (gc_decision_hook_) {
     gc_decision_hook_(plane, CellMode::kMlc, victim, now);
-  }
-  if (flight_ != nullptr) {
-    flight_->record(telemetry::introspect::FlightEvent{
-        now, victim, plane, bm_.free_blocks(plane, CellMode::kMlc),
-        telemetry::introspect::FlightEventKind::kGcDecision,
-        static_cast<std::uint8_t>(CellMode::kMlc)});
   }
   ++metrics_.mlc_gc_count;
   if (tl_gc_mlc_) tl_gc_mlc_->inc();

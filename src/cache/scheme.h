@@ -176,7 +176,8 @@ class Scheme {
                             std::uint32_t free_floor_blocks);
 
   /// Observer of committed GC victim decisions, fired once per GC pass
-  /// right after victim selection resolves (test / capture use).
+  /// right after victim selection resolves. Ssd::attach_introspection
+  /// installs one that feeds the flight ring; tests install their own.
   using GcDecisionHook = std::function<void(
       std::uint32_t plane, CellMode mode, BlockId victim, SimTime now)>;
   void set_gc_decision_hook(GcDecisionHook hook) {
@@ -210,13 +211,6 @@ class Scheme {
   /// config and options. PPSSD_CHECKs on any shape mismatch (the
   /// checkpoint container validates integrity up front).
   void restore(io::StateSource& src);
-
-  /// Attach (or detach, with null) the crash flight recorder: committed
-  /// GC victim decisions are recorded as kGcDecision events. Pure
-  /// observer; one branch per GC pass when detached.
-  void set_flight_recorder(telemetry::introspect::FlightRecorder* flight) {
-    flight_ = flight;
-  }
 
   /// Register the scheme's counters/histograms (cache hit/miss, partial
   /// programs, evictions, GC episodes, read BER…) labelled
@@ -402,7 +396,6 @@ class Scheme {
   std::vector<StagedEviction> staged_evictions_;
 
   GcDecisionHook gc_decision_hook_;
-  telemetry::introspect::FlightRecorder* flight_ = nullptr;
 
   std::uint32_t spp_;
   std::uint32_t rr_plane_ = 0;

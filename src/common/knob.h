@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 
+#include "common/config.h"
 #include "common/types.h"
 #include "common/units.h"
 
@@ -51,6 +52,34 @@ template <typename T>
     reject_knob(name, value, "a non-negative sim-time window in milliseconds");
   }
   return ms_to_ns(*parsed);
+}
+
+/// A trace replay fraction in (0, 1]; SyntheticWorkload takes no other.
+[[nodiscard]] inline double parse_scale_knob(const char* name,
+                                             const std::string& value) {
+  const auto parsed = parse_whole<double>(value);
+  if (!parsed || !std::isfinite(*parsed) || *parsed <= 0.0 || *parsed > 1.0) {
+    reject_knob(name, value, "a trace scale in (0, 1]");
+  }
+  return *parsed;
+}
+
+/// A device size in blocks: a positive integer whose scaled device
+/// passes SsdConfig::validate, so an impossible geometry stops here with
+/// one line rather than aborting inside FlashArray.
+[[nodiscard]] inline std::uint32_t parse_blocks_knob(const char* name,
+                                                     const std::string& value) {
+  const auto parsed = parse_whole<std::uint32_t>(value);
+  if (!parsed || *parsed == 0) {
+    reject_knob(name, value, "a positive integer block count");
+  }
+  std::string err = SsdConfig::scaled(*parsed).validate();
+  if (!err.empty()) {
+    if (err.ends_with("; ")) err.resize(err.size() - 2);
+    err = "a block count giving a valid device (" + err + ")";
+    reject_knob(name, value, err.c_str());
+  }
+  return *parsed;
 }
 
 }  // namespace ppssd

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "core/warmstart.h"
-#include "perf/profiler.h"
 #include "sim/replayer.h"
 #include "sim/ssd.h"
 #include "telemetry/introspect/snapshotter.h"
@@ -104,27 +103,16 @@ SsdConfig config_for(const ExperimentSpec& spec) {
 
 ExperimentResult run_experiment(const ExperimentSpec& spec,
                                 perf::ProgressSink* progress) {
-  perf::Profiler::init_from_env();
-  PPSSD_PROFILE_SCOPE("experiment");
   const auto wall_start = Clock::now();
   auto phase_start = wall_start;
 
   ExperimentResult r;
   r.spec = spec;
 
-  std::unique_ptr<sim::Ssd> ssd_owner;
-  std::unique_ptr<trace::SyntheticWorkload> workload_owner;
-  {
-    PPSSD_PROFILE_SCOPE("setup");
-    const SsdConfig cfg = config_for(spec);
-    ssd_owner = std::make_unique<sim::Ssd>(
-        cfg, cache::make_scheme(spec.scheme, cfg, spec.options));
-    workload_owner = std::make_unique<trace::SyntheticWorkload>(
-        trace::profile_by_name(spec.trace), ssd_owner->logical_bytes(),
-        spec.trace_scale);
-  }
-  sim::Ssd& ssd = *ssd_owner;
-  trace::SyntheticWorkload& workload = *workload_owner;
+  const SsdConfig cfg = config_for(spec);
+  sim::Ssd ssd(cfg, cache::make_scheme(spec.scheme, cfg, spec.options));
+  trace::SyntheticWorkload workload(trace::profile_by_name(spec.trace),
+                                    ssd.logical_bytes(), spec.trace_scale);
   const auto& profile = trace::profile_by_name(spec.trace);
   sim::Replayer replayer(ssd);
 
@@ -145,14 +133,11 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   // device restores straight to the post-warm-up quiescent boundary.
   // Restores are behavior-preserving to the byte, so measured results are
   // identical either way; a miss warms cold and stores the checkpoint.
-  {
-    PPSSD_PROFILE_SCOPE("warmup");
-    const WarmStartCache warmstart = WarmStartCache::from_env();
-    const std::string spec_key = spec.key();
-    if (!warmstart.try_restore(spec_key, ssd)) {
-      r.wall_prefill_seconds = run_warmup(ssd, workload, profile);
-      warmstart.store(spec_key, ssd);
-    }
+  const WarmStartCache warmstart = WarmStartCache::from_env();
+  const std::string spec_key = spec.key();
+  if (!warmstart.try_restore(spec_key, ssd)) {
+    r.wall_prefill_seconds = run_warmup(ssd, workload, profile);
+    warmstart.store(spec_key, ssd);
   }
   r.wall_warmup_seconds = seconds_since(phase_start);
   phase_start = Clock::now();
@@ -180,11 +165,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     progress->begin(workload.expected_records());
     replayer.set_progress(progress);
   }
-  sim::ReplayResult replay;
-  {
-    PPSSD_PROFILE_SCOPE("measure");
-    replay = replayer.replay(workload);
-  }
+  const sim::ReplayResult replay = replayer.replay(workload);
   if (tel) tel->finish(replay.makespan);
   if (snap) {
     snap->finish(replay.makespan);
@@ -193,7 +174,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   r.wall_measure_seconds = seconds_since(phase_start);
   phase_start = Clock::now();
 
-  PPSSD_PROFILE_SCOPE("report");
   const auto& m = ssd.scheme().metrics();
   const auto fp = ssd.scheme().footprint();
   const auto& counters = ssd.scheme().array().counters();

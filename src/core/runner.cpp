@@ -1,6 +1,5 @@
 #include "core/runner.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -10,7 +9,6 @@
 #include "common/check.h"
 #include "common/knob.h"
 #include "common/thread_pool.h"
-#include "perf/profiler.h"
 #include "perf/progress.h"
 #include "telemetry/introspect/format.h"
 #include "telemetry/telemetry.h"
@@ -28,13 +26,9 @@ std::string env_or(const char* name, const std::string& fallback) {
 Runner::Runner()
     : cache_dir_(env_or("PPSSD_NO_CACHE", "").empty()
                      ? env_or("PPSSD_CACHE_DIR", ".ppssd_cache")
-                     : "") {
-  perf::Profiler::init_from_env();
-}
+                     : "") {}
 
-Runner::Runner(std::string cache_dir) : cache_dir_(std::move(cache_dir)) {
-  perf::Profiler::init_from_env();
-}
+Runner::Runner(std::string cache_dir) : cache_dir_(std::move(cache_dir)) {}
 
 std::string Runner::cache_path(const ExperimentSpec& spec) const {
   // The schema version is part of the key: a result-layout change makes
@@ -145,29 +139,11 @@ ExperimentSpec Runner::default_spec() {
   }
   const std::string blocks = env_or("PPSSD_BLOCKS", "");
   if (!blocks.empty()) {
-    const auto parsed = parse_whole<std::uint32_t>(blocks);
-    if (!parsed || *parsed == 0) {
-      reject_knob("PPSSD_BLOCKS", blocks, "a positive integer block count");
-    }
-    spec.total_blocks = *parsed;
+    spec.total_blocks = parse_blocks_knob("PPSSD_BLOCKS", blocks);
   }
   const std::string scale = env_or("PPSSD_SCALE", "");
   if (!scale.empty()) {
-    const auto parsed = parse_whole<double>(scale);
-    if (!parsed || !std::isfinite(*parsed) || *parsed <= 0.0) {
-      reject_knob("PPSSD_SCALE", scale, "a positive finite trace scale");
-    }
-    spec.trace_scale = *parsed;
-  }
-  // An impossible geometry stops here with one line, not with an abort
-  // inside FlashArray or an allocation failure.
-  if (!blocks.empty()) {
-    std::string err = config_for(spec).validate();
-    if (!err.empty()) {
-      if (err.ends_with("; ")) err.resize(err.size() - 2);
-      err = "a block count giving a valid device (" + err + ")";
-      reject_knob("PPSSD_BLOCKS", blocks, err.c_str());
-    }
+    spec.trace_scale = parse_scale_knob("PPSSD_SCALE", scale);
   }
   return spec;
 }

@@ -8,7 +8,7 @@
 // Environment knobs honoured by default_spec():
 //   REPRO_FULL=1       paper-scale device (65536 blocks) and full traces
 //   PPSSD_BLOCKS=n     device scale override
-//   PPSSD_SCALE=f      trace-length fraction override
+//   PPSSD_SCALE=f      trace-length fraction override, in (0, 1]
 //   PPSSD_NO_CACHE=1   disable the disk cache
 //
 // Matrix-level knobs (run_all / run_matrix / paper_schemes):

@@ -71,24 +71,28 @@ void Controller::attach_telemetry(telemetry::Telemetry* telemetry) {
   }
   if (telemetry == nullptr) {
     trace_ = nullptr;
-    tl_ops_[0][0] = tl_ops_[0][1] = tl_ops_[1][0] = tl_ops_[1][1] = nullptr;
-    tl_erases_ = tl_reprograms_ = tl_ecc_decodes_ = tl_ecc_saturated_ =
-        nullptr;
+    for (auto& row : tl_ops_) row[0] = row[1] = nullptr;
+    tl_ecc_decodes_ = tl_ecc_saturated_ = nullptr;
     tl_chip_wait_ = tl_ecc_ns_ = nullptr;
     return;
   }
   auto& reg = telemetry->registry();
   trace_ = telemetry->trace();
-  const char* kinds[2] = {"read", "program"};
+  using Kind = cache::PhysOp::Kind;
   const char* modes[2] = {"slc", "mlc"};
-  for (int k = 0; k < 2; ++k) {
+  for (const Kind k : {Kind::kRead, Kind::kProgram}) {
+    const char* kind = k == Kind::kRead ? "read" : "program";
     for (int m = 0; m < 2; ++m) {
-      tl_ops_[k][m] =
-          reg.counter("flash_ops", {{"kind", kinds[k]}, {"mode", modes[m]}});
+      tl_ops_[static_cast<int>(k)][m] =
+          reg.counter("flash_ops", {{"kind", kind}, {"mode", modes[m]}});
     }
   }
-  tl_erases_ = reg.counter("flash_ops", {{"kind", "erase"}});
-  tl_reprograms_ = reg.counter("flash_ops", {{"kind", "reprogram"}});
+  // Erases and reprograms carry no mode label: both modes share a series.
+  for (const Kind k : {Kind::kErase, Kind::kReprogram}) {
+    auto& row = tl_ops_[static_cast<int>(k)];
+    row[0] = row[1] = reg.counter(
+        "flash_ops", {{"kind", k == Kind::kErase ? "erase" : "reprogram"}});
+  }
   tl_ecc_decodes_ = reg.counter("ecc_decodes");
   tl_ecc_saturated_ = reg.counter("ecc_decodes_saturated");
   // Chip queueing delay seen by array ops (ns): 100 ns .. 10 s.
@@ -96,157 +100,87 @@ void Controller::attach_telemetry(telemetry::Telemetry* telemetry) {
   tl_ecc_ns_ = reg.histogram("ecc_decode_ns", {}, 1e2, 1e8);
 }
 
+Controller::Leg Controller::chip_leg(const cache::PhysOp& op, SimTime at,
+                                     SimTime service) {
+  // A background op queues behind an in-progress erase; a foreground op
+  // suspends it and starts as soon as the lane is free.
+  ChipLane& lane = lanes_[op.chip];
+  const SimTime lane_free = std::max(at, lane.busy_until);
+  const SimTime start =
+      op.background ? std::max(lane_free, lane.erase_until) : lane_free;
+  const SimTime end = start + service;
+  lane.busy_until = end;
+  const bool read = op.kind == cache::PhysOp::Kind::kRead;
+  (read ? (op.background ? usage_.read_bg : usage_.read_fg)
+        : (op.background ? usage_.program_bg : usage_.program_fg)) += service;
+  chip_occupancy_[op.chip] += service;
+  if (attrib_) {
+    attrib_->wait_lane(op.chip, at, lane_free);
+    if (op.background) {
+      attrib_->wait_erase(op.chip, lane_free, start);
+    } else if (lane.erase_until > start) {
+      attrib_->note_suspend_saved(lane.erase_until - start);
+    }
+    attrib_->add_service(service);
+    attrib_->claim_lane(op.chip, end);
+  }
+  return {start, end};
+}
+
+Controller::Leg Controller::channel_leg(const cache::PhysOp& op, SimTime at) {
+  SimTime& busy = channel_busy_[op.channel];
+  const SimTime start = std::max(at, busy);
+  const SimTime end = start + timing_.transfer_latency(op.subpages);
+  busy = end;
+  if (attrib_) {
+    attrib_->wait_channel(op.channel, at, start);
+    attrib_->add_service(end - start);
+    attrib_->claim_channel(op.channel, end);
+  }
+  return {start, end};
+}
+
 SimTime Controller::schedule(const cache::PhysOp& op, SimTime ready) {
   using Kind = cache::PhysOp::Kind;
   PPSSD_CHECK(op.chip < lanes_.size());
   PPSSD_CHECK(op.channel < channel_busy_.size());
   advance_to(ready);
+  if (attrib_) {
+    attrib_->op_begin(scheduled_ops_, classify(op), op.mode, op.background,
+                      op.chip, op.channel, ready);
+  }
 
-  ChipLane& lane = lanes_[op.chip];
-  SimTime& chan_busy = channel_busy_[op.channel];
-  // Horizons before this op claims them — the attribution ledger charges
-  // wait intervals against the *previous* occupancy.
-  const SimTime lane_was = lane.busy_until;
-  const SimTime erase_was = lane.erase_until;
-  SimTime svc_start = 0;  // array-occupancy start (sense/pulse/erase)
+  // The erase horizon before this op: only an erase moves it.
+  const SimTime erase_was = lanes_[op.chip].erase_until;
+  Leg array;  // array occupancy: sense, pulse or erase
+  SimTime span_start = 0;
   SimTime end = 0;
-
+  SimTime ecc_ns = 0;
   switch (op.kind) {
     case Kind::kRead: {
-      // Array sense, then transfer out, then controller-side ECC. A
-      // background read must wait for an in-progress erase; a foreground
-      // read suspends it.
-      SimTime sense_start = std::max(ready, lane_was);
-      if (op.background) sense_start = std::max(sense_start, erase_was);
-      const SimTime sense_end = sense_start + timing_.read_latency(op.mode);
-      lane.busy_until = sense_end;
-      const SimTime xfer_start = std::max(sense_end, chan_busy);
-      const SimTime xfer_end =
-          xfer_start + timing_.transfer_latency(op.subpages);
-      chan_busy = xfer_end;
-      const SimTime ecc_ns = ecc_cost(op);
-      end = xfer_end + ecc_ns;
-      svc_start = sense_start;
-      (op.background ? usage_.read_bg : usage_.read_fg) +=
-          sense_end - sense_start;
-      chip_occupancy_[op.chip] += sense_end - sense_start;
-      if (attrib_) {
-        attrib_->op_begin(scheduled_ops_, classify(op), op.mode,
-                          op.background, op.chip, op.channel, ready);
-        const SimTime base = std::max(ready, lane_was);
-        attrib_->wait_lane(op.chip, ready, base);
-        if (op.background) {
-          attrib_->wait_erase(op.chip, base, sense_start);
-        } else if (erase_was > sense_start) {
-          attrib_->note_suspend_saved(erase_was - sense_start);
-        }
-        attrib_->add_service(sense_end - sense_start);
-        attrib_->claim_lane(op.chip, sense_end);
-        attrib_->wait_channel(op.channel, sense_end, xfer_start);
-        attrib_->add_service(xfer_end - xfer_start);
-        attrib_->claim_channel(op.channel, xfer_end);
-        attrib_->add_ecc(ecc_ns);
-        attrib_->op_end(end);
-      }
-      if (tl_ecc_decodes_) {
-        tl_ecc_decodes_->inc(op.subpages);
-        if (ecc_.saturated(op.ber)) tl_ecc_saturated_->inc(op.subpages);
-        tl_ecc_ns_->observe(static_cast<double>(ecc_ns));
-        tl_ops_[0][static_cast<int>(op.mode)]->inc();
-        tl_chip_wait_->observe(static_cast<double>(sense_start - ready));
-      }
-      if (trace_ && trace_->enabled(telemetry::TraceCategory::kFlash)) {
-        trace_->span(telemetry::TraceCategory::kFlash,
-                     op.mode == CellMode::kSlc ? "read_slc" : "read_mlc",
-                     sense_start, end, op.chip,
-                     {{"subpages", static_cast<double>(op.subpages)},
-                      {"ber", op.ber},
-                      {"bg", op.background ? 1.0 : 0.0}});
-      }
+      // Array sense, then transfer out, then controller-side ECC.
+      array = chip_leg(op, ready, timing_.read_latency(op.mode));
+      ecc_ns = ecc_cost(op);
+      end = channel_leg(op, array.end).end + ecc_ns;
+      if (attrib_) attrib_->add_ecc(ecc_ns);
+      span_start = array.start;
       break;
     }
     case Kind::kProgram: {
-      // Transfer in, then program pulse on the chip. Background programs
-      // queue behind an in-progress erase; foreground programs suspend it.
-      const SimTime xfer_start = std::max(ready, chan_busy);
-      const SimTime xfer_end =
-          xfer_start + timing_.transfer_latency(op.subpages);
-      chan_busy = xfer_end;
-      SimTime prog_start = std::max(xfer_end, lane_was);
-      if (op.background) prog_start = std::max(prog_start, erase_was);
-      end = prog_start + timing_.program_latency(op.mode);
-      lane.busy_until = end;
-      svc_start = prog_start;
-      (op.background ? usage_.program_bg : usage_.program_fg) +=
-          end - prog_start;
-      chip_occupancy_[op.chip] += end - prog_start;
-      if (attrib_) {
-        attrib_->op_begin(scheduled_ops_, classify(op), op.mode,
-                          op.background, op.chip, op.channel, ready);
-        attrib_->wait_channel(op.channel, ready, xfer_start);
-        attrib_->add_service(xfer_end - xfer_start);
-        attrib_->claim_channel(op.channel, xfer_end);
-        const SimTime base = std::max(xfer_end, lane_was);
-        attrib_->wait_lane(op.chip, xfer_end, base);
-        if (op.background) {
-          attrib_->wait_erase(op.chip, base, prog_start);
-        } else if (erase_was > prog_start) {
-          attrib_->note_suspend_saved(erase_was - prog_start);
-        }
-        attrib_->add_service(end - prog_start);
-        attrib_->claim_lane(op.chip, end);
-        attrib_->op_end(end);
-      }
-      if (tl_ops_[1][static_cast<int>(op.mode)]) {
-        tl_ops_[1][static_cast<int>(op.mode)]->inc();
-        tl_chip_wait_->observe(static_cast<double>(prog_start - ready));
-      }
-      if (trace_ && trace_->enabled(telemetry::TraceCategory::kFlash)) {
-        trace_->span(telemetry::TraceCategory::kFlash,
-                     op.mode == CellMode::kSlc ? "prog_slc" : "prog_mlc",
-                     xfer_start, end, op.chip,
-                     {{"subpages", static_cast<double>(op.subpages)},
-                      {"bg", op.background ? 1.0 : 0.0}});
-      }
+      // Transfer in, then the program pulse on the chip.
+      const Leg xfer = channel_leg(op, ready);
+      array = chip_leg(op, xfer.end, timing_.program_latency(op.mode));
+      end = array.end;
+      span_start = xfer.start;
       break;
     }
     case Kind::kReprogram: {
-      // In-place SLC→dense switch (IPS): one continued-ISPP pulse sequence
-      // on the chip — the data never leaves the array, so there is no
-      // channel transfer and no controller-side ECC. Erase interaction
-      // mirrors a program: background reprograms queue behind an
-      // in-progress erase, foreground ones suspend it.
-      SimTime start = std::max(ready, lane_was);
-      if (op.background) start = std::max(start, erase_was);
-      end = start + timing_.reprogram_latency();
-      lane.busy_until = end;
-      svc_start = start;
-      (op.background ? usage_.program_bg : usage_.program_fg) += end - start;
-      chip_occupancy_[op.chip] += end - start;
-      if (attrib_) {
-        attrib_->op_begin(scheduled_ops_, classify(op), op.mode,
-                          op.background, op.chip, op.channel, ready);
-        const SimTime base = std::max(ready, lane_was);
-        attrib_->wait_lane(op.chip, ready, base);
-        if (op.background) {
-          attrib_->wait_erase(op.chip, base, start);
-        } else if (erase_was > start) {
-          attrib_->note_suspend_saved(erase_was - start);
-        }
-        attrib_->add_service(end - start);
-        attrib_->claim_lane(op.chip, end);
-        attrib_->op_end(end);
-      }
-      if (tl_reprograms_) {
-        tl_reprograms_->inc();
-        tl_chip_wait_->observe(static_cast<double>(start - ready));
-      }
-      if (trace_ && trace_->enabled(telemetry::TraceCategory::kFlash)) {
-        trace_->span(telemetry::TraceCategory::kFlash, "reprog", start, end,
-                     op.chip,
-                     {{"subpages", static_cast<double>(op.subpages)},
-                      {"bg", op.background ? 1.0 : 0.0}});
-      }
+      // In-place SLC->dense switch (IPS): one continued-ISPP pulse
+      // sequence on the chip. The data never leaves the array, so there
+      // is no channel leg and no ECC decode.
+      array = chip_leg(op, ready, timing_.reprogram_latency());
+      end = array.end;
+      span_start = array.start;
       break;
     }
     case Kind::kErase: {
@@ -255,48 +189,75 @@ SimTime Controller::schedule(const cache::PhysOp& op, SimTime ready) {
       // horizon that serialises only background work. Host ops see the
       // chip as available; the erase's wall-clock completion still gates
       // background progress on the lane.
-      const SimTime start = std::max({ready, erase_was, lane_was});
-      end = start + timing_.erase_latency();
-      lane.erase_until = end;
-      svc_start = start;
-      usage_.erase_bg += end - start;
-      chip_occupancy_[op.chip] += end - start;
+      ChipLane& lane = lanes_[op.chip];
+      const SimTime after_erase = std::max(ready, erase_was);
+      array.start = std::max(after_erase, lane.busy_until);
+      array.end = array.start + timing_.erase_latency();
+      lane.erase_until = array.end;
+      usage_.erase_bg += array.end - array.start;
+      chip_occupancy_[op.chip] += array.end - array.start;
       if (attrib_) {
-        attrib_->op_begin(scheduled_ops_, classify(op), op.mode,
-                          op.background, op.chip, op.channel, ready);
-        const SimTime after_erase = std::max(ready, erase_was);
         attrib_->wait_erase(op.chip, ready, after_erase);
-        attrib_->wait_lane(op.chip, after_erase, start);
-        attrib_->add_service(end - start);
-        attrib_->claim_erase(op.chip, end);
-        attrib_->op_end(end);
+        attrib_->wait_lane(op.chip, after_erase, array.start);
+        attrib_->add_service(array.end - array.start);
+        attrib_->claim_erase(op.chip, array.end);
       }
-      if (tl_erases_) tl_erases_->inc();
-      if (trace_ && trace_->enabled(telemetry::TraceCategory::kFlash)) {
-        trace_->span(telemetry::TraceCategory::kFlash, "erase", start, end,
-                     op.chip,
-                     {{"mode", op.mode == CellMode::kSlc ? 0.0 : 1.0}});
-      }
+      end = array.end;
+      span_start = array.start;
       break;
     }
   }
+  if (attrib_) attrib_->op_end(end);
 
+  const auto kind = static_cast<int>(op.kind);
+  const auto mode = static_cast<int>(op.mode);
+  if (tl_chip_wait_ != nullptr) {
+    tl_ops_[kind][mode]->inc();
+    if (op.kind != Kind::kErase) {
+      tl_chip_wait_->observe(static_cast<double>(array.start - ready));
+    }
+    if (op.kind == Kind::kRead) {
+      tl_ecc_decodes_->inc(op.subpages);
+      if (ecc_.saturated(op.ber)) tl_ecc_saturated_->inc(op.subpages);
+      tl_ecc_ns_->observe(static_cast<double>(ecc_ns));
+    }
+  }
+  if (trace_ && trace_->enabled(telemetry::TraceCategory::kFlash)) {
+    static constexpr const char* kSpanNames[4][2] = {
+        {"read_slc", "read_mlc"},
+        {"prog_slc", "prog_mlc"},
+        {"erase", "erase"},
+        {"reprog", "reprog"}};
+    const char* name = kSpanNames[kind][mode];
+    const auto cat = telemetry::TraceCategory::kFlash;
+    const double subpages = static_cast<double>(op.subpages);
+    const double bg = op.background ? 1.0 : 0.0;
+    if (op.kind == Kind::kErase) {
+      trace_->span(cat, name, span_start, end, op.chip,
+                   {{"mode", static_cast<double>(mode)}});
+    } else if (op.kind == Kind::kRead) {
+      trace_->span(cat, name, span_start, end, op.chip,
+                   {{"subpages", subpages}, {"ber", op.ber}, {"bg", bg}});
+    } else {
+      trace_->span(cat, name, span_start, end, op.chip,
+                   {{"subpages", subpages}, {"bg", bg}});
+    }
+  }
   if (flight_ != nullptr) [[unlikely]] {
     using telemetry::introspect::FlightEvent;
     using telemetry::introspect::FlightEventKind;
-    const auto detail = static_cast<std::uint8_t>(
-        (static_cast<std::uint8_t>(op.kind) << 2) |
-        (static_cast<std::uint8_t>(op.mode) << 1) | (op.background ? 1 : 0));
+    const auto detail = static_cast<std::uint8_t>((kind << 2) | (mode << 1) |
+                                                  (op.background ? 1 : 0));
     flight_->record(FlightEvent{ready, scheduled_ops_, op.chip, op.channel,
                                 FlightEventKind::kOpBegin, detail});
     // A foreground array op starting under a pending erase horizon is
     // exactly the condition the attribution layer books as suspend
     // savings; record it with the saved nanoseconds.
-    if (!op.background && op.kind != Kind::kErase && erase_was > svc_start) {
+    if (!op.background && op.kind != Kind::kErase && erase_was > array.start) {
       flight_->record(FlightEvent{
-          svc_start, scheduled_ops_, op.chip,
+          array.start, scheduled_ops_, op.chip,
           static_cast<std::uint32_t>(
-              std::min<SimTime>(erase_was - svc_start, UINT32_MAX)),
+              std::min<SimTime>(erase_was - array.start, UINT32_MAX)),
           FlightEventKind::kEraseSuspend, detail});
     }
     flight_->record(FlightEvent{end, scheduled_ops_, op.chip, op.channel,

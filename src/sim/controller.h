@@ -125,6 +125,19 @@ class Controller {
     SimTime busy_until = 0;
     SimTime erase_until = 0;
   };
+  /// One occupancy interval of a lane or channel.
+  struct Leg {
+    SimTime start = 0;
+    SimTime end = 0;
+  };
+
+  /// Price the op's array time on its chip lane from `at`: lane wait,
+  /// then the erase wait (background) or the suspend saving (foreground),
+  /// `service` ns of occupancy, lane claim and usage.
+  Leg chip_leg(const cache::PhysOp& op, SimTime at, SimTime service);
+  /// Price the op's data transfer on its channel from `at`: channel
+  /// wait, transfer and channel claim.
+  Leg channel_leg(const cache::PhysOp& op, SimTime at);
 
   nand::TimingModel timing_;
   ecc::EccLatencyModel ecc_;
@@ -136,8 +149,7 @@ class Controller {
   SimTime clock_ = 0;
   SimTime last_completion_ = 0;  // running max of scheduled completions
 
-  // Telemetry handles (null until attached). Counter index is
-  // [kind][mode] for read/program, erase is mode-independent.
+  // Telemetry handles (null until attached).
   telemetry::TraceLog* trace_ = nullptr;
   // Blame ledger (null when detached — the attribution hot path is one
   // pointer test per scheduled op). attach_telemetry() binds the
@@ -145,10 +157,9 @@ class Controller {
   telemetry::attribution::AttributionLedger* attrib_ = nullptr;
   // Flight recorder (null when detached; see set_flight_recorder).
   telemetry::introspect::FlightRecorder* flight_ = nullptr;
-  telemetry::Counter* tl_ops_[2][2] = {{nullptr, nullptr},
-                                       {nullptr, nullptr}};
-  telemetry::Counter* tl_erases_ = nullptr;
-  telemetry::Counter* tl_reprograms_ = nullptr;
+  // flash_ops counters indexed [PhysOp::Kind][CellMode]. Erases and
+  // reprograms have one mode-free series, held in both columns.
+  telemetry::Counter* tl_ops_[4][2] = {};
   telemetry::Counter* tl_ecc_decodes_ = nullptr;
   telemetry::Counter* tl_ecc_saturated_ = nullptr;
   telemetry::Histogram* tl_chip_wait_ = nullptr;

@@ -34,14 +34,24 @@ void Ssd::attach_telemetry(telemetry::Telemetry* telemetry) {
 }
 
 void Ssd::attach_introspection(telemetry::introspect::Snapshotter* snap) {
-  if (snap == nullptr) {
-    ctrl_.set_flight_recorder(nullptr);
-    scheme_->set_flight_recorder(nullptr);
+  if (snap != nullptr) snap->bind(*scheme_);
+  auto* flight = snap != nullptr ? snap->flight() : nullptr;
+  ctrl_.set_flight_recorder(flight);
+  if (flight == nullptr) {
+    scheme_->set_gc_decision_hook(nullptr);
     return;
   }
-  snap->bind(*scheme_);
-  ctrl_.set_flight_recorder(snap->flight());
-  scheme_->set_flight_recorder(snap->flight());
+  // Committed GC victims reach the ring with the plane's free-block count
+  // at decision time.
+  const ftl::BlockManager& bm = scheme_->blocks();
+  scheme_->set_gc_decision_hook(
+      [flight, &bm](std::uint32_t plane, CellMode mode, BlockId victim,
+                    SimTime now) {
+        using telemetry::introspect::FlightEventKind;
+        flight->record(telemetry::introspect::FlightEvent{
+            now, victim, plane, bm.free_blocks(plane, mode),
+            FlightEventKind::kGcDecision, static_cast<std::uint8_t>(mode)});
+      });
 }
 
 void Ssd::reset_timing() {

@@ -112,10 +112,11 @@ class Ssd {
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
   /// Bind the introspection snapshotter to this device (stream header
-  /// from the scheme's geometry, crash hook installed) and fan its
-  /// flight recorder out to the controller and the scheme's GC driver.
-  /// Null detaches the recorder hooks; the snapshotter must outlive the
-  /// device or be detached first.
+  /// from the scheme's geometry, crash hook installed) and hand its
+  /// flight recorder to the controller, and to the scheme's GC decision
+  /// hook (replacing any hook set before). Null detaches the recorder
+  /// and clears the hook; the snapshotter must outlive the device or be
+  /// detached first.
   void attach_introspection(telemetry::introspect::Snapshotter* snap);
   /// The attached bundle, or null. The replayer uses this for host-level
   /// spans and sampler ticks.

@@ -263,7 +263,7 @@ TEST(RunnerDeathTest, DefaultSpecRejectsImpossibleGeometry) {
 TEST(RunnerDeathTest, DefaultSpecRejectsMalformedScale) {
   unsetenv("PPSSD_BLOCKS");
   for (const std::string bad :
-       {"abc", "0", "-1", "nan", "inf", "2x", "1e999"}) {
+       {"abc", "0", "-1", "nan", "inf", "2x", "1e999", "1.5"}) {
     ASSERT_EQ(setenv("PPSSD_SCALE", bad.c_str(), 1), 0);
     EXPECT_EXIT(Runner::default_spec(), ::testing::ExitedWithCode(2),
                 "invalid PPSSD_SCALE='" + bad + "'")

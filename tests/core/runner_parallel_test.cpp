@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/runner.h"
-#include "perf/profiler.h"
 
 namespace ppssd::core {
 namespace {
@@ -51,27 +50,6 @@ TEST(RunnerParallel, JobsProduceBitIdenticalResults) {
     EXPECT_EQ(stable_serialization(seq[i]), stable_serialization(par[i]))
         << specs[i].key();
   }
-}
-
-// The profiler must be an observer: with an instance installed, parallel
-// replays still produce bit-identical simulation results.
-TEST(RunnerParallel, ProfilingOnKeepsResultsBitIdentical) {
-  perf::Profiler prof(perf::Profiler::Options{
-      .json_path = "", .report_to_stderr = false});
-  perf::Profiler* prev = perf::Profiler::exchange_instance(&prof);
-
-  Runner runner("");
-  const auto specs = tiny_matrix();
-  const auto seq = runner.run_all(specs, 1);
-  const auto par = runner.run_all(specs, 4);
-
-  perf::Profiler::exchange_instance(prev);
-  ASSERT_EQ(par.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(stable_serialization(seq[i]), stable_serialization(par[i]))
-        << specs[i].key();
-  }
-  EXPECT_GT(prof.span_count(), 0u);
 }
 
 TEST(RunnerParallel, ResultsComeBackInSpecOrder) {

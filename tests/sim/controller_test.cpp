@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -373,6 +374,67 @@ TEST(Controller, ResetClearsClockAndInflight) {
   EXPECT_EQ(ctrl.clock(), 0u);
   EXPECT_EQ(ctrl.chip_free_at(0), 0u);
   EXPECT_EQ(ctrl.usage().total(), 0u);
+}
+
+// The shared counter tail: every op kind x mode lands in its own
+// flash_ops series. A distinct op count per cell makes any cross-wiring
+// show up as a wrong total; erases and reprograms have one mode-free
+// series that counts each op once in either mode.
+TEST(Controller, FlashOpCountersCountEachKindAndModeOnce) {
+  using Kind = cache::PhysOp::Kind;
+  telemetry::Telemetry tel;  // registry only
+  Controller ctrl(cfg(), 4, 2);
+  ctrl.attach_telemetry(&tel);
+
+  std::uint64_t n = 0;
+  SimTime now = 0;
+  for (const Kind kind :
+       {Kind::kRead, Kind::kProgram, Kind::kErase, Kind::kReprogram}) {
+    for (const CellMode mode : {CellMode::kSlc, CellMode::kMlc}) {
+      ++n;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        cache::PhysOp op;
+        op.chip = static_cast<std::uint32_t>(i % 4);
+        op.channel = static_cast<std::uint32_t>(i % 2);
+        op.kind = kind;
+        op.mode = mode;
+        op.subpages = 2;
+        op.ber = 1e-4;
+        op.background = kind == Kind::kErase || i % 2 == 1;
+        ctrl.schedule(op, now);
+        now += us_to_ns(10.0);
+      }
+    }
+  }
+
+  const auto value = [&](const std::string& series) {
+    for (const auto& s : tel.registry().snapshot()) {
+      if (s.series == series) return static_cast<std::uint64_t>(s.value);
+    }
+    ADD_FAILURE() << "no series " << series;
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(value("flash_ops{kind=read,mode=slc}"), 1u);
+  EXPECT_EQ(value("flash_ops{kind=read,mode=mlc}"), 2u);
+  EXPECT_EQ(value("flash_ops{kind=program,mode=slc}"), 3u);
+  EXPECT_EQ(value("flash_ops{kind=program,mode=mlc}"), 4u);
+  EXPECT_EQ(value("flash_ops{kind=erase}"), 5u + 6u);
+  EXPECT_EQ(value("flash_ops{kind=reprogram}"), 7u + 8u);
+  std::size_t flash_series = 0;
+  for (const auto& s : tel.registry().snapshot()) {
+    flash_series += s.series.rfind("flash_ops", 0) == 0;
+  }
+  EXPECT_EQ(flash_series, 6u);
+  // One chip-wait sample per non-erase op, one decode per read.
+  EXPECT_EQ(value("chip_wait_ns.count"), 1u + 2u + 3u + 4u + 7u + 8u);
+  EXPECT_EQ(value("ecc_decode_ns.count"), 1u + 2u);
+  EXPECT_EQ(value("ecc_decodes"), 2u * (1u + 2u));
+
+  // Detached, scheduling counts nothing.
+  ctrl.attach_telemetry(nullptr);
+  ctrl.schedule(read_op(0), now);
+  EXPECT_EQ(value("flash_ops{kind=read,mode=slc}"), 1u);
+  EXPECT_EQ(value("ecc_decode_ns.count"), 1u + 2u);
 }
 
 }  // namespace

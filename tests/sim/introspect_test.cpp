@@ -205,9 +205,9 @@ TEST(Snapshotter, AttachedObserverDoesNotPerturbCompletions) {
   std::remove(flight_path.c_str());
 }
 
-// The acceptance bar for the off configuration, mirroring the disabled-
-// profiler test: a device with no snapshotter attached must not look
-// like it is doing the attached device's work. A/B-time the same submit
+// The acceptance bar for the off configuration: a device with no
+// snapshotter attached must not look like it is doing the attached
+// device's work. A/B-time the same submit
 // loop; generous 8x bound to shed CI noise (the attached run records
 // two flight events per op and walks the device on interval crossings).
 TEST(Snapshotter, DetachedSubmitPathIsFreeComparedToAttached) {

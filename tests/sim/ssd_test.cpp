@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "cache/ipu_scheme.h"
 #include "common/units.h"
+#include "telemetry/introspect/snapshotter.h"
+#include "trace/profiles.h"
+#include "trace/synthetic.h"
 
 namespace ppssd::sim {
 namespace {
@@ -189,6 +195,73 @@ TEST(Ssd, LogicalBytesMatchesGeometry) {
   EXPECT_EQ(ssd.logical_bytes(),
             ssd.scheme().array().geometry().logical_subpages() *
                 kSubpageBytes);
+}
+
+/// A prefilled device whose ts0 replay runs SLC and MLC GC.
+std::unique_ptr<Ssd> gc_device() {
+  auto ssd = std::make_unique<Ssd>(cfg(), "Baseline");
+  ssd->scheme().prefill_mlc(
+      ssd->scheme().array().geometry().logical_subpages(),
+      ssd->scheme().blocks().gc_threshold_blocks(CellMode::kMlc) + 3);
+  return ssd;
+}
+
+void replay_ts0(Ssd& ssd, double scale) {
+  trace::SyntheticWorkload wl(trace::profile_by_name("ts0"),
+                              ssd.logical_bytes(), scale);
+  trace::TraceRecord rec;
+  while (wl.next(rec)) ssd.submit(rec.op, rec.offset, rec.size, rec.arrival);
+}
+
+// The flight ring's kGcDecision events come from the scheme's decision
+// hook: each carries the victim, the plane and that plane's free-block
+// count at decision time. A twin device without a snapshotter records
+// the same decisions through a test hook as the reference.
+TEST(Ssd, FlightRingRecordsGcDecisionsWithPlaneFreeBlocks) {
+  namespace intro = telemetry::introspect;
+  intro::IntrospectOptions opts;
+  opts.flight_capacity = 1u << 16;
+  opts.flight_path = ::testing::TempDir() + "ssd_gc_flight.bin";
+  intro::Snapshotter snap(opts);
+  const auto observed = gc_device();
+  observed->attach_introspection(&snap);
+
+  std::vector<intro::FlightEvent> expected;
+  const auto twin = gc_device();
+  const ftl::BlockManager& bm = twin->scheme().blocks();
+  twin->scheme().set_gc_decision_hook(
+      [&](std::uint32_t plane, CellMode mode, BlockId victim, SimTime now) {
+        expected.push_back({now, victim, plane, bm.free_blocks(plane, mode),
+                            intro::FlightEventKind::kGcDecision,
+                            static_cast<std::uint8_t>(mode)});
+      });
+  replay_ts0(*observed, 0.01);
+  replay_ts0(*twin, 0.01);
+
+  std::vector<intro::FlightEvent> recorded;
+  for (const auto& ev : snap.flight()->events()) {
+    if (ev.kind == intro::FlightEventKind::kGcDecision) recorded.push_back(ev);
+  }
+  ASSERT_FALSE(recorded.empty());
+  ASSERT_GE(expected.size(), recorded.size());
+  // The ring keeps the newest events: compare against the twin's tail.
+  const std::size_t skip = expected.size() - recorded.size();
+  for (std::size_t i = 0; i < recorded.size(); ++i) {
+    const auto& want = expected[skip + i];
+    EXPECT_EQ(recorded[i].time, want.time) << i;
+    EXPECT_EQ(recorded[i].id, want.id) << i;
+    EXPECT_EQ(recorded[i].a, want.a) << i;
+    EXPECT_EQ(recorded[i].b, want.b) << i;
+    EXPECT_EQ(recorded[i].detail, want.detail) << i;
+  }
+
+  // Detaching clears the hook: further GC passes record nothing.
+  observed->attach_introspection(nullptr);
+  const std::uint64_t events = snap.flight()->recorded();
+  const std::uint64_t passes = observed->scheme().metrics().slc_gc_count;
+  replay_ts0(*observed, 0.01);
+  EXPECT_GT(observed->scheme().metrics().slc_gc_count, passes);
+  EXPECT_EQ(snap.flight()->recorded(), events);
 }
 
 }  // namespace
