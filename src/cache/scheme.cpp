@@ -16,6 +16,12 @@ namespace {
 /// Bound on GC passes triggered by a single host request, so one request
 /// cannot stall forever on a pathological cache state (incremental GC).
 constexpr std::uint32_t kMaxGcPassesPerRequest = 1;
+/// Largest run of a host write placed before the GC loop runs again
+/// (2 MiB). A request larger than the free reserve would otherwise drain
+/// it before any GC pass, and GC itself would find no destination. Well
+/// above the synthetic traces' largest request (64 subpages), so those
+/// place in one chunk.
+constexpr std::uint32_t kPlacementChunkSubpages = 512;
 }  // namespace
 
 Scheme::Scheme(const SsdConfig& cfg)
@@ -642,16 +648,22 @@ void Scheme::host_write(Lsn lsn, std::uint32_t count, SimTime now,
     tl_writes_hit_->inc(hits);
     tl_writes_miss_->inc(count - hits);
   }
-  place_write(lsn, count, now, ops);
-  // Algorithm 1: insert, then collect where thresholds are crossed. The
-  // pressure bitmask makes this iterate-set-bits instead of an all-planes
-  // scan; re-reading the mask after each plane's GC keeps the semantics of
-  // the original ascending scan (a pass can flip later planes' bits, and
-  // needs_gc is re-checked per region at visit time exactly as before).
-  for (std::uint32_t p = bm_.next_pressured_plane(0);
-       p != ftl::BlockManager::kNoPlane; p = bm_.next_pressured_plane(p + 1)) {
-    if (bm_.needs_gc(p, CellMode::kSlc)) maybe_slc_gc(p, now, ops);
-    if (bm_.needs_gc(p, CellMode::kMlc)) maybe_mlc_gc(p, now, ops);
+  // Algorithm 1: insert, then collect where thresholds are crossed, once
+  // per placement chunk. The pressure bitmask makes this iterate-set-bits
+  // instead of an all-planes scan; re-reading the mask after each plane's
+  // GC keeps the semantics of the original ascending scan (a pass can flip
+  // later planes' bits, and needs_gc is re-checked per region at visit
+  // time exactly as before).
+  for (std::uint32_t done = 0; done < count;) {
+    const std::uint32_t n = std::min(count - done, kPlacementChunkSubpages);
+    place_write(lsn + done, n, now, ops);
+    done += n;
+    for (std::uint32_t p = bm_.next_pressured_plane(0);
+         p != ftl::BlockManager::kNoPlane;
+         p = bm_.next_pressured_plane(p + 1)) {
+      if (bm_.needs_gc(p, CellMode::kSlc)) maybe_slc_gc(p, now, ops);
+      if (bm_.needs_gc(p, CellMode::kMlc)) maybe_mlc_gc(p, now, ops);
+    }
   }
 }
 

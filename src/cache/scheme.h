@@ -154,6 +154,16 @@ class Scheme {
     return addr.valid() && array_.geometry().is_slc_block(addr.block);
   }
 
+  /// Row hint (DESIGN.md §10, "Request lookahead"): read `lsn`'s map
+  /// entry, which an earlier DeviceMap::prefetch should have cached, and
+  /// hint the device rows of the slot it names. An unmapped LSN hints
+  /// nothing. Changes no state; a hint made stale by a later remap is
+  /// harmless.
+  void prefetch_rows(Lsn lsn) const {
+    const PhysicalAddress addr = map_.lookup(lsn);
+    if (addr.valid()) array_.prefetch_slot(addr.block, addr.page, addr.subpage);
+  }
+
   /// Walk every mapping and physical slot and abort on any violated
   /// invariant (see DESIGN.md §5). O(device); test/diagnostic use.
   void check_consistency() const;

@@ -31,8 +31,9 @@ double seconds_since(Clock::time_point t0) {
 /// wall seconds the prefill took.
 ///
 /// The prefill is a closed-form bulk fill of the freshly built device
-/// (Scheme::prefill_mlc). The warm replay submits straight to
-/// Ssd::submit: nothing reads its completions or latencies, and
+/// (Scheme::prefill_mlc). The warm replay walks its batches with the
+/// replayer's request lookahead (sim::for_each_ahead) and submits straight
+/// to Ssd::submit: nothing reads its completions or latencies, and
 /// reset_timing() discards its timing, so it skips the Replayer and the
 /// host completion queue. Ssd::submit is the path Ssd::enqueue takes
 /// before its completion push, so the device state it leaves is the same.
@@ -70,10 +71,11 @@ double run_warmup(sim::Ssd& ssd, const trace::SyntheticWorkload& workload,
   ssd.scheme().set_origin_phase(cache::OpOrigin::kPrefill);
   std::array<trace::TraceRecord, sim::Replayer::kBatch> batch;
   while (const std::size_t got = warmup.next_batch(batch)) {
-    for (std::size_t i = 0; i < got; ++i) {
-      const trace::TraceRecord& rec = batch[i];
-      ssd.submit(rec.op, rec.offset, rec.size, rec.arrival);
-    }
+    sim::for_each_ahead(ssd, std::span(batch.data(), got),
+                        [&ssd](const trace::TraceRecord& rec) {
+                          ssd.submit(rec.op, rec.offset, rec.size,
+                                     rec.arrival);
+                        });
   }
   ssd.scheme().set_origin_phase(cache::OpOrigin::kHost);
   ssd.scheme().reset_metrics();

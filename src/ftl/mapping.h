@@ -54,6 +54,13 @@ class DeviceMap {
     return unpack(table_[lsn].slot);
   }
 
+  /// Cache hint for `lsn`'s entry, ahead of a lookup (DESIGN.md §10,
+  /// "Request lookahead"). Changes no state.
+  void prefetch(Lsn lsn) const {
+    PPSSD_DCHECK(lsn < table_.size());
+    __builtin_prefetch(table_.data() + lsn);
+  }
+
   [[nodiscard]] bool mapped(Lsn lsn) const {
     return table_[lsn].slot != kUnmapped;
   }

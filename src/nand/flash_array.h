@@ -384,6 +384,28 @@ class FlashArray {
   /// Count a read operation (timing handled by the service model).
   void count_read(BlockId b);
 
+  /// Cache hints for the rows a host operation on slot (b, p, s) reads
+  /// (DESIGN.md §10, "Request lookahead"): the block's entry, the page
+  /// counters, the slot's state, owner and version and, for an SLC-mode
+  /// block, its SLC-only slot rows. Reads the hot block row; changes no
+  /// state.
+  void prefetch_slot(BlockId b, PageId p, SubpageId s) const {
+    const BlockStatic& bs = block_static(b);
+    const std::size_t pi = static_cast<std::size_t>(bs.page_base) + p;
+    const std::size_t i = pi * spp_ + s;
+    __builtin_prefetch(blocks_.data() + b);
+    __builtin_prefetch(pages_.data() + pi);
+    __builtin_prefetch(sp_state_.data() + i);
+    __builtin_prefetch(sp_owner_.data() + i);
+    __builtin_prefetch(sp_version_.data() + i);
+    if (bs.mode == CellMode::kSlc) {
+      const std::size_t j = slc_slot(slc_ordinal(bs, b), p, s);
+      __builtin_prefetch(slc_wtime_.data() + j);
+      __builtin_prefetch(slc_programs_before_.data() + j);
+      __builtin_prefetch(slc_neighbors_before_.data() + j);
+    }
+  }
+
   /// Disturb snapshot of a stored subpage for the BER model. One read of
   /// the hot block row yields the page base and mode; the page entry and,
   /// for an SLC-mode slot, the two snapshot fields then load
@@ -403,12 +425,7 @@ class FlashArray {
     snap.in_page_disturbs = pg.program_ops_ - 1u;
     snap.neighbor_disturbs = pg.neighbor_programs_;
     if (bs.mode == CellMode::kSlc) {
-      // The SLC ordinal from the plane already in hand (no block-row load).
-      const std::uint32_t ordinal =
-          bs.plane * geom_.slc_blocks_per_plane() +
-          (b - geom_.plane_first_block(bs.plane));
-      PPSSD_DCHECK(ordinal == blocks_[b].slc_ordinal_);
-      const std::size_t j = slc_slot(ordinal, p, s);
+      const std::size_t j = slc_slot(slc_ordinal(bs, b), p, s);
       snap.in_page_disturbs -= slc_programs_before_[j];
       snap.neighbor_disturbs -= slc_neighbors_before_[j];
     }
@@ -447,6 +464,16 @@ class FlashArray {
   AgeHistogram* histogram_of(const Block& blk) {
     return blk.slc_ordinal_ == Block::kNotSlc ? nullptr
                                               : &hists_[blk.slc_ordinal_];
+  }
+
+  /// SLC ordinal of SLC-mode block `b` from the plane already in its hot
+  /// row entry `bs` (no block-row load).
+  [[nodiscard]] std::uint32_t slc_ordinal(const BlockStatic& bs,
+                                          BlockId b) const {
+    const std::uint32_t ordinal = bs.plane * geom_.slc_blocks_per_plane() +
+                                  (b - geom_.plane_first_block(bs.plane));
+    PPSSD_DCHECK(ordinal == blocks_[b].slc_ordinal_);
+    return ordinal;
   }
 
   /// Index of slot (p, s) of the SLC-mode block with ordinal `ordinal` in

@@ -103,7 +103,7 @@ ReplayResult Replayer::replay(trace::TraceSource& src,
     if (want == 0) break;
     const std::size_t got = src.next_batch(std::span(batch.data(), want));
     if (got == 0) break;
-    for (std::size_t i = 0; i < got; ++i) submit_one(batch[i]);
+    for_each_ahead(*ssd_, std::span(batch.data(), got), submit_one);
   }
 
   // Source exhausted: harvest every remaining completion.

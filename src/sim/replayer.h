@@ -7,7 +7,9 @@
 // chip overtakes a long GC-laden write on a busy one).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/latency_recorder.h"
 #include "perf/progress.h"
@@ -16,6 +18,40 @@
 #include "trace/record.h"
 
 namespace ppssd::sim {
+
+/// Request lookahead (DESIGN.md §10): calls fn(rec) for every record of
+/// `batch` in order, software-pipelined so the device's DRAM loads for a
+/// request are in flight before it runs. While record i runs, two hints
+/// go out:
+///  * map hint, record i + kMapAhead: DeviceMap::prefetch of its first
+///    LSN's entry;
+///  * row hint, record i + kRowsAhead: Scheme::prefetch_rows reads that
+///    entry, cached by the map hint, and hints the slot's device rows.
+/// A hint changes no state, so the calls fn sees, and everything they
+/// do, are the plain per-record loop's.
+inline constexpr std::size_t kMapAhead = 8;
+inline constexpr std::size_t kRowsAhead = 4;
+static_assert(kRowsAhead < kMapAhead, "rows are hinted after their map entry");
+
+template <typename Fn>
+void for_each_ahead(Ssd& ssd, std::span<const trace::TraceRecord> batch,
+                    Fn&& fn) {
+  const cache::Scheme& scheme = ssd.scheme();
+  const auto map_hint = [&](const trace::TraceRecord& rec) {
+    scheme.device_map().prefetch(ssd.resolve(rec.offset, rec.size).lsn);
+  };
+  const auto row_hint = [&](const trace::TraceRecord& rec) {
+    scheme.prefetch_rows(ssd.resolve(rec.offset, rec.size).lsn);
+  };
+  const std::size_t n = batch.size();
+  for (std::size_t i = 0; i < n && i < kMapAhead; ++i) map_hint(batch[i]);
+  for (std::size_t i = 0; i < n && i < kRowsAhead; ++i) row_hint(batch[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kMapAhead < n) map_hint(batch[i + kMapAhead]);
+    if (i + kRowsAhead < n) row_hint(batch[i + kRowsAhead]);
+    fn(batch[i]);
+  }
+}
 
 struct ReplayResult {
   LatencyRecorder latency;

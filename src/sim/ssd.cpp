@@ -14,13 +14,14 @@ Ssd::Ssd(const SsdConfig& cfg, std::string_view scheme_name)
 
 Ssd::Ssd(const SsdConfig& cfg, std::unique_ptr<cache::Scheme> scheme)
     : scheme_(std::move(scheme)),
+      logical_subpages_(scheme_->array().geometry().logical_subpages()),
       ctrl_(cfg, scheme_->array().chip_count(),
             scheme_->array().geometry().channels()) {
   PPSSD_CHECK(scheme_ != nullptr);
 }
 
 std::uint64_t Ssd::logical_bytes() const {
-  return scheme_->array().geometry().logical_subpages() * kSubpageBytes;
+  return logical_subpages_ * kSubpageBytes;
 }
 
 void Ssd::attach_telemetry(telemetry::Telemetry* telemetry) {
@@ -88,14 +89,7 @@ SimTime Ssd::schedule_deferred(Deferred& d, SimTime now) {
 Ssd::Completion Ssd::submit(OpType op, std::uint64_t offset,
                             std::uint32_t size, SimTime arrival) {
   PPSSD_CHECK(size > 0);
-  const std::uint64_t total = scheme_->array().geometry().logical_subpages();
-
-  // Subpage-align and wrap into the logical space.
-  Lsn lsn = (offset / kSubpageBytes) % total;
-  auto count = static_cast<std::uint32_t>(
-      bytes_to_subpages(offset % kSubpageBytes + size));
-  count = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(count, total - lsn));
+  const auto [lsn, count] = resolve(offset, size);
 
   ops_.clear();
   if (op == OpType::kWrite) {

@@ -11,6 +11,7 @@
 //    chip overtakes a long GC-laden write).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -19,6 +20,7 @@
 #include "cache/scheme.h"
 #include "common/config.h"
 #include "common/types.h"
+#include "common/units.h"
 #include "sim/event_queue.h"
 #include "sim/controller.h"
 
@@ -53,6 +55,24 @@ class Ssd {
     SimTime drained = 0;
     [[nodiscard]] SimTime latency() const { return finish - arrival; }
   };
+
+  /// A host request's subpage range: first LSN and subpage count.
+  struct LsnRange {
+    Lsn lsn = 0;
+    std::uint32_t count = 0;
+  };
+
+  /// Subpage-align a byte range and wrap it into the logical space:
+  /// offsets beyond the logical capacity wrap, and the count is clamped at
+  /// the top. submit() and the replay walker's hints both resolve here.
+  [[nodiscard]] LsnRange resolve(std::uint64_t offset,
+                                 std::uint32_t size) const {
+    const Lsn lsn = (offset / kSubpageBytes) % logical_subpages_;
+    const std::uint64_t count = std::min<std::uint64_t>(
+        bytes_to_subpages(offset % kSubpageBytes + size),
+        logical_subpages_ - lsn);
+    return {lsn, static_cast<std::uint32_t>(count)};
+  }
 
   /// Submit one host request synchronously. `offset` and `size` are in
   /// bytes; addresses beyond the logical capacity wrap (size is clamped at
@@ -140,6 +160,7 @@ class Ssd {
   SimTime schedule_deferred(Deferred& d, SimTime now);
 
   std::unique_ptr<cache::Scheme> scheme_;
+  std::uint64_t logical_subpages_;
   Controller ctrl_;
   telemetry::Telemetry* telemetry_ = nullptr;
   // Blame ledger from the attached bundle (null when detached). submit()

@@ -242,31 +242,45 @@ TEST(IpuScheme, CombineColdImprovesGcUtilization) {
   combined.scheme.check_consistency();
 }
 
-// One request floods more new data than the whole SLC region holds, then
-// updates a full cached page in its tail. The flood's chunks fall back to
-// direct MLC writes once SLC runs out, and the update's level climb finds
-// no SLC page either: its bumped versions roll back before the direct MLC
-// write re-bumps them. Stale or double-bumped versions fail the final
-// consistency walk.
+// A flood exhausts the SLC region, then one more request floods new data
+// and updates a full cached page in its tail. The flood's chunks fall back
+// to direct MLC writes once SLC runs out, and the update's level climb
+// finds no SLC page either: its bumped versions roll back before the
+// direct MLC write re-bumps them. Stale or double-bumped versions fail the
+// final consistency walk.
+//
+// host_write runs one GC pass per pressured plane after every 512-subpage
+// placement chunk. With 2-subpage pages a chunk fills two SLC blocks per
+// plane while a pass frees one, so a flood still outruns GC. The last
+// request is two chunks: the first exhausts the cache again, and the
+// second uses up the blocks GC freed before its tail reaches the update.
 TEST(IpuScheme, LevelClimbAndFloodFallBackToDirectMlcWrites) {
-  Harness h;
+  SsdConfig cfg = small_config();
+  cfg.geometry.page_bytes = 8 * kKiB;
+  Harness h(cfg);
   const auto& geom = h.scheme.array().geometry();
   const std::uint32_t spp = geom.subpages_per_page();
   const std::uint64_t slc_subpages =
       static_cast<std::uint64_t>(geom.slc_block_count()) *
       geom.pages_per_block(CellMode::kSlc) * spp;
+  constexpr std::uint32_t kChunk = 512;
 
-  // A full-page extent right behind the flood range: no free slot is left,
-  // so its next update must climb. No Monitor block is open yet, so the
-  // climb can only land in SLC through a fresh block or the Work fallback.
   const Lsn flood = 1000;
-  const auto flood_len = static_cast<std::uint32_t>(slc_subpages + 8 * spp);
-  const Lsn hot = flood + flood_len;
+  h.write(flood, static_cast<std::uint32_t>(3 * slc_subpages));
+  // A full-page extent written on the exhausted cache: no free slot is
+  // left, so its next update must climb. No Monitor block is open, so the
+  // climb can only land in SLC through a fresh block or the Work fallback.
+  const Lsn hot = flood + 3 * slc_subpages + 2 * kChunk;
   ASSERT_LT(hot + spp, geom.logical_subpages());
   h.write(hot, spp);
   ASSERT_TRUE(h.scheme.cached_in_slc(hot));
 
-  h.write(flood, flood_len + spp);
+  telemetry::Telemetry tel;
+  h.scheme.attach_telemetry(&tel);
+  h.write(hot + spp - 2 * kChunk, 2 * kChunk);
+  // The extent was still cached when the update came: it took the climb.
+  EXPECT_EQ(tel.registry().counter("level_climbs", {{"scheme", "IPU"}})->value(),
+            1u);
   const SchemeMetrics& m = h.scheme.metrics();
   std::uint64_t slc_host = 0;
   for (const std::uint64_t n : m.level_subpages) slc_host += n;

@@ -294,5 +294,31 @@ TEST(RunnerDeathTest, EnvJobsRejectsMalformedValue) {
   unsetenv("PPSSD_JOBS");
 }
 
+// Figure 5's reproduced shape (EXPERIMENTS.md): of the paper's three
+// schemes, Baseline has the slowest overall response time, and IPU writes
+// faster than Baseline, on the write-heavy ts0 and the read-heavy ads
+// alike. The shape needs the default operating point's cache pressure
+// (trace length against SLC capacity): 8,192 blocks at 12% length keeps
+// it at half the default's cost. At 1,024 to 4,096 blocks and 1% to 4%
+// length IPU is slower than Baseline on ts0.
+TEST(Experiment, ResponseTimeOrderingMatchesFigure5) {
+  for (const char* trace : {"ts0", "ads"}) {
+    SCOPED_TRACE(trace);
+    ExperimentSpec spec;
+    spec.trace = trace;
+    spec.total_blocks = 8192;
+    spec.trace_scale = 0.12;
+    spec.scheme = "Baseline";
+    const ExperimentResult base = run_experiment(spec);
+    spec.scheme = "MGA";
+    const ExperimentResult mga = run_experiment(spec);
+    spec.scheme = "IPU";
+    const ExperimentResult ipu = run_experiment(spec);
+    EXPECT_GT(base.avg_overall_ms, mga.avg_overall_ms);
+    EXPECT_GT(base.avg_overall_ms, ipu.avg_overall_ms);
+    EXPECT_LT(ipu.avg_write_ms, base.avg_write_ms);
+  }
+}
+
 }  // namespace
 }  // namespace ppssd::core

@@ -1,9 +1,11 @@
 // Allocation budget of the device rows and the host read path:
 // FlashArray construction makes no per-block heap allocation, and
-// Scheme::host_read makes none. A binary of its own, because it replaces
-// the global operator new to count calls.
+// Scheme::host_read and the replay walker's request-lookahead hints make
+// none. A binary of its own, because it replaces the global operator new
+// to count calls.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -16,6 +18,9 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "nand/flash_array.h"
+#include "sim/replayer.h"
+#include "sim/ssd.h"
+#include "trace/record.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -83,6 +88,39 @@ TEST(AllocationBudget, HostReadAllocatesNothing) {
       during = allocations() - before;
     }
     EXPECT_EQ(during, 0u);
+  }
+}
+
+TEST(AllocationBudget, LookaheadHintsAllocateNothing) {
+  for (const char* name : {"Baseline", "MGA", "IPU", "IPS"}) {
+    SCOPED_TRACE(name);
+    sim::Ssd ssd(SsdConfig::scaled(1024), name);
+    const std::uint64_t total =
+        ssd.scheme().array().geometry().logical_subpages();
+    Rng rng(5);
+    std::array<trace::TraceRecord, sim::Replayer::kBatch> batch;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      // Offsets up to 64 subpages past the logical space wrap.
+      const std::uint64_t offset = rng.next_below(total + 64) * kSubpageBytes;
+      const auto count = static_cast<std::uint32_t>(1 + rng.next_below(16));
+      batch[i] = trace::TraceRecord{ms_to_ns(static_cast<double>(i + 1)),
+                                    OpType::kWrite, offset, count * 4096};
+      ssd.submit(batch[i].op, batch[i].offset, batch[i].size,
+                 batch[i].arrival);
+    }
+    const cache::Scheme& scheme = ssd.scheme();
+    const std::uint64_t before = allocations();
+    for (Lsn lsn = 0; lsn < total; lsn += 97) {
+      scheme.device_map().prefetch(lsn);
+      scheme.prefetch_rows(lsn);
+    }
+    scheme.device_map().prefetch(total - 1);
+    scheme.prefetch_rows(total - 1);
+    std::size_t visited = 0;
+    sim::for_each_ahead(ssd, batch,
+                        [&visited](const trace::TraceRecord&) { ++visited; });
+    EXPECT_EQ(allocations() - before, 0u);
+    EXPECT_EQ(visited, batch.size());
   }
 }
 
