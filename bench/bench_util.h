@@ -6,13 +6,11 @@
 #include <cstdlib>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/config.h"
 #include "core/report.h"
 #include "core/runner.h"
-#include "perf/bench_report.h"
 
 namespace ppssd::bench {
 
@@ -70,62 +68,6 @@ struct Timing {
     return calls > 0 ? seconds * 1e9 / static_cast<double>(calls) : 0.0;
   }
 };
-
-/// Report path from `./bench [report.json]` — default is the shared
-/// artifact every micro-bench merges into.
-inline std::string report_path_from_args(int argc, char** argv) {
-  return argc > 1 ? argv[1] : "BENCH_perf.json";
-}
-
-/// Load the shared report and drop this bench's own cell family (keys
-/// starting with `prefix`) so it can be regenerated; every other family
-/// (perf_suite replay matrix, the other micro-benches) is preserved, so
-/// the benches can rebuild one artifact in any order.
-inline perf::BenchReport load_report_replacing(const std::string& path,
-                                               std::string_view prefix) {
-  perf::BenchReport report;
-  if (auto existing = perf::BenchReport::load(path)) {
-    report = *existing;
-    std::erase_if(report.cells, [prefix](const perf::BenchCell& c) {
-      return std::string_view(c.key).substr(0, prefix.size()) == prefix;
-    });
-  }
-  return report;
-}
-
-/// Append one micro-bench cell in the shared layout: requests = timed
-/// calls, wall/measure seconds = the timed loop only.
-inline void add_micro_cell(perf::BenchReport& report, std::string key,
-                           std::string scheme, std::string trace,
-                           const Timing& t) {
-  perf::BenchCell cell;
-  cell.key = std::move(key);
-  cell.scheme = std::move(scheme);
-  cell.trace = std::move(trace);
-  cell.requests = t.calls;
-  cell.wall_seconds = t.seconds;
-  cell.reqs_per_sec = t.calls_per_sec();
-  // Phases stay zero: a micro cell's wall time is however long the
-  // timing loop chose to run (elastic, not a cost), so the per-phase
-  // regression gate must never fire on it — per-op throughput above is
-  // the micro cell's only signal.
-  report.cells.push_back(cell);
-}
-
-/// Save the merged report; returns the bench's exit code and prints the
-/// standard merge line (or an error naming the bench).
-inline int save_report(const perf::BenchReport& report,
-                       const std::string& path, const char* bench_name,
-                       const char* family) {
-  if (!report.save(path)) {
-    std::fprintf(stderr, "%s: failed to write %s\n", bench_name,
-                 path.c_str());
-    return 1;
-  }
-  std::printf("merged %s cells into %s (%zu cells total)\n", family,
-              path.c_str(), report.cells.size());
-  return 0;
-}
 
 /// Scaled device config collapsed to a single plane: the whole block
 /// budget forms one region, so per-plane candidate / cycle counts scale

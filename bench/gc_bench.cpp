@@ -1,6 +1,6 @@
 // GC victim-selection microbenchmark.
 //
-//   ./gc_bench [report.json]          default: BENCH_perf.json
+//   ./gc_bench
 //
 // For each device size (2048 / 8192 / 32768 blocks) the bench builds a
 // steady-state SLC region on one plane — staggered write times, a share
@@ -13,10 +13,8 @@
 // Both should stay flat as the candidate count grows with device size.
 // Their full-scan oracles are test-only (tests/support/gc_reference.h).
 //
-// Results are merged into the report as the "gc/select/..." cell family:
-// any existing gc/select cells are replaced, every other cell (the
-// perf_suite replay matrix) is preserved, so perf_suite and gc_bench can
-// regenerate one shared artifact in either order.
+// The bench prints one table and writes nothing; perfbench/ is the
+// repository benchmark that speed claims rest on.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -29,7 +27,6 @@
 #include "ftl/block_manager.h"
 #include "ftl/gc_policy.h"
 #include "nand/flash_array.h"
-#include "perf/bench_report.h"
 
 using namespace ppssd;
 using bench::kMinMeasureSeconds;
@@ -101,11 +98,7 @@ Timing time_select(Fn&& fn) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string out_path = bench::report_path_from_args(argc, argv);
-  perf::BenchReport report =
-      bench::load_report_replacing(out_path, "gc/select/");
-
+int main() {
   Table table({"cell", "candidates", "ns/select", "selects/s"});
   for (const std::uint32_t blocks : bench::kMicroSizes) {
     // One plane: the whole block budget lands in a single SLC region, so
@@ -133,9 +126,6 @@ int main(int argc, char** argv) {
     for (const Variant& v : variants) {
       const std::string key =
           std::string("gc/select/") + v.name + "/" + std::to_string(blocks);
-      bench::add_micro_cell(
-          report, key, "GC",
-          std::string(v.name) + "@" + std::to_string(blocks), v.timing);
       table.add_row({key, Table::count(candidates),
                      Table::fmt(v.timing.ns_per_call(), 0),
                      Table::fmt(v.timing.calls_per_sec(), 0)});
@@ -143,5 +133,5 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s\n", table.render("GC victim selection").c_str());
-  return bench::save_report(report, out_path, "gc_bench", "gc/select");
+  return 0;
 }

@@ -1,6 +1,6 @@
 // Write-path microbenchmark: program/invalidate cost.
 //
-//   ./write_bench [report.json]          default: BENCH_perf.json
+//   ./write_bench
 //
 // For each device size (2048 / 8192 / 32768 blocks) and each cell mode the
 // bench drives a fill/drain cycle through the two hottest array
@@ -26,10 +26,8 @@
 // drain loop, so each figure is the operation in its realistic
 // surroundings rather than a bare call in a cache-hot microloop.
 //
-// Results are merged into the report as the "write/..." cell family: any
-// existing write/ cells are replaced, every other cell (perf_suite replay
-// matrix, gc_bench) is preserved, so the three benches can regenerate one
-// shared artifact in any order.
+// The bench prints one table and writes nothing; perfbench/ is the
+// repository benchmark that speed claims rest on.
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -42,7 +40,6 @@
 #include "core/report.h"
 #include "ftl/block_manager.h"
 #include "nand/flash_array.h"
-#include "perf/bench_report.h"
 #include "sim/ssd.h"
 #include "telemetry/telemetry.h"
 
@@ -143,8 +140,8 @@ const char* mode_name(CellMode mode) {
 
 /// Attribution-overhead cell: the full host submit path (IPU scheme,
 /// GC, the works) with the blame ledger detached vs attached. The
-/// detached figure is the null-handle guarantee the perf gate enforces;
-/// the attached figure prices the ledger for users who turn it on.
+/// detached figure shows the null-handle hot path; the attached figure
+/// prices the ledger for users who turn it on.
 Timing run_attrib_variant(bool attached) {
   SsdConfig cfg = SsdConfig::scaled(2048);
   sim::Ssd ssd(cfg, "IPU");
@@ -178,10 +175,7 @@ Timing run_attrib_variant(bool attached) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string out_path = bench::report_path_from_args(argc, argv);
-  perf::BenchReport report = bench::load_report_replacing(out_path, "write/");
-
+int main() {
   Table table({"cell", "ns/op", "ops/s"});
   for (const std::uint32_t blocks : bench::kMicroSizes) {
     for (const CellMode mode : {CellMode::kSlc, CellMode::kMlc}) {
@@ -194,10 +188,6 @@ int main(int argc, char** argv) {
         const std::string key = std::string("write/") + c.family +
                                 "/fused/" + mode_name(mode) + "/" +
                                 std::to_string(blocks);
-        bench::add_micro_cell(report, key, "WritePath",
-                              std::string(c.family) + "-fused@" +
-                                  mode_name(mode) + std::to_string(blocks),
-                              c.timing);
         table.add_row({key, Table::fmt(c.timing.ns_per_call(), 1),
                        Table::fmt(c.timing.calls_per_sec(), 0)});
       }
@@ -208,13 +198,10 @@ int main(int argc, char** argv) {
     const Timing t = run_attrib_variant(attached);
     const std::string key =
         std::string("write/attrib/") + (attached ? "on" : "off");
-    bench::add_micro_cell(report, key, "IPU",
-                          std::string("attrib-") + (attached ? "on" : "off"),
-                          t);
     table.add_row({key, Table::fmt(t.ns_per_call(), 1),
                    Table::fmt(t.calls_per_sec(), 0)});
   }
 
   std::printf("%s\n", table.render("Write-path program/invalidate").c_str());
-  return bench::save_report(report, out_path, "write_bench", "write/");
+  return 0;
 }

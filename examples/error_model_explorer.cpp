@@ -1,13 +1,10 @@
-// Explore the reliability substrate: raw-BER curves, disturb penalties,
-// ECC decode latency, and a live BCH encode/inject/decode demonstration.
+// Explore the reliability substrate: raw-BER curves and what disturb
+// costs a read in ECC decode latency, the penalty the simulator prices.
 //
 //   ./error_model_explorer
 #include <cstdio>
-#include <vector>
 
-#include "common/rng.h"
 #include "core/report.h"
-#include "ecc/bch.h"
 #include "ecc/ber_model.h"
 #include "ecc/latency_model.h"
 
@@ -47,29 +44,5 @@ int main() {
   std::printf("%s\n",
               disturb.render("Disturb -> BER -> read penalty (SLC page)")
                   .c_str());
-
-  // 3. A real BCH codeword surviving injected errors.
-  const auto& gf = ecc::GaloisField::gf13();
-  const ecc::BchCode code(gf, /*t=*/8, /*data_bits=*/4096);
-  std::printf("BCH code: n=%u (shortened to %u), k=%u data bits, t=%u\n",
-              code.n(), code.codeword_bits(), code.data_bits(), code.t());
-
-  Rng rng(7);
-  std::vector<std::uint8_t> data(code.data_bits());
-  for (auto& bit : data) bit = static_cast<std::uint8_t>(rng.next_u64() & 1);
-  auto codeword = code.encode(data);
-
-  std::printf("injecting %u random bit errors...\n", code.t());
-  for (std::uint32_t e = 0; e < code.t(); ++e) {
-    codeword[rng.next_below(codeword.size())] ^= 1;
-  }
-  const auto result = code.decode(codeword);
-  std::printf("decode: %s (%u bits corrected)\n",
-              result.status == ecc::DecodeStatus::kCorrected ? "corrected"
-              : result.status == ecc::DecodeStatus::kClean   ? "clean"
-                                                             : "FAILED",
-              result.corrected);
-  const auto recovered = code.extract_data(codeword);
-  std::printf("payload intact: %s\n", recovered == data ? "yes" : "NO");
   return 0;
 }

@@ -294,14 +294,15 @@ TEST(RunnerDeathTest, EnvJobsRejectsMalformedValue) {
   unsetenv("PPSSD_JOBS");
 }
 
-// Figure 5's reproduced shape (EXPERIMENTS.md): of the paper's three
-// schemes, Baseline has the slowest overall response time, and IPU writes
-// faster than Baseline, on the write-heavy ts0 and the read-heavy ads
-// alike. The shape needs the default operating point's cache pressure
-// (trace length against SLC capacity): 8,192 blocks at 12% length keeps
-// it at half the default's cost. At 1,024 to 4,096 blocks and 1% to 4%
-// length IPU is slower than Baseline on ts0.
-TEST(Experiment, ResponseTimeOrderingMatchesFigure5) {
+// The reproduced orderings of Figures 5 and 8-11 (EXPERIMENTS.md), on
+// the write-heavy ts0 and the read-heavy ads alike. Figure 5: of the
+// paper's three schemes, Baseline has the slowest overall response time,
+// and IPU writes faster than Baseline. The shape needs the default
+// operating point's cache pressure (trace length against SLC capacity):
+// 8,192 blocks at 12% length keeps it at half the default's cost. At
+// 1,024 to 4,096 blocks and 1% to 4% length IPU is slower than Baseline
+// on ts0. Figures 8-11 hold on the same three runs.
+TEST(Experiment, OrderingsMatchFigures5And8To11) {
   for (const char* trace : {"ts0", "ads"}) {
     SCOPED_TRACE(trace);
     ExperimentSpec spec;
@@ -317,6 +318,22 @@ TEST(Experiment, ResponseTimeOrderingMatchesFigure5) {
     EXPECT_GT(base.avg_overall_ms, mga.avg_overall_ms);
     EXPECT_GT(base.avg_overall_ms, ipu.avg_overall_ms);
     EXPECT_LT(ipu.avg_write_ms, base.avg_write_ms);
+
+    // Figure 8: MGA's multi-programmed pages raise the read BER; IPU's
+    // stays within 1% of Baseline's.
+    EXPECT_GT(mga.read_ber, ipu.read_ber);
+    EXPECT_NEAR(ipu.read_ber, base.read_ber, 0.01 * base.read_ber);
+    // Figure 9: GC victims are fuller under IPU than Baseline, and
+    // fullest under MGA.
+    EXPECT_LT(base.gc_utilization, ipu.gc_utilization);
+    EXPECT_LT(ipu.gc_utilization, mga.gc_utilization);
+    // Figure 10a: SLC erases fall from Baseline to IPU to MGA.
+    EXPECT_GT(base.slc_erases, ipu.slc_erases);
+    EXPECT_GT(ipu.slc_erases, mga.slc_erases);
+    // Figure 11: MGA's mapping table grows by over a fifth, IPU's by
+    // under 1%.
+    EXPECT_GT(mga.map_normalized(), 1.20);
+    EXPECT_LT(ipu.map_normalized(), 1.01);
   }
 }
 
