@@ -382,7 +382,15 @@ void IpuScheme::save_scheme_state(io::StateSink& sink) const {
   offsets_.save(sink);
   sink.boolean(tracker_ != nullptr);
   if (tracker_) tracker_->save(sink);
-  sink.vec(cold_pages_);
+  // Field-wise: ColdOpenPage has two padding bytes after `page`, which a
+  // raw copy would leak into the checkpoint. The layout is the raw copy's
+  // (u64 count, then 8 bytes per plane) with the padding written as zero.
+  sink.u64(cold_pages_.size());
+  for (const ColdOpenPage& p : cold_pages_) {
+    sink.u32(p.block);
+    sink.u16(p.page);
+    sink.u16(0);
+  }
 }
 
 void IpuScheme::restore_scheme_state(io::StateSource& src) {
@@ -394,9 +402,16 @@ void IpuScheme::restore_scheme_state(io::StateSource& src) {
   PPSSD_CHECK_MSG(has_tracker == (tracker_ != nullptr),
                   "warm-start checkpoint disagrees on combine_cold tracker");
   if (tracker_) tracker_->restore(src);
-  std::vector<ColdOpenPage> cold = src.vec<ColdOpenPage>();
-  PPSSD_CHECK_MSG(src.ok() && cold.size() == cold_pages_.size(),
+  const std::uint64_t planes = src.u64();
+  PPSSD_CHECK_MSG(src.ok() && planes == cold_pages_.size(),
                   "warm-start checkpoint does not match cold-page shape");
+  std::vector<ColdOpenPage> cold(cold_pages_.size());
+  for (ColdOpenPage& p : cold) {
+    p.block = src.u32();
+    p.page = src.u16();
+    (void)src.u16();  // padding
+  }
+  PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint truncated");
   cold_pages_ = std::move(cold);
 }
 

@@ -142,14 +142,29 @@ void MgaScheme::on_slc_page_programmed(BlockId block, PageId page,
 
 void MgaScheme::save_scheme_state(io::StateSink& sink) const {
   second_level_.save(sink);
-  sink.vec(open_pages_);
+  // Field-wise: OpenPage has two padding bytes after `page`, which a raw
+  // copy would leak into the checkpoint. The layout is the raw copy's
+  // (u64 count, then 8 bytes per plane) with the padding written as zero.
+  sink.u64(open_pages_.size());
+  for (const OpenPage& p : open_pages_) {
+    sink.u32(p.block);
+    sink.u16(p.page);
+    sink.u16(0);
+  }
 }
 
 void MgaScheme::restore_scheme_state(io::StateSource& src) {
   second_level_.restore(src);
-  std::vector<OpenPage> open = src.vec<OpenPage>();
-  PPSSD_CHECK_MSG(src.ok() && open.size() == open_pages_.size(),
+  const std::uint64_t planes = src.u64();
+  PPSSD_CHECK_MSG(src.ok() && planes == open_pages_.size(),
                   "warm-start checkpoint does not match MGA open-page shape");
+  std::vector<OpenPage> open(open_pages_.size());
+  for (OpenPage& p : open) {
+    p.block = src.u32();
+    p.page = src.u16();
+    (void)src.u16();  // padding
+  }
+  PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint truncated");
   open_pages_ = std::move(open);
 }
 

@@ -100,8 +100,12 @@ void expect_same_result(const ReplayResult& a, const ReplayResult& b) {
   }
 }
 
+// std::string parameters, not const char*: gtest prints a char pointer
+// inside a tuple as its address, which would put a per-run address into
+// the discovered test names.
 class LookaheadEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
+};
 
 TEST_P(LookaheadEquivalence, WalkerMatchesPlainLoop) {
   const auto [scheme, trace_name] = GetParam();
@@ -126,11 +130,13 @@ TEST_P(LookaheadEquivalence, WalkerMatchesPlainLoop) {
 
 INSTANTIATE_TEST_SUITE_P(
     SchemesAndTraces, LookaheadEquivalence,
-    ::testing::Combine(::testing::Values("Baseline", "MGA", "IPU", "IPS"),
-                       ::testing::Values("ts0", "ads")),
+    ::testing::Combine(::testing::Values(std::string("Baseline"),
+                                         std::string("MGA"), std::string("IPU"),
+                                         std::string("IPS")),
+                       ::testing::Values(std::string("ts0"),
+                                         std::string("ads"))),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
-             std::get<1>(info.param);
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
 TEST(Lookahead, WalkerVisitsEveryRecordOnceInOrder) {
