@@ -5,6 +5,7 @@
 
 #include <unordered_map>
 
+#include "cache/registry.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "sim/ssd.h"
@@ -24,17 +25,13 @@ struct FuzzParams {
   double write_ratio;
 };
 
-class SchemeFuzz
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(SchemeFuzz, RandomWorkloadKeepsAllInvariants) {
-  const auto [scheme_idx, variant] = GetParam();
-  static constexpr const char* kSchemes[] = {"Baseline", "MGA", "IPU", "IPS"};
-  const char* kind = kSchemes[scheme_idx];
-
+/// Drive `scheme` (with `options`) through a random workload under GC
+/// interleave `variant` (0, 1 or 2) and check every invariant.
+void fuzz_scheme(const char* scheme, const cache::SchemeOptions& options,
+                 int variant, std::uint64_t seed) {
   SsdConfig cfg = SsdConfig::scaled(1024);
-  cfg.cache.gc_interleave_ops = static_cast<std::uint32_t>(variant);  // 0,1,2
-  sim::Ssd ssd(cfg, kind);
+  cfg.cache.gc_interleave_ops = static_cast<std::uint32_t>(variant);
+  sim::Ssd ssd(cfg, cache::make_scheme(scheme, cfg, options));
 
   // Tight footprint for variant 0 (heavy update/GC churn), wide for
   // others (heavy cold flow).
@@ -44,7 +41,7 @@ TEST_P(SchemeFuzz, RandomWorkloadKeepsAllInvariants) {
                                       .geometry()
                                       .logical_subpages() /
                                   2;
-  Rng rng(1000 + scheme_idx * 10 + static_cast<std::uint64_t>(variant));
+  Rng rng(seed);
   Shadow shadow;
   SimTime now = 0;
 
@@ -89,6 +86,16 @@ TEST_P(SchemeFuzz, RandomWorkloadKeepsAllInvariants) {
   }
 }
 
+class SchemeFuzz
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(SchemeFuzz, RandomWorkloadKeepsAllInvariants) {
+  const auto [scheme_idx, variant] = GetParam();
+  static constexpr const char* kSchemes[] = {"Baseline", "MGA", "IPU", "IPS"};
+  fuzz_scheme(kSchemes[scheme_idx], {}, variant,
+              1000 + scheme_idx * 10 + static_cast<std::uint64_t>(variant));
+}
+
 std::string fuzz_name(
     const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
   static constexpr const char* kNames[] = {"Baseline", "MGA", "IPU", "IPS"};
@@ -101,6 +108,43 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2, 3),  // registry order
                        ::testing::Values(0, 1, 2)),    // gc interleave
     fuzz_name);
+
+// The option sets bench/ablations and the IPS tests run, each one option
+// away from its scheme's defaults: every placement and relocation path
+// (greedy SLC GC, one level, no in-place update, combined cold pages,
+// read-migrate IPS promotion) under each GC interleave.
+struct OptionSet {
+  const char* name;
+  const char* scheme;
+  const char* key;
+  const char* value;
+};
+constexpr OptionSet kOptionSets[] = {
+    {"IPU_isr0", "IPU", "isr", "0"}, {"IPU_lvl0", "IPU", "lvl", "0"},
+    {"IPU_ipp0", "IPU", "ipp", "0"}, {"IPU_cmb1", "IPU", "cmb", "1"},
+    {"IPS_rpg0", "IPS", "rpg", "0"},
+};
+
+class SchemeOptionFuzz
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(SchemeOptionFuzz, RandomWorkloadKeepsAllInvariants) {
+  const auto [set_idx, variant] = GetParam();
+  const OptionSet& set = kOptionSets[set_idx];
+  cache::SchemeOptions options;
+  options.set(set.key, set.value);
+  fuzz_scheme(set.scheme, options, variant,
+              2000 + set_idx * 10 + static_cast<std::uint64_t>(variant));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OptionSetsAndGcModes, SchemeOptionFuzz,
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
+                       ::testing::Values(0, 1, 2)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return std::string(kOptionSets[std::get<0>(info.param)].name) +
+             "_interleave" + std::to_string(std::get<1>(info.param));
+    });
 
 TEST(Invariants, SequentialOverwriteStress) {
   // Repeated sequential overwrite of one region: maximal update pressure.

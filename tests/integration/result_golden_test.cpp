@@ -9,6 +9,16 @@
 //                                     gc_interleave_ops = 0: latency,
 //                                     makespan, queue depth, controller
 //                                     usage and command count
+//   checkpoint <scheme> <digest>      the Ssd::save bytes after a short
+//                                     ts0 replay: device state plus the
+//                                     side tables no simulated number
+//                                     reads (IPU offsets, MGA second
+//                                     level, open pages, deferred ops)
+//
+// <scheme> is a registry name, or a name plus one option for the
+// variants bench/ablations and the IPS tests run ("IPU+isr0" is IPU with
+// option isr=0). A variant locks its cells on ts0 and usr0 and its
+// checkpoint.
 //
 // Any change to a simulated number changes a digest. On a mismatch the
 // test prints every line it computed for the scheme, so an intended
@@ -22,6 +32,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/registry.h"
+#include "common/state_io.h"
 #include "common/warmstart_format.h"
 #include "core/experiment.h"
 #include "sim/replayer.h"
@@ -35,6 +47,23 @@ namespace {
 constexpr const char* kTraces[] = {"ts0", "wdev0", "lun1",
                                    "usr0", "lun2", "ads"};
 constexpr const char* kReplayTraces[] = {"ts0", "usr0", "ads"};
+constexpr const char* kVariantTraces[] = {"ts0", "usr0"};
+
+/// "IPU+isr0" -> scheme "IPU" with option isr=0; a bare name has none.
+struct Variant {
+  std::string scheme;
+  cache::SchemeOptions options;
+};
+
+Variant parse_variant(const std::string& name) {
+  const std::size_t plus = name.find('+');
+  Variant v{name.substr(0, plus), {}};
+  if (plus != std::string::npos) {
+    const std::string opt = name.substr(plus + 1);
+    v.options.set(opt.substr(0, opt.size() - 1), opt.substr(opt.size() - 1));
+  }
+  return v;
+}
 
 std::string digest_of(const std::string& text) {
   char buf[17];
@@ -62,9 +91,11 @@ std::vector<std::string> golden_lines_for(const std::string& scheme) {
 }
 
 /// serialize() minus the wall-clock lines, which differ run to run.
-std::string cell_digest(const std::string& scheme, const char* trace) {
+std::string cell_digest(const std::string& name, const char* trace) {
+  const Variant v = parse_variant(name);
   core::ExperimentSpec spec;
-  spec.scheme = scheme;
+  spec.scheme = v.scheme;
+  spec.options = v.options;
   spec.trace = trace;
   spec.pe_cycles = 4000;
   spec.total_blocks = 1024;
@@ -109,19 +140,50 @@ std::string replay_digest(const std::string& scheme, const char* trace) {
   return digest_of(os.str());
 }
 
+/// The whole device checkpoint after a short ts0 replay on a prefilled
+/// device with the default GC interleave.
+std::string checkpoint_digest(const std::string& name) {
+  const Variant v = parse_variant(name);
+  const SsdConfig cfg = SsdConfig::scaled(1024);
+  sim::Ssd ssd(cfg, cache::make_scheme(v.scheme, cfg, v.options));
+  const auto& geom = ssd.scheme().array().geometry();
+  ssd.scheme().prefill_mlc(
+      geom.logical_subpages(),
+      ssd.scheme().blocks().gc_threshold_blocks(CellMode::kMlc) + 3);
+  ssd.reset_timing();
+  trace::SyntheticWorkload wl(trace::profile_by_name("ts0"),
+                              ssd.logical_bytes(), 0.02);
+  sim::Replayer replayer(ssd);
+  replayer.replay(wl);
+  ssd.scheme().check_consistency();
+  io::StateSink sink;
+  ssd.save(sink);
+  const std::vector<std::uint8_t>& bytes = sink.buffer();
+  return digest_of(std::string(bytes.begin(), bytes.end()));
+}
+
 class ResultGolden : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ResultGolden, MatchesCommittedDigests) {
   const std::string scheme = GetParam();
+  const bool variant = scheme.find('+') != std::string::npos;
   std::vector<std::string> actual;
-  for (const char* trace : kTraces) {
-    actual.push_back("cell " + scheme + ' ' + trace + ' ' +
-                     cell_digest(scheme, trace));
+  if (variant) {
+    for (const char* trace : kVariantTraces) {
+      actual.push_back("cell " + scheme + ' ' + trace + ' ' +
+                       cell_digest(scheme, trace));
+    }
+  } else {
+    for (const char* trace : kTraces) {
+      actual.push_back("cell " + scheme + ' ' + trace + ' ' +
+                       cell_digest(scheme, trace));
+    }
+    for (const char* trace : kReplayTraces) {
+      actual.push_back("replay " + scheme + ' ' + trace + ' ' +
+                       replay_digest(scheme, trace));
+    }
   }
-  for (const char* trace : kReplayTraces) {
-    actual.push_back("replay " + scheme + ' ' + trace + ' ' +
-                     replay_digest(scheme, trace));
-  }
+  actual.push_back("checkpoint " + scheme + ' ' + checkpoint_digest(scheme));
 
   const std::vector<std::string> golden = golden_lines_for(scheme);
   std::string computed;
@@ -135,6 +197,17 @@ INSTANTIATE_TEST_SUITE_P(Schemes, ResultGolden,
                          ::testing::Values("Baseline", "MGA", "IPU", "IPS"),
                          [](const auto& info) {
                            return std::string(info.param);
+                         });
+
+// The option sets bench/ablations and the IPS tests run; each differs
+// from its scheme's defaults in one option.
+INSTANTIATE_TEST_SUITE_P(Variants, ResultGolden,
+                         ::testing::Values("IPU+isr0", "IPU+lvl0", "IPU+ipp0",
+                                           "IPU+cmb1", "IPS+rpg0"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           name[name.find('+')] = '_';
+                           return name;
                          });
 
 }  // namespace
