@@ -1,6 +1,5 @@
 #include "cache/baseline_scheme.h"
 
-#include <vector>
 
 #include "cache/registry.h"
 #include "common/check.h"
@@ -24,20 +23,5 @@ const SchemeRegistrar baseline_registrar(SchemeInfo{
 // with it the registrar above) into static-library consumers.
 void baseline_scheme_link() {}
 }  // namespace detail
-
-void BaselineScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
-                                 std::vector<PhysOp>& ops) {
-  std::uint32_t i = 0;
-  while (i < count) {
-    const std::uint32_t n = std::min(count - i, subpages_per_page());
-    write_work_page(lsn + i, n, now, ops);
-    i += n;
-  }
-}
-
-void BaselineScheme::relocate_slc_page(BlockId victim, PageId page,
-                                       SimTime now, std::vector<PhysOp>& ops) {
-  evict_page_to_mlc(victim, page, now, ops);
-}
 
 }  // namespace ppssd::cache

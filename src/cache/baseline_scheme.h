@@ -23,10 +23,8 @@ class BaselineScheme final : public Scheme {
   }
 
  protected:
-  void place_write(Lsn lsn, std::uint32_t count, SimTime now,
-                   std::vector<PhysOp>& ops) override;
-  void relocate_slc_page(BlockId victim, PageId page, SimTime now,
-                         std::vector<PhysOp>& ops) override;
+  // Placement and relocation are the base defaults: fresh Work pages for
+  // every write, whole-page eviction for every GC victim page.
   [[nodiscard]] const ftl::GcPolicy& slc_policy() const override {
     return greedy_;
   }

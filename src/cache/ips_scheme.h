@@ -65,9 +65,10 @@ class IpsScheme final : public Scheme {
   }
 
  protected:
-  void place_write(Lsn lsn, std::uint32_t count, SimTime now,
-                   std::vector<PhysOp>& ops) override;
-  void relocate_slc_page(BlockId victim, PageId page, SimTime now,
+  // Placement is the base default, Baseline's: one request per fresh
+  // Work page. Never partial-programming is what keeps every cached page
+  // in frontier state, i.e. reprogram-eligible.
+  void relocate_slc_page(const VictimPage& src, SimTime now,
                          std::vector<PhysOp>& ops) override;
   [[nodiscard]] bool relocation_reads_source() const override {
     return !opts_.use_reprogram;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <utility>
 #include <vector>
 
 #include "cache/registry.h"
@@ -65,11 +64,7 @@ void IpuScheme::inspect(telemetry::introspect::StateSink& sink) const {
   Scheme::inspect(sink);
   sink.value("offset_tagged_pages", offsets_.live_pages());
   sink.value("offset_table_capacity", offsets_.capacity());
-  std::uint64_t cold = 0;
-  for (const ColdOpenPage& p : cold_pages_) {
-    if (p.valid()) ++cold;
-  }
-  sink.value("open_cold_pages", cold);
+  sink.value("open_cold_pages", open_page_count());
 }
 
 void IpuScheme::set_options(const Options& opts) {
@@ -79,7 +74,7 @@ void IpuScheme::set_options(const Options& opts) {
       tracker_ = std::make_unique<ftl::UpdateTracker>(
           array_.geometry().logical_subpages());
     }
-    cold_pages_.assign(array_.geometry().planes(), ColdOpenPage{});
+    open_pages_.assign(array_.geometry().planes(), OpenPage{});
   }
 }
 
@@ -101,53 +96,6 @@ void IpuScheme::on_attach_telemetry(telemetry::MetricsRegistry* registry,
   tl_cold_appends_ = registry->counter("cold_append_subpages", labels);
 }
 
-std::uint32_t IpuScheme::append_cold(Lsn lsn, std::uint32_t count,
-                                     SimTime now, std::vector<PhysOp>& ops) {
-  const std::uint32_t plane = next_plane();
-  ColdOpenPage& open = cold_pages_[plane];
-  if (open.valid()) {
-    const auto& page = array_.page(open.block, open.page);
-    const bool usable = page.programmed()
-                            ? array_.can_partial_program(open.block, open.page)
-                            : true;
-    if (!usable) open = ColdOpenPage{};
-  }
-  if (!open.valid()) {
-    const auto alloc = bm_.allocate_page(plane, BlockLevel::kWork);
-    if (!alloc) return 0;
-    open = ColdOpenPage{alloc->block, alloc->page};
-  }
-
-  const auto& page = array_.page(open.block, open.page);
-  const std::uint32_t free =
-      array_.page_count_state(open.block, open.page, nand::SubpageState::kFree);
-  PPSSD_CHECK(free > 0);
-  const std::uint32_t n = std::min(count, free);
-  const bool partial = page.programmed();
-
-  std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
-  const SubpageId first = array_.page_first_free(open.block, open.page);
-  for (std::uint32_t k = 0; k < n; ++k) {
-    const Lsn cur = lsn + k;
-    invalidate_previous(cur);
-    writes[k] = {static_cast<SubpageId>(first + k), cur,
-                 map_.bump_version(cur)};
-  }
-  array_.program(open.block, open.page,
-                 std::span<const nand::SlotWrite>(writes.data(), n), now);
-  if (partial) count_partial_program(n);
-  if (tl_cold_appends_) tl_cold_appends_->inc(n);
-  for (std::uint32_t k = 0; k < n; ++k) {
-    map_.set(writes[k].lsn,
-             PhysicalAddress{open.block, open.page, writes[k].slot});
-  }
-  metrics_.slc_subpages_written += n;
-  metrics_.host_subpages_written += n;
-  metrics_.level_subpages[static_cast<std::size_t>(BlockLevel::kWork)] += n;
-  emit_program(open.block, n, /*background=*/false, ops);
-  return n;
-}
-
 void IpuScheme::update_cached_run(Lsn lsn, std::uint32_t n, SimTime now,
                                   std::vector<PhysOp>& ops) {
   // The whole run is one batch: one update request touching one page costs
@@ -164,48 +112,31 @@ void IpuScheme::update_cached_run(Lsn lsn, std::uint32_t n, SimTime now,
 
   if (fits) {
     // Intra-page update: new versions into the page's free slots; the old
-    // versions are invalidated, so the partial program's in-page disturb
-    // lands only on dead data (Section 3.1).
+    // versions, which live in this same page, retire first, so the partial
+    // program's in-page disturb lands only on dead data (Section 3.1).
     std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
-    SubpageId slot = array_.page_first_free(first.block, first.page);
+    const SubpageId slot = array_.page_first_free(first.block, first.page);
     for (std::uint32_t k = 0; k < n; ++k) {
-      writes[k] = {slot, lsn + k, map_.bump_version(lsn + k)};
-      slot = static_cast<SubpageId>(slot + 1);
+      writes[k] = {static_cast<SubpageId>(slot + k), lsn + k,
+                   map_.bump_version(lsn + k)};
     }
-    // Retire the old versions first (they live in this same page), then
-    // program the new versions into the free slots.
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const PhysicalAddress prev = map_.lookup(lsn + k);
-      PPSSD_CHECK(prev.valid() && prev.block == first.block &&
-                  prev.page == first.page);
-      retire_slot(lsn + k, prev);
-    }
-    array_.program(first.block, first.page,
-                   std::span<const nand::SlotWrite>(writes.data(), n), now);
-    for (std::uint32_t k = 0; k < n; ++k) {
-      map_.set(writes[k].lsn,
-               PhysicalAddress{first.block, first.page, writes[k].slot});
-    }
+    commit_page(first.block, first.page,
+                std::span<const nand::SlotWrite>(writes.data(), n),
+                Retire::kSupersede, {}, now, ops);
     // Pages whose valid set became non-contiguous (misaligned overlap, or
     // a combined cold page) carry no extent tag; adopt one on the first
     // in-place update, otherwise just advance the latest-version offset.
     if (offsets_.lookup(array_.geometry(), first.block, first.page)
             .extent_base == kInvalidLsn) {
       offsets_.open_page(array_.geometry(), first.block, first.page, lsn,
-                         static_cast<std::uint8_t>(n), writes[0].slot);
+                         static_cast<std::uint8_t>(n), slot);
     } else {
       offsets_.update_offset(array_.geometry(), first.block, first.page,
-                             writes[0].slot);
+                             slot);
     }
-
-    const auto level = static_cast<std::size_t>(blk.level());
-    metrics_.slc_subpages_written += n;
-    metrics_.host_subpages_written += n;
-    metrics_.level_subpages[level] += n;
     metrics_.intra_page_updates += n;
     count_partial_program(n);
     if (tl_intra_page_) tl_intra_page_->inc(n);
-    emit_program(first.block, n, /*background=*/false, ops);
     return;
   }
 
@@ -229,22 +160,9 @@ void IpuScheme::update_cached_run(Lsn lsn, std::uint32_t n, SimTime now,
                     {"subpages", static_cast<double>(n)},
                     {"dest_level", static_cast<double>(dest)}});
   }
-  std::array<Lsn, nand::kMaxSubpagesPerPage> lsns;
-  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
-  for (std::uint32_t k = 0; k < n; ++k) {
-    lsns[k] = lsn + k;
-    vers[k] = map_.bump_version(lsn + k);
-  }
-  const std::span<const Lsn> run(lsns.data(), n);
   // Round-robin the destination plane: hot extents would otherwise stay
   // pinned to one plane forever and unbalance the chips.
-  const auto alloc = program_new_slc_page(
-      next_plane(), dest, run, std::span<const std::uint32_t>(vers.data(), n),
-      now, /*host=*/true, ops);
-  if (!alloc) {
-    for (const Lsn l : run) map_.rollback_version(l);
-    direct_mlc_write(lsn, n, now, ops);
-  }
+  write_fresh_page(lsn, n, dest, now, ops);
 }
 
 std::uint32_t IpuScheme::cached_batch_len(Lsn lsn, std::uint32_t max) const {
@@ -297,8 +215,10 @@ void IpuScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
              tracker_->write_count(lsn + i + cold_run) <= 1) {
         ++cold_run;
       }
-      const std::uint32_t wrote = append_cold(lsn + i, cold_run, now, ops);
+      const std::uint32_t wrote =
+          append_to_open_page(lsn + i, cold_run, now, ops);
       if (wrote > 0) {
+        if (tl_cold_appends_) tl_cold_appends_->inc(wrote);
         i += wrote;
         continue;
       }
@@ -307,34 +227,19 @@ void IpuScheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
     // New data (or misaligned overlap / MLC-resident): pack the run into
     // fresh Work pages, one request per page (Figure 3's W1/W2/W3).
     const std::uint32_t n = std::min(count - i, subpages_per_page());
-    write_work_page(lsn + i, n, now, ops);
+    write_fresh_page(lsn + i, n, BlockLevel::kWork, now, ops);
     i += n;
   }
 }
 
-void IpuScheme::relocate_slc_page(BlockId victim, PageId page, SimTime now,
+void IpuScheme::relocate_slc_page(const VictimPage& src, SimTime now,
                                   std::vector<PhysOp>& ops) {
-  nand::Block& blk = array_.block(victim);
-  const nand::Page& pg = array_.page(victim, page);
-
-  std::array<Lsn, nand::kMaxSubpagesPerPage> live;
-  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
-  std::size_t n = 0;
-  for (std::uint32_t s = 0; s < subpages_per_page(); ++s) {
-    const nand::Subpage sp =
-        array_.subpage(victim, page, static_cast<SubpageId>(s));
-    if (sp.state == nand::SubpageState::kValid) {
-      live[n] = sp.owner_lsn;
-      vers[n] = sp.version;
-      ++n;
-    }
-  }
-  PPSSD_CHECK(n > 0);
+  const nand::Block& blk = array_.block(src.block);
 
   // Degraded movement (Section 3.2 / Figure 4): updated pages keep their
   // level, never-updated pages sink one level; cold Work pages leave the
   // cache entirely.
-  const bool updated = ftl::page_updated(pg);
+  const bool updated = ftl::page_updated(array_.page(src.block, src.page));
   const auto cur = static_cast<std::uint8_t>(blk.level());
   BlockLevel dest;
   if (!opts_.use_levels) {
@@ -342,55 +247,43 @@ void IpuScheme::relocate_slc_page(BlockId victim, PageId page, SimTime now,
   } else {
     dest = updated ? blk.level() : static_cast<BlockLevel>(cur - 1);
   }
-
-  if (dest == BlockLevel::kHighDensity) {
-    evict_page_to_mlc(victim, page, now, ops);
-    return;
-  }
-  const auto alloc = program_new_slc_page(
-      array_.block_static(victim).plane, dest,
-      std::span<const Lsn>(live.data(), n),
-      std::span<const std::uint32_t>(vers.data(), n), now, /*host=*/false,
-      ops);
-  if (!alloc) {
+  if (dest != BlockLevel::kHighDensity) {
+    // The live data packs into the fresh page's leading slots.
+    std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes = src.live;
+    for (std::uint32_t i = 0; i < src.count; ++i) {
+      writes[i].slot = static_cast<SubpageId>(i);
+    }
+    if (program_new_slc_page(
+            array_.block_static(src.block).plane, dest,
+            std::span<const nand::SlotWrite>(writes.data(), src.count),
+            src.sources(), now, ops)) {
+      return;
+    }
     // No SLC destination: fall back to ejecting the page's data.
-    evict_page_to_mlc(victim, page, now, ops);
   }
+  evict_page_to_mlc(src, now, ops);
 }
 
 void IpuScheme::on_slc_block_erased(BlockId block) {
   offsets_.clear_block(array_.geometry(), block);
-  for (auto& open : cold_pages_) {
-    if (open.block == block) open = ColdOpenPage{};
-  }
 }
 
-void IpuScheme::on_slc_page_programmed(BlockId block, PageId page,
-                                       std::span<const Lsn> lsns,
-                                       bool first_program) {
-  if (!first_program) return;
+void IpuScheme::on_slc_page_programmed(
+    BlockId block, PageId page, std::span<const nand::SlotWrite> writes) {
   // Combined cold pages (and GC moves of them) can carry non-contiguous
   // LSNs; those pages need per-slot mapping entries, not an extent tag.
-  for (std::size_t i = 1; i < lsns.size(); ++i) {
-    if (lsns[i] != lsns[i - 1] + 1) return;
+  for (std::size_t i = 1; i < writes.size(); ++i) {
+    if (writes[i].lsn != writes[i - 1].lsn + 1) return;
   }
-  offsets_.open_page(array_.geometry(), block, page, lsns.front(),
-                     static_cast<std::uint8_t>(lsns.size()), /*offset=*/0);
+  offsets_.open_page(array_.geometry(), block, page, writes.front().lsn,
+                     static_cast<std::uint8_t>(writes.size()), /*offset=*/0);
 }
 
 void IpuScheme::save_scheme_state(io::StateSink& sink) const {
   offsets_.save(sink);
   sink.boolean(tracker_ != nullptr);
   if (tracker_) tracker_->save(sink);
-  // Field-wise: ColdOpenPage has two padding bytes after `page`, which a
-  // raw copy would leak into the checkpoint. The layout is the raw copy's
-  // (u64 count, then 8 bytes per plane) with the padding written as zero.
-  sink.u64(cold_pages_.size());
-  for (const ColdOpenPage& p : cold_pages_) {
-    sink.u32(p.block);
-    sink.u16(p.page);
-    sink.u16(0);
-  }
+  save_open_pages(sink);
 }
 
 void IpuScheme::restore_scheme_state(io::StateSource& src) {
@@ -402,17 +295,7 @@ void IpuScheme::restore_scheme_state(io::StateSource& src) {
   PPSSD_CHECK_MSG(has_tracker == (tracker_ != nullptr),
                   "warm-start checkpoint disagrees on combine_cold tracker");
   if (tracker_) tracker_->restore(src);
-  const std::uint64_t planes = src.u64();
-  PPSSD_CHECK_MSG(src.ok() && planes == cold_pages_.size(),
-                  "warm-start checkpoint does not match cold-page shape");
-  std::vector<ColdOpenPage> cold(cold_pages_.size());
-  for (ColdOpenPage& p : cold) {
-    p.block = src.u32();
-    p.page = src.u16();
-    (void)src.u16();  // padding
-  }
-  PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint truncated");
-  cold_pages_ = std::move(cold);
+  restore_open_pages(src);
 }
 
 }  // namespace ppssd::cache

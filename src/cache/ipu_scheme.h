@@ -60,13 +60,13 @@ class IpuScheme final : public Scheme {
  protected:
   void place_write(Lsn lsn, std::uint32_t count, SimTime now,
                    std::vector<PhysOp>& ops) override;
-  void relocate_slc_page(BlockId victim, PageId page, SimTime now,
+  void relocate_slc_page(const VictimPage& src, SimTime now,
                          std::vector<PhysOp>& ops) override;
   [[nodiscard]] const ftl::GcPolicy& slc_policy() const override;
   void on_slc_block_erased(BlockId block) override;
-  void on_slc_page_programmed(BlockId block, PageId page,
-                              std::span<const Lsn> lsns,
-                              bool first_program) override;
+  void on_slc_page_programmed(
+      BlockId block, PageId page,
+      std::span<const nand::SlotWrite> writes) override;
   void on_attach_telemetry(telemetry::MetricsRegistry* registry,
                            const telemetry::Labels& labels) override;
   void save_scheme_state(io::StateSink& sink) const override;
@@ -83,23 +83,12 @@ class IpuScheme final : public Scheme {
   [[nodiscard]] std::uint32_t cached_batch_len(Lsn lsn,
                                                std::uint32_t max) const;
 
-  /// combine_cold: append `count` cold subpages into the plane-rotating
-  /// shared cold page. Returns subpages written (0 -> caller falls back).
-  std::uint32_t append_cold(Lsn lsn, std::uint32_t count, SimTime now,
-                            std::vector<PhysOp>& ops);
-
-  struct ColdOpenPage {
-    BlockId block = kInvalidBlock;
-    PageId page = kInvalidPage;
-    [[nodiscard]] bool valid() const { return block != kInvalidBlock; }
-  };
-
   ftl::IpuOffsetTable offsets_;
   ftl::IsrPolicy isr_;
   Options opts_;
-  /// combine_cold state: per-LSN write history + per-plane shared pages.
+  /// combine_cold state: per-LSN write history. The shared cold pages are
+  /// the base's open pages, sized to the planes only with combine_cold.
   std::unique_ptr<ftl::UpdateTracker> tracker_;
-  std::vector<ColdOpenPage> cold_pages_;
   // Telemetry handles (null until attached): IPU-specific placement paths.
   telemetry::Counter* tl_intra_page_ = nullptr;   // subpages updated in place
   telemetry::Counter* tl_level_climbs_ = nullptr; // hot relocations upward

@@ -32,37 +32,16 @@ class MgaScheme final : public Scheme {
  protected:
   void place_write(Lsn lsn, std::uint32_t count, SimTime now,
                    std::vector<PhysOp>& ops) override;
-  void relocate_slc_page(BlockId victim, PageId page, SimTime now,
-                         std::vector<PhysOp>& ops) override;
   [[nodiscard]] const ftl::GcPolicy& slc_policy() const override {
     return greedy_;
   }
   void on_slc_block_erased(BlockId block) override;
   void on_slc_slot_invalidated(const PhysicalAddress& addr) override;
-  void on_slc_page_programmed(BlockId block, PageId page,
-                              std::span<const Lsn> lsns,
-                              bool first_program) override;
   void save_scheme_state(io::StateSink& sink) const override;
   void restore_scheme_state(io::StateSource& src) override;
 
  private:
-  /// The plane's current aggregation page, or nullopt when a fresh page
-  /// must be opened.
-  struct OpenPage {
-    BlockId block = kInvalidBlock;
-    PageId page = kInvalidPage;
-    [[nodiscard]] bool valid() const { return block != kInvalidBlock; }
-  };
-
-  /// Append up to `max` subpages starting at `lsn` into the plane's open
-  /// aggregation page; returns how many were written (0 if a fresh page
-  /// could not be opened either).
-  std::uint32_t append_to_plane(std::uint32_t plane, Lsn lsn,
-                                std::uint32_t max, SimTime now,
-                                std::vector<PhysOp>& ops);
-
   ftl::SecondLevelTable second_level_;
-  std::vector<OpenPage> open_pages_;  // per plane
 };
 
 }  // namespace ppssd::cache

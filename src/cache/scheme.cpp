@@ -92,51 +92,26 @@ double Scheme::ber_of(const PhysicalAddress& addr) const {
       array_.disturb_of(addr.block, addr.page, addr.subpage));
 }
 
-void Scheme::emit_program(BlockId block, std::uint32_t subpages,
-                          bool background, std::vector<PhysOp>& ops) {
+PhysOp& Scheme::emit_op(PhysOp::Kind kind, BlockId block,
+                       std::uint32_t subpages, bool background,
+                       std::vector<PhysOp>& ops) {
   const nand::BlockStatic& bs = array_.block_static(block);
-  PhysOp op;
+  PhysOp& op = ops.emplace_back();
   op.chip = bs.chip;
   op.channel = bs.channel;
-  op.kind = PhysOp::Kind::kProgram;
+  op.kind = kind;
   op.mode = bs.mode;
   op.subpages = subpages;
   op.background = background;
   op.origin = background ? OpOrigin::kGc : fg_origin_;
-  // Relocation programs consume data produced by a GC page read earlier in
-  // this request; host programs have no intra-request data dependency.
-  if (background) op.depends_on = gc_read_dep_;
-  ops.push_back(op);
+  return op;
 }
 
-void Scheme::emit_page_read(BlockId block, PageId /*page*/,
-                            std::uint32_t subpages, double max_ber,
-                            bool background, std::vector<PhysOp>& ops) {
-  const nand::BlockStatic& bs = array_.block_static(block);
-  PhysOp op;
-  op.chip = bs.chip;
-  op.channel = bs.channel;
-  op.kind = PhysOp::Kind::kRead;
-  op.mode = bs.mode;
-  op.subpages = subpages;
-  op.ber = max_ber;
-  op.background = background;
-  op.origin = background ? OpOrigin::kGc : fg_origin_;
-  ops.push_back(op);
+void Scheme::emit_page_read(BlockId block, std::uint32_t subpages,
+                            double max_ber, bool background,
+                            std::vector<PhysOp>& ops) {
+  emit_op(PhysOp::Kind::kRead, block, subpages, background, ops).ber = max_ber;
   array_.count_read(block);
-}
-
-void Scheme::emit_erase(BlockId block, std::vector<PhysOp>& ops) {
-  const nand::BlockStatic& bs = array_.block_static(block);
-  PhysOp op;
-  op.chip = bs.chip;
-  op.channel = bs.channel;
-  op.kind = PhysOp::Kind::kErase;
-  op.mode = bs.mode;
-  op.subpages = 0;
-  op.background = true;
-  op.origin = OpOrigin::kGc;
-  ops.push_back(op);
 }
 
 // ---- invalidation ----------------------------------------------------------
@@ -162,56 +137,72 @@ void Scheme::invalidate_previous(Lsn lsn) {
   }
 }
 
-// ---- placement helpers -------------------------------------------------------
+// ---- the page commit and the placement helpers built on it -----------------
+
+void Scheme::commit_page(BlockId block, PageId page,
+                         std::span<const nand::SlotWrite> writes,
+                         Retire retire, std::span<const PhysicalAddress> from,
+                         SimTime now, std::vector<PhysOp>& ops,
+                         PhysOp::Kind kind) {
+  PPSSD_CHECK(!writes.empty() && writes.size() <= spp_);
+  PPSSD_DCHECK(retire == Retire::kSource ? from.size() == writes.size()
+                                         : from.empty());
+  // Every old copy retires before the program, so each map transition is
+  // a clean clear + set.
+  if (retire == Retire::kSupersede) {
+    for (const nand::SlotWrite& w : writes) invalidate_previous(w.lsn);
+  } else if (retire == Retire::kSource) {
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      retire_slot(writes[i].lsn, from[i]);
+    }
+  }
+  if (kind == PhysOp::Kind::kReprogram) {
+    array_.reprogram(from[0].block, from[0].page, block, page, writes, now);
+  } else {
+    array_.program(block, page, writes, now);
+  }
+  for (const nand::SlotWrite& w : writes) {
+    map_.set(w.lsn, PhysicalAddress{block, page, w.slot});
+  }
+
+  const auto n = static_cast<std::uint32_t>(writes.size());
+  const bool slc = array_.block_static(block).mode == CellMode::kSlc;
+  const bool background = retire != Retire::kSupersede;
+  (slc ? metrics_.slc_subpages_written : metrics_.mlc_subpages_written) += n;
+  if (!background) {
+    metrics_.host_subpages_written += n;
+    if (slc) {
+      metrics_.level_subpages[static_cast<std::size_t>(
+          array_.block(block).level())] += n;
+    }
+  } else if (slc) {
+    metrics_.gc_moved_subpages += n;
+    if (tl_gc_moved_) tl_gc_moved_->inc(n);
+  }
+  PhysOp& op = emit_op(kind, block, n, background, ops);
+  // Relocation programs consume data produced by a GC page read earlier
+  // in this request; host programs and the in-place switch do not.
+  if (background && kind == PhysOp::Kind::kProgram) {
+    op.depends_on = gc_read_dep_;
+  }
+}
 
 std::optional<ftl::PageAlloc> Scheme::program_new_slc_page(
-    std::uint32_t plane, BlockLevel level, std::span<const Lsn> lsns,
-    std::span<const std::uint32_t> versions, SimTime now, bool host,
+    std::uint32_t plane, BlockLevel level,
+    std::span<const nand::SlotWrite> writes,
+    std::span<const PhysicalAddress> from, SimTime now,
     std::vector<PhysOp>& ops) {
-  PPSSD_CHECK(!lsns.empty() && lsns.size() <= spp_);
-  PPSSD_CHECK(lsns.size() == versions.size());
   const auto alloc = bm_.allocate_page(plane, level);
   if (!alloc) return std::nullopt;
-
-  std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
-  for (std::size_t i = 0; i < lsns.size(); ++i) {
-    // Whether this is a host supersede or a GC move, the previous copy
-    // retires first; the map transition is then a clean clear+set.
-    invalidate_previous(lsns[i]);
-    writes[i] = {static_cast<SubpageId>(i), lsns[i], versions[i]};
-  }
-  array_.program(alloc->block, alloc->page,
-                 std::span<const nand::SlotWrite>(writes.data(), lsns.size()),
-                 now);
-  for (std::size_t i = 0; i < lsns.size(); ++i) {
-    map_.set(lsns[i], PhysicalAddress{alloc->block, alloc->page,
-                                      static_cast<SubpageId>(i)});
-  }
-  on_slc_page_programmed(alloc->block, alloc->page, lsns, /*first=*/true);
-
-  metrics_.slc_subpages_written += lsns.size();
-  if (host) {
-    metrics_.host_subpages_written += lsns.size();
-    metrics_.level_subpages[static_cast<std::size_t>(alloc->level)] +=
-        lsns.size();
-  } else {
-    metrics_.gc_moved_subpages += lsns.size();
-    if (tl_gc_moved_) tl_gc_moved_->inc(lsns.size());
-  }
-  emit_program(alloc->block, static_cast<std::uint32_t>(lsns.size()),
-               /*background=*/!host, ops);
+  commit_page(alloc->block, alloc->page, writes,
+              from.empty() ? Retire::kSupersede : Retire::kSource, from, now,
+              ops);
+  on_slc_page_programmed(alloc->block, alloc->page, writes);
   return alloc;
 }
 
-void Scheme::program_mlc_page(std::span<const Lsn> lsns,
-                              std::span<const std::uint32_t> versions,
-                              SimTime now, bool host, bool background,
-                              std::vector<PhysOp>& ops,
-                              std::uint32_t plane_hint) {
-  PPSSD_CHECK(!lsns.empty() && lsns.size() <= spp_);
-  // GC evictions stay plane-local (SSDsim-style copy out of the victim's
-  // plane); host-path MLC writes stripe round-robin.
-  std::uint32_t plane = plane_hint != UINT32_MAX ? plane_hint : next_plane();
+ftl::PageAlloc Scheme::allocate_dense_page(std::uint32_t plane, SimTime now,
+                                           std::vector<PhysOp>& ops) {
   std::optional<ftl::PageAlloc> alloc;
   for (std::uint32_t attempt = 0; attempt < array_.geometry().planes();
        ++attempt) {
@@ -221,109 +212,162 @@ void Scheme::program_mlc_page(std::span<const Lsn> lsns,
     plane = next_plane();
   }
   PPSSD_CHECK_MSG(alloc.has_value(), "MLC region exhausted beyond recovery");
-
-  std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
-  for (std::size_t i = 0; i < lsns.size(); ++i) {
-    invalidate_previous(lsns[i]);
-    writes[i] = {static_cast<SubpageId>(i), lsns[i], versions[i]};
-  }
-  array_.program(alloc->block, alloc->page,
-                 std::span<const nand::SlotWrite>(writes.data(), lsns.size()),
-                 now);
-  for (std::size_t i = 0; i < lsns.size(); ++i) {
-    map_.set(lsns[i], PhysicalAddress{alloc->block, alloc->page,
-                                      static_cast<SubpageId>(i)});
-  }
-  metrics_.mlc_subpages_written += lsns.size();
-  if (host) metrics_.host_subpages_written += lsns.size();
-  emit_program(alloc->block, static_cast<std::uint32_t>(lsns.size()),
-               background, ops);
+  return *alloc;
 }
 
-void Scheme::evict_page_to_mlc(BlockId victim, PageId page, SimTime now,
+void Scheme::program_mlc_page(std::span<const nand::SlotWrite> writes,
+                              bool host, SimTime now,
+                              std::vector<PhysOp>& ops,
+                              std::uint32_t plane_hint) {
+  // GC evictions stay plane-local (SSDsim-style copy out of the victim's
+  // plane); host-path MLC writes stripe round-robin.
+  const ftl::PageAlloc alloc = allocate_dense_page(
+      plane_hint != UINT32_MAX ? plane_hint : next_plane(), now, ops);
+  commit_page(alloc.block, alloc.page, writes,
+              host ? Retire::kSupersede : Retire::kNone, {}, now, ops);
+}
+
+void Scheme::evict_page_to_mlc(const VictimPage& src, SimTime now,
                                std::vector<PhysOp>& ops) {
-  // Stage and retire the page's valid data; the staged buffer flushes
+  // Stage and retire the page's live data; the staged buffer flushes
   // into packed MLC pages at the end of the GC pass.
-  for (std::uint32_t s = 0; s < spp_; ++s) {
-    const nand::Subpage sp =
-        array_.subpage(victim, page, static_cast<SubpageId>(s));
-    if (sp.state != nand::SubpageState::kValid) continue;
-    staged_evictions_.push_back({sp.owner_lsn, sp.version});
-    retire_slot(sp.owner_lsn,
-                PhysicalAddress{victim, page, static_cast<SubpageId>(s)});
+  for (std::uint32_t i = 0; i < src.count; ++i) {
+    const nand::SlotWrite& w = src.live[i];
+    staged_evictions_.push_back(
+        {static_cast<SubpageId>(staged_evictions_.size() % spp_), w.lsn,
+         w.version});
+    retire_slot(w.lsn, src.from[i]);
   }
   if (staged_evictions_.size() >= 4 * spp_) {
-    flush_evictions(array_.block_static(victim).plane, now, ops);
+    flush_evictions(array_.block_static(src.block).plane, now, ops);
   }
 }
 
 void Scheme::flush_evictions(std::uint32_t plane, SimTime now,
                              std::vector<PhysOp>& ops) {
-  std::size_t i = 0;
-  std::array<Lsn, nand::kMaxSubpagesPerPage> lsns;
-  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> versions;
-  while (i < staged_evictions_.size()) {
-    std::size_t n = 0;
-    while (n < spp_ && i < staged_evictions_.size()) {
-      lsns[n] = staged_evictions_[i].lsn;
-      versions[n] = staged_evictions_[i].version;
-      ++n;
-      ++i;
-    }
-    program_mlc_page(std::span<const Lsn>(lsns.data(), n),
-                     std::span<const std::uint32_t>(versions.data(), n), now,
-                     /*host=*/false, /*background=*/true, ops, plane);
+  const std::span<const nand::SlotWrite> staged(staged_evictions_);
+  for (std::size_t i = 0; i < staged.size(); i += spp_) {
+    const std::size_t n = std::min<std::size_t>(spp_, staged.size() - i);
+    program_mlc_page(staged.subspan(i, n), /*host=*/false, now, ops, plane);
     count_evicted(static_cast<std::uint32_t>(n));
   }
-  if (i > 0 && tlog_ && tlog_->enabled(telemetry::TraceCategory::kMode)) {
+  if (!staged.empty() && tlog_ &&
+      tlog_->enabled(telemetry::TraceCategory::kMode)) {
     tlog_->instant(telemetry::TraceCategory::kMode, "evict_slc_to_mlc", now,
                    telemetry::kCacheLane,
-                   {{"subpages", static_cast<double>(i)},
+                   {{"subpages", static_cast<double>(staged.size())},
                     {"plane", static_cast<double>(plane)}});
   }
   staged_evictions_.clear();
 }
 
-void Scheme::write_work_page(Lsn lsn, std::uint32_t n, SimTime now,
-                             std::vector<PhysOp>& ops) {
+void Scheme::write_fresh_page(Lsn lsn, std::uint32_t n, BlockLevel level,
+                              SimTime now, std::vector<PhysOp>& ops) {
   PPSSD_DCHECK(n > 0 && n <= spp_);
-  std::array<Lsn, nand::kMaxSubpagesPerPage> chunk;
-  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
+  std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
   for (std::uint32_t k = 0; k < n; ++k) {
-    chunk[k] = lsn + k;
-    vers[k] = map_.bump_version(lsn + k);
+    writes[k] = {static_cast<SubpageId>(k), lsn + k,
+                 map_.bump_version(lsn + k)};
   }
-  const std::span<const Lsn> run(chunk.data(), n);
-  const auto alloc = program_new_slc_page(
-      next_plane(), BlockLevel::kWork, run,
-      std::span<const std::uint32_t>(vers.data(), n), now,
-      /*host=*/true, ops);
-  if (!alloc) {
+  if (!program_new_slc_page(next_plane(), level,
+                            std::span<const nand::SlotWrite>(writes.data(), n),
+                            {}, now, ops)) {
     // SLC region exhausted even for Work blocks: write through to MLC.
     // Roll the versions back first — direct_mlc_write bumps them itself.
-    for (const Lsn l : run) map_.rollback_version(l);
+    for (std::uint32_t k = 0; k < n; ++k) map_.rollback_version(lsn + k);
     direct_mlc_write(lsn, n, now, ops);
+  }
+}
+
+void Scheme::place_write(Lsn lsn, std::uint32_t count, SimTime now,
+                         std::vector<PhysOp>& ops) {
+  for (std::uint32_t i = 0; i < count;) {
+    const std::uint32_t n = std::min(count - i, spp_);
+    write_fresh_page(lsn + i, n, BlockLevel::kWork, now, ops);
+    i += n;
   }
 }
 
 void Scheme::direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
                               std::vector<PhysOp>& ops) {
   if (tl_direct_mlc_) tl_direct_mlc_->inc(count);
-  std::uint32_t i = 0;
-  std::array<Lsn, nand::kMaxSubpagesPerPage> chunk;
-  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> vers;
-  while (i < count) {
-    std::size_t n = 0;
-    while (i < count && n < spp_) {
-      chunk[n] = lsn + i;
-      vers[n] = map_.bump_version(lsn + i);
-      ++n;
-      ++i;
+  std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
+  for (std::uint32_t i = 0; i < count;) {
+    std::uint32_t n = 0;
+    for (; i < count && n < spp_; ++n, ++i) {
+      writes[n] = {static_cast<SubpageId>(n), lsn + i,
+                   map_.bump_version(lsn + i)};
     }
-    program_mlc_page(std::span<const Lsn>(chunk.data(), n),
-                     std::span<const std::uint32_t>(vers.data(), n), now,
-                     /*host=*/true, /*background=*/false, ops);
+    program_mlc_page(std::span<const nand::SlotWrite>(writes.data(), n),
+                     /*host=*/true, now, ops);
   }
+}
+
+std::uint32_t Scheme::append_to_open_page(Lsn lsn, std::uint32_t max,
+                                          SimTime now,
+                                          std::vector<PhysOp>& ops) {
+  const std::uint32_t plane = next_plane();
+  OpenPage& open = open_pages_[plane];
+  // Re-open when the current page can take no more programs.
+  if (open.valid() && array_.page(open.block, open.page).programmed() &&
+      !array_.can_partial_program(open.block, open.page)) {
+    open = OpenPage{};
+  }
+  if (!open.valid()) {
+    const auto alloc = bm_.allocate_page(plane, BlockLevel::kWork);
+    if (!alloc) return 0;
+    open = OpenPage{alloc->block, alloc->page};
+  }
+
+  const bool partial = array_.page(open.block, open.page).programmed();
+  const std::uint32_t free =
+      array_.page_count_state(open.block, open.page, nand::SubpageState::kFree);
+  PPSSD_CHECK(free > 0);
+  const std::uint32_t n = std::min(max, free);
+  // The free slots are a suffix: slots are consumed in order and
+  // invalidation never frees them.
+  std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
+  const SubpageId first = array_.page_first_free(open.block, open.page);
+  for (std::uint32_t k = 0; k < n; ++k) {
+    writes[k] = {static_cast<SubpageId>(first + k), lsn + k,
+                 map_.bump_version(lsn + k)};
+  }
+  commit_page(open.block, open.page,
+              std::span<const nand::SlotWrite>(writes.data(), n),
+              Retire::kSupersede, {}, now, ops);
+  if (partial) count_partial_program(n);
+  return n;
+}
+
+std::uint64_t Scheme::open_page_count() const {
+  return static_cast<std::uint64_t>(
+      std::count_if(open_pages_.begin(), open_pages_.end(),
+                    [](const OpenPage& p) { return p.valid(); }));
+}
+
+void Scheme::save_open_pages(io::StateSink& sink) const {
+  // Field-wise: OpenPage has two padding bytes after `page`, which a raw
+  // copy would leak into the checkpoint.
+  sink.u64(open_pages_.size());
+  for (const OpenPage& p : open_pages_) {
+    sink.u32(p.block);
+    sink.u16(p.page);
+    sink.u16(0);
+  }
+}
+
+void Scheme::restore_open_pages(io::StateSource& src) {
+  const std::uint64_t planes = src.u64();
+  PPSSD_CHECK_MSG(src.ok() && planes == open_pages_.size(),
+                  "warm-start checkpoint does not match open-page shape");
+  std::vector<OpenPage> open(open_pages_.size());
+  for (OpenPage& p : open) {
+    p.block = src.u32();
+    p.page = src.u16();
+    (void)src.u16();  // padding
+  }
+  PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint truncated");
+  open_pages_ = std::move(open);
 }
 
 std::uint64_t Scheme::prefill_mlc(std::uint64_t max_subpages,
@@ -500,43 +544,26 @@ bool Scheme::slc_gc_once(std::uint32_t plane, SimTime now,
 
   const std::size_t victim_ops_start = ops.size();
   for (std::uint32_t p = 0; p < blk.write_frontier(); ++p) {
-    const auto page_id = static_cast<PageId>(p);
-    std::uint32_t valid = 0;
-    double max_ber = 0.0;
-    for (std::uint32_t s = 0; s < spp_; ++s) {
-      if (array_.subpage_state(victim, page_id, static_cast<SubpageId>(s)) ==
-          nand::SubpageState::kValid) {
-        ++valid;
-        max_ber = std::max(
-            max_ber,
-            ber_of(PhysicalAddress{victim, page_id,
-                                   static_cast<SubpageId>(s)}));
-      }
-    }
-    if (valid == 0) continue;
+    const VictimPage src = scan_victim_page(victim, static_cast<PageId>(p));
+    if (src.count == 0) continue;
     if (relocation_reads_source()) {
-      emit_page_read(victim, page_id, valid, max_ber, /*background=*/true,
+      emit_page_read(victim, src.count, src.max_ber, /*background=*/true,
                      ops);
       gc_read_dep_ = static_cast<std::uint32_t>(ops.size() - 1);
     }
-    relocate_slc_page(victim, page_id, now, ops);
-    PPSSD_DCHECK_MSG(
-        array_.page_count_state(victim, page_id, nand::SubpageState::kValid) ==
-            0,
-        "relocate_slc_page left valid data behind");
+    relocate_slc_page(src, now, ops);
+    PPSSD_DCHECK_MSG(array_.page_count_state(victim, src.page,
+                                             nand::SubpageState::kValid) == 0,
+                     "relocate_slc_page left valid data behind");
   }
   flush_evictions(array_.block_static(victim).plane, now, ops);
   gc_read_dep_ = PhysOp::kNoDependency;
 
-  emit_erase(victim, ops);
-  // The victim may be erased only after its valid data has been rewritten
-  // elsewhere: chain the erase behind the last relocation op.
-  if (ops.size() - 1 > victim_ops_start) {
-    ops.back().depends_on = static_cast<std::uint32_t>(ops.size() - 2);
+  erase_victim(victim, victim_ops_start, now, ops);
+  for (OpenPage& open : open_pages_) {
+    if (open.block == victim) open = OpenPage{};
   }
-  array_.erase(victim, now);
   on_slc_block_erased(victim);
-  bm_.release_block(victim);
   return true;
 }
 
@@ -573,64 +600,69 @@ bool Scheme::mlc_gc_once(std::uint32_t plane, SimTime now,
   // Pack the victim's valid subpages into fresh MLC pages of the same
   // plane: one read per source page, one program per packed destination.
   std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> pack;
-  std::size_t packed = 0;
-  auto flush_pack = [&] {
+  std::array<PhysicalAddress, nand::kMaxSubpagesPerPage> pack_from;
+  std::uint32_t packed = 0;
+  const auto flush_pack = [&] {
     if (packed == 0) return;
     const auto alloc = bm_.allocate_page(plane, BlockLevel::kHighDensity);
     PPSSD_CHECK_MSG(alloc.has_value(),
                     "no MLC destination during GC (threshold too low)");
-    for (std::size_t i = 0; i < packed; ++i) {
-      pack[i].slot = static_cast<SubpageId>(i);
-      invalidate_previous(pack[i].lsn);
-    }
-    array_.program(alloc->block, alloc->page,
-                   std::span<const nand::SlotWrite>(pack.data(), packed),
-                   now);
-    for (std::size_t i = 0; i < packed; ++i) {
-      map_.set(pack[i].lsn, PhysicalAddress{alloc->block, alloc->page,
-                                            static_cast<SubpageId>(i)});
-    }
-    metrics_.mlc_subpages_written += packed;
-    emit_program(alloc->block, static_cast<std::uint32_t>(packed),
-                 /*background=*/true, ops);
+    commit_page(alloc->block, alloc->page,
+                std::span<const nand::SlotWrite>(pack.data(), packed),
+                Retire::kSource,
+                std::span<const PhysicalAddress>(pack_from.data(), packed),
+                now, ops);
     packed = 0;
   };
 
   for (std::uint32_t p = 0; p < blk.write_frontier(); ++p) {
-    const auto page_id = static_cast<PageId>(p);
-    std::uint32_t valid = 0;
-    double max_ber = 0.0;
-    for (std::uint32_t s = 0; s < spp_; ++s) {
-      if (array_.subpage_state(victim, page_id, static_cast<SubpageId>(s)) !=
-          nand::SubpageState::kValid) {
-        continue;
-      }
-      ++valid;
-      max_ber = std::max(
-          max_ber, ber_of(PhysicalAddress{victim, page_id,
-                                          static_cast<SubpageId>(s)}));
-    }
-    if (valid == 0) continue;
-    emit_page_read(victim, page_id, valid, max_ber, /*background=*/true, ops);
+    const VictimPage src = scan_victim_page(victim, static_cast<PageId>(p));
+    if (src.count == 0) continue;
+    emit_page_read(victim, src.count, src.max_ber, /*background=*/true, ops);
     gc_read_dep_ = static_cast<std::uint32_t>(ops.size() - 1);
-    for (std::uint32_t s = 0; s < spp_; ++s) {
-      const nand::Subpage sp =
-          array_.subpage(victim, page_id, static_cast<SubpageId>(s));
-      if (sp.state != nand::SubpageState::kValid) continue;
-      pack[packed++] = {0, sp.owner_lsn, sp.version};
+    for (std::uint32_t i = 0; i < src.count; ++i) {
+      pack[packed] = {static_cast<SubpageId>(packed), src.live[i].lsn,
+                      src.live[i].version};
+      pack_from[packed++] = src.from[i];
       if (packed == spp_) flush_pack();
     }
   }
   flush_pack();
 
-  emit_erase(victim, ops);
-  if (ops.size() - 1 > victim_ops_start) {
+  erase_victim(victim, victim_ops_start, now, ops);
+  gc_read_dep_ = outer_read_dep;
+  return true;
+}
+
+Scheme::VictimPage Scheme::scan_victim_page(BlockId block,
+                                            PageId page) const {
+  VictimPage src;
+  src.block = block;
+  src.page = page;
+  for (std::uint32_t s = 0; s < spp_; ++s) {
+    const PhysicalAddress addr{block, page, static_cast<SubpageId>(s)};
+    if (array_.subpage_state(block, page, addr.subpage) !=
+        nand::SubpageState::kValid) {
+      continue;
+    }
+    const nand::Subpage sp = array_.subpage(block, page, addr.subpage);
+    src.live[src.count] = {addr.subpage, sp.owner_lsn, sp.version};
+    src.from[src.count++] = addr;
+    src.max_ber = std::max(src.max_ber, ber_of(addr));
+  }
+  return src;
+}
+
+void Scheme::erase_victim(BlockId victim, std::size_t pass_ops_start,
+                          SimTime now, std::vector<PhysOp>& ops) {
+  // The victim may be erased only after its valid data has been rewritten
+  // elsewhere: chain the erase behind the last relocation op.
+  emit_op(PhysOp::Kind::kErase, victim, 0, /*background=*/true, ops);
+  if (ops.size() - 1 > pass_ops_start) {
     ops.back().depends_on = static_cast<std::uint32_t>(ops.size() - 2);
   }
-  gc_read_dep_ = outer_read_dep;
   array_.erase(victim, now);
   bm_.release_block(victim);
-  return true;
 }
 
 // ---- host entry points -------------------------------------------------------
@@ -682,8 +714,7 @@ void Scheme::host_read(Lsn lsn, std::uint32_t count, SimTime now,
   double run_ber = 0.0;
   const auto end_run = [&] {
     if (run_len == 0) return;
-    emit_page_read(run_block, run_page, run_len, run_ber,
-                   /*background=*/false, ops);
+    emit_page_read(run_block, run_len, run_ber, /*background=*/false, ops);
     run_len = 0;
   };
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -28,6 +28,7 @@
 // (sim/controller.h) prices against chip/channel availability.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -231,15 +232,47 @@ class Scheme {
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
  protected:
-  /// Scheme-specific write placement. Must handle map updates, old-version
-  /// invalidation, metrics, and emit program ops.
-  virtual void place_write(Lsn lsn, std::uint32_t count, SimTime now,
-                           std::vector<PhysOp>& ops) = 0;
+  /// The live slots of one GC victim page, read once by the GC driver.
+  /// live[i] is the LSN and version stored at victim slot from[i], and
+  /// its `slot` is that slot's subpage. max_ber is the highest raw BER
+  /// among them, which prices the page read that sources the data.
+  struct VictimPage {
+    BlockId block = kInvalidBlock;
+    PageId page = 0;
+    std::uint32_t count = 0;
+    double max_ber = 0.0;
+    std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> live;
+    std::array<PhysicalAddress, nand::kMaxSubpagesPerPage> from;
 
-  /// Scheme-specific relocation of one victim page's valid data during SLC
-  /// GC.
-  virtual void relocate_slc_page(BlockId victim, PageId page, SimTime now,
-                                 std::vector<PhysOp>& ops) = 0;
+    [[nodiscard]] std::span<const nand::SlotWrite> writes() const {
+      return {live.data(), count};
+    }
+    [[nodiscard]] std::span<const PhysicalAddress> sources() const {
+      return {from.data(), count};
+    }
+  };
+
+  /// How commit_page() retires the old copies of the data it writes. Host
+  /// writes supersede; every other commit is background relocation.
+  enum class Retire : std::uint8_t {
+    kSupersede,  // host write: the map names the old copy, if any
+    kSource,     // relocation: `from[i]` is the old copy of writes[i]
+    kNone,       // staged eviction: retired when it was staged
+  };
+
+  /// Scheme-specific write placement: map updates, old-version
+  /// invalidation, metrics and program ops. The default is Baseline's:
+  /// one request per fresh Work page, never a partial program.
+  virtual void place_write(Lsn lsn, std::uint32_t count, SimTime now,
+                           std::vector<PhysOp>& ops);
+
+  /// Scheme-specific relocation of one victim page's live data during SLC
+  /// GC; every slot in `src` must be retired when it returns. The default
+  /// evicts the page to the MLC region.
+  virtual void relocate_slc_page(const VictimPage& src, SimTime now,
+                                 std::vector<PhysOp>& ops) {
+    evict_page_to_mlc(src, now, ops);
+  }
 
   /// Whether SLC GC must read a victim page out of the array before
   /// relocate_slc_page() can consume its data. True for every
@@ -251,14 +284,16 @@ class Scheme {
   /// Victim-selection policy for the SLC region.
   [[nodiscard]] virtual const ftl::GcPolicy& slc_policy() const = 0;
 
-  /// Hook invoked when an SLC block is erased (clear side tables).
+  /// Hook invoked when an SLC block is erased (clear side tables). The
+  /// block's open pages are already closed.
   virtual void on_slc_block_erased(BlockId /*block*/) {}
 
-  /// Hook invoked after a fresh SLC page is programmed by the shared
-  /// placement helper (IPU tags the page's extent here).
-  virtual void on_slc_page_programmed(BlockId /*block*/, PageId /*page*/,
-                                      std::span<const Lsn> /*lsns*/,
-                                      bool /*first_program*/) {}
+  /// Hook invoked after program_new_slc_page() fills a fresh SLC page
+  /// (host placement and GC moves; IPU tags the page's extent here).
+  /// Appends into open pages and in-page updates do not fire it.
+  virtual void on_slc_page_programmed(
+      BlockId /*block*/, PageId /*page*/,
+      std::span<const nand::SlotWrite> /*writes*/) {}
 
   /// Hook invoked whenever an SLC slot is invalidated (MGA clears its
   /// second-level table entry here).
@@ -282,69 +317,80 @@ class Scheme {
   /// Next plane in round-robin order for new-page placement.
   std::uint32_t next_plane();
 
-  /// Drop the previous version of `lsn` wherever it lives. Safe to call
-  /// for never-written LSNs.
-  void invalidate_previous(Lsn lsn);
+  /// The one page-commit primitive every program in the cache layer goes
+  /// through (DESIGN.md §10, "One page commit"): retire the old copies as
+  /// `retire` says, program `writes` into page (block, page), map every
+  /// slot, tally the region/host/level/GC-move metrics and emit the op.
+  /// A kReprogram commit is the IPS in-place switch: the source page is
+  /// from[0]'s and the op carries no read dependency. Fires no hook.
+  void commit_page(BlockId block, PageId page,
+                   std::span<const nand::SlotWrite> writes, Retire retire,
+                   std::span<const PhysicalAddress> from, SimTime now,
+                   std::vector<PhysOp>& ops,
+                   PhysOp::Kind kind = PhysOp::Kind::kProgram);
 
-  /// Retire one physical slot: invalidate in the array, clear the map,
-  /// fire the SLC hook. The slot must be the current mapping of `lsn`.
-  void retire_slot(Lsn lsn, const PhysicalAddress& addr);
+  /// Emit a read op of `subpages` subpages from one physical page of
+  /// `block`, pricing ECC by the max raw BER across the read subpages.
+  void emit_page_read(BlockId block, std::uint32_t subpages, double max_ber,
+                      bool background, std::vector<PhysOp>& ops);
 
-  /// Emit a program op for a page of `block`.
-  void emit_program(BlockId block, std::uint32_t subpages, bool background,
-                    std::vector<PhysOp>& ops);
-
-  /// Emit a read op of `subpages` subpages from one physical page,
-  /// pricing ECC by the max raw BER across the page's read subpages.
-  void emit_page_read(BlockId block, PageId page, std::uint32_t subpages,
-                      double max_ber, bool background,
-                      std::vector<PhysOp>& ops);
-
-  /// Emit an erase op for `block`.
-  void emit_erase(BlockId block, std::vector<PhysOp>& ops);
-
-  /// Raw BER of a stored subpage right now.
-  [[nodiscard]] double ber_of(const PhysicalAddress& addr) const;
-
-  /// Program freshly-allocated SLC page slots [0, n) with the given LSNs
-  /// (used by every scheme for new-page placement and GC moves). Updates
-  /// the map, emits the program op, and tallies level metrics when `host`
-  /// is true (host semantics also supersede prior copies). Returns the
-  /// allocation actually used (after level fallback) or nullopt when the
-  /// SLC region is exhausted.
+  /// Program the SLC slots [0, n) of a freshly allocated page of `plane`
+  /// at `level` (after level fallback) with `writes`, whose slots must be
+  /// 0..n-1. A host write passes no `from` and supersedes; a GC move
+  /// names each source slot. Fires on_slc_page_programmed(). Returns the
+  /// allocation, or nullopt (nothing written) when the SLC region is
+  /// exhausted.
   std::optional<ftl::PageAlloc> program_new_slc_page(
-      std::uint32_t plane, BlockLevel level, std::span<const Lsn> lsns,
-      std::span<const std::uint32_t> versions, SimTime now, bool host,
+      std::uint32_t plane, BlockLevel level,
+      std::span<const nand::SlotWrite> writes,
+      std::span<const PhysicalAddress> from, SimTime now,
       std::vector<PhysOp>& ops);
 
-  /// Write the given LSNs into a fresh MLC page (packed slots). Same
-  /// host/GC semantics as program_new_slc_page. Runs MLC GC first when the
-  /// destination plane is below threshold.
-  void program_mlc_page(std::span<const Lsn> lsns,
-                        std::span<const std::uint32_t> versions, SimTime now,
-                        bool host, bool background, std::vector<PhysOp>& ops,
-                        std::uint32_t plane_hint = UINT32_MAX);
+  /// A fresh dense page, plane-local when it can be: run MLC GC on
+  /// `plane` and allocate there, else retry on the next round-robin
+  /// plane. Aborts when no plane has one.
+  ftl::PageAlloc allocate_dense_page(std::uint32_t plane, SimTime now,
+                                     std::vector<PhysOp>& ops);
 
-  /// Evict one victim page's valid subpages to the MLC region (GC path).
+  /// Evict one victim page's live subpages to the MLC region (GC path).
   /// Evictions within one GC pass are *packed*: the controller buffers
-  /// GC-out data and writes full MLC pages; flush_evictions() closes the
-  /// pass (called automatically by the GC driver).
-  void evict_page_to_mlc(BlockId victim, PageId page, SimTime now,
+  /// GC-out data and writes full MLC pages; the GC driver flushes the
+  /// last partial batch when the pass ends.
+  void evict_page_to_mlc(const VictimPage& src, SimTime now,
                          std::vector<PhysOp>& ops);
-  void flush_evictions(std::uint32_t plane, SimTime now,
-                       std::vector<PhysOp>& ops);
 
   /// Host-write LSNs [lsn, lsn + n), n <= subpages per page, into a fresh
-  /// Work page under new versions (one request per page, Figure 3's
-  /// W1/W2/W3), falling back to direct_mlc_write() when the SLC region is
-  /// exhausted.
-  void write_work_page(Lsn lsn, std::uint32_t n, SimTime now,
-                       std::vector<PhysOp>& ops);
+  /// page at `level` on the next round-robin plane under new versions
+  /// (one request per page, Figure 3's W1/W2/W3), falling back to
+  /// direct_mlc_write() when the SLC region is exhausted.
+  void write_fresh_page(Lsn lsn, std::uint32_t n, BlockLevel level,
+                        SimTime now, std::vector<PhysOp>& ops);
 
   /// Write host data directly to MLC (fallback when the SLC region cannot
   /// take another page even after GC).
   void direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
                         std::vector<PhysOp>& ops);
+
+  /// An SLC page that host appends fill slot by slot with partial
+  /// programs (append_to_open_page).
+  struct OpenPage {
+    BlockId block = kInvalidBlock;
+    PageId page = kInvalidPage;
+    [[nodiscard]] bool valid() const { return block != kInvalidBlock; }
+  };
+
+  /// Host-append up to `max` subpages from `lsn` under new versions into
+  /// the next round-robin plane's open Work page, opening a fresh one when
+  /// it can take no more programs. Returns how many were written (0 when
+  /// no page could be opened). Needs open_pages_ sized to the planes.
+  std::uint32_t append_to_open_page(Lsn lsn, std::uint32_t max, SimTime now,
+                                    std::vector<PhysOp>& ops);
+  /// Open pages currently held, for inspect().
+  [[nodiscard]] std::uint64_t open_page_count() const;
+  /// Checkpoint form of open_pages_: u64 count, then per plane the block
+  /// (u32), the page (u16) and two zero bytes.
+  void save_open_pages(io::StateSink& sink) const;
+  void restore_open_pages(io::StateSource& src);
 
   /// Run SLC / MLC GC passes on `plane` while below threshold (bounded
   /// passes per call).
@@ -371,7 +417,7 @@ class Scheme {
 
   /// Index (into the current request's op vector) of the GC page read that
   /// sourced the data currently being relocated; kNoDependency outside GC
-  /// victim processing. emit_program() attaches it to background programs
+  /// victim processing. commit_page() attaches it to background programs
   /// so relocation writes wait for their source read in the controller.
   /// MLC GC nests inside SLC victim processing (eviction flush can trigger
   /// it), so mlc_gc_once() saves and restores the surrounding value.
@@ -385,6 +431,9 @@ class Scheme {
   ecc::EccLatencyModel ecc_model_;
   ftl::GreedyPolicy greedy_;
   SchemeMetrics metrics_;
+  /// Per-plane open pages of the schemes that append (MGA's aggregation
+  /// pages, IPU's combine_cold pages); empty for the others.
+  std::vector<OpenPage> open_pages_;
   /// Trace log adopted from the attached bundle (null when disabled);
   /// subclasses may emit their own category-filtered events through it.
   telemetry::TraceLog* tlog_ = nullptr;
@@ -393,17 +442,52 @@ class Scheme {
   /// The page-at-a-time prefill oracle (tests/support/reference_paths.h).
   friend struct ReferencePrefill;
 
+  /// Drop the previous version of `lsn` wherever it lives. Safe to call
+  /// for never-written LSNs.
+  void invalidate_previous(Lsn lsn);
+
+  /// Retire one physical slot: invalidate in the array, clear the map,
+  /// fire the SLC hook. The slot must be the current mapping of `lsn`.
+  void retire_slot(Lsn lsn, const PhysicalAddress& addr);
+
+  /// The one op builder: append an op on `block`'s chip and channel in
+  /// its cell mode and return it. Background ops are GC work (kGc);
+  /// foreground ones carry the current origin phase.
+  PhysOp& emit_op(PhysOp::Kind kind, BlockId block, std::uint32_t subpages,
+                  bool background, std::vector<PhysOp>& ops);
+
+  /// Raw BER of a stored subpage right now.
+  [[nodiscard]] double ber_of(const PhysicalAddress& addr) const;
+
+  /// Write `writes` (slots 0..n-1) into a fresh MLC page: host writes
+  /// stripe round-robin and supersede, evictions (host = false) stay on
+  /// `plane_hint` and were retired when staged.
+  void program_mlc_page(std::span<const nand::SlotWrite> writes, bool host,
+                        SimTime now, std::vector<PhysOp>& ops,
+                        std::uint32_t plane_hint = UINT32_MAX);
+
+  /// Program the staged evictions into packed MLC pages on `plane`.
+  void flush_evictions(std::uint32_t plane, SimTime now,
+                       std::vector<PhysOp>& ops);
+
   /// One GC pass on a plane's region; returns false if no victim.
   bool slc_gc_once(std::uint32_t plane, SimTime now, std::vector<PhysOp>& ops);
   /// One greedy MLC GC pass; returns false if no victim. maybe_mlc_gc()
   /// applies the write-amplification guard before calling it.
   bool mlc_gc_once(std::uint32_t plane, SimTime now, std::vector<PhysOp>& ops);
 
-  struct StagedEviction {
-    Lsn lsn;
-    std::uint32_t version;
-  };
-  std::vector<StagedEviction> staged_evictions_;
+  /// The one victim-page scan: live slots and their max raw BER.
+  [[nodiscard]] VictimPage scan_victim_page(BlockId block, PageId page) const;
+
+  /// Erase a GC victim: the erase op waits for the last op the pass
+  /// emitted after `pass_ops_start`, if any.
+  void erase_victim(BlockId victim, std::size_t pass_ops_start, SimTime now,
+                    std::vector<PhysOp>& ops);
+
+  /// Evicted data waiting for flush_evictions(), in the packed layout it
+  /// will be programmed in: entry j fills slot j mod subpages-per-page of
+  /// the flush's (j / subpages-per-page)-th MLC page.
+  std::vector<nand::SlotWrite> staged_evictions_;
 
   GcDecisionHook gc_decision_hook_;
 
