@@ -117,8 +117,7 @@ void IpuScheme::update_cached_run(Lsn lsn, std::uint32_t n, SimTime now,
     std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
     const SubpageId slot = array_.page_first_free(first.block, first.page);
     for (std::uint32_t k = 0; k < n; ++k) {
-      writes[k] = {static_cast<SubpageId>(slot + k), lsn + k,
-                   map_.bump_version(lsn + k)};
+      writes[k] = {static_cast<SubpageId>(slot + k), lsn + k};
     }
     commit_page(first.block, first.page,
                 std::span<const nand::SlotWrite>(writes.data(), n),

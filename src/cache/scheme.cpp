@@ -124,17 +124,19 @@ void Scheme::retire_slot(Lsn lsn, const PhysicalAddress& addr) {
   }
 }
 
-void Scheme::invalidate_previous(Lsn lsn) {
+std::uint32_t Scheme::invalidate_previous(Lsn lsn) {
   // Fused supersede: one mapping-table access resolves and unbinds the
   // old slot, then the fused array invalidate does the single page
   // lookup + bucket move (no per-layer re-resolution).
   const PhysicalAddress addr = map_.take(lsn);
-  if (addr.valid()) {
-    array_.invalidate(addr.block, addr.page, addr.subpage);
-    if (array_.block_static(addr.block).mode == CellMode::kSlc) {
-      on_slc_slot_invalidated(addr);
-    }
+  if (!addr.valid()) return 0;
+  const std::uint32_t version =
+      array_.slot_version(addr.block, addr.page, addr.subpage);
+  array_.invalidate(addr.block, addr.page, addr.subpage);
+  if (array_.block_static(addr.block).mode == CellMode::kSlc) {
+    on_slc_slot_invalidated(addr);
   }
+  return version;
 }
 
 // ---- the page commit and the placement helpers built on it -----------------
@@ -148,9 +150,15 @@ void Scheme::commit_page(BlockId block, PageId page,
   PPSSD_DCHECK(retire == Retire::kSource ? from.size() == writes.size()
                                          : from.empty());
   // Every old copy retires before the program, so each map transition is
-  // a clean clear + set.
+  // a clean clear + set. A host write's version follows the one it
+  // supersedes.
+  std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> versioned;
   if (retire == Retire::kSupersede) {
-    for (const nand::SlotWrite& w : writes) invalidate_previous(w.lsn);
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      versioned[i] = writes[i];
+      versioned[i].version = invalidate_previous(writes[i].lsn) + 1;
+    }
+    writes = std::span<const nand::SlotWrite>(versioned.data(), writes.size());
   } else if (retire == Retire::kSource) {
     for (std::size_t i = 0; i < writes.size(); ++i) {
       retire_slot(writes[i].lsn, from[i]);
@@ -266,15 +274,12 @@ void Scheme::write_fresh_page(Lsn lsn, std::uint32_t n, BlockLevel level,
   PPSSD_DCHECK(n > 0 && n <= spp_);
   std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
   for (std::uint32_t k = 0; k < n; ++k) {
-    writes[k] = {static_cast<SubpageId>(k), lsn + k,
-                 map_.bump_version(lsn + k)};
+    writes[k] = {static_cast<SubpageId>(k), lsn + k};
   }
   if (!program_new_slc_page(next_plane(), level,
                             std::span<const nand::SlotWrite>(writes.data(), n),
                             {}, now, ops)) {
     // SLC region exhausted even for Work blocks: write through to MLC.
-    // Roll the versions back first — direct_mlc_write bumps them itself.
-    for (std::uint32_t k = 0; k < n; ++k) map_.rollback_version(lsn + k);
     direct_mlc_write(lsn, n, now, ops);
   }
 }
@@ -295,8 +300,7 @@ void Scheme::direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
   for (std::uint32_t i = 0; i < count;) {
     std::uint32_t n = 0;
     for (; i < count && n < spp_; ++n, ++i) {
-      writes[n] = {static_cast<SubpageId>(n), lsn + i,
-                   map_.bump_version(lsn + i)};
+      writes[n] = {static_cast<SubpageId>(n), lsn + i};
     }
     program_mlc_page(std::span<const nand::SlotWrite>(writes.data(), n),
                      /*host=*/true, now, ops);
@@ -329,8 +333,7 @@ std::uint32_t Scheme::append_to_open_page(Lsn lsn, std::uint32_t max,
   std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> writes;
   const SubpageId first = array_.page_first_free(open.block, open.page);
   for (std::uint32_t k = 0; k < n; ++k) {
-    writes[k] = {static_cast<SubpageId>(first + k), lsn + k,
-                 map_.bump_version(lsn + k)};
+    writes[k] = {static_cast<SubpageId>(first + k), lsn + k};
   }
   commit_page(open.block, open.page,
               std::span<const nand::SlotWrite>(writes.data(), n),
@@ -446,9 +449,6 @@ std::uint64_t Scheme::prefill_mlc(std::uint64_t max_subpages,
       const std::uint32_t n = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(spp_, filled - lsn));
       for (std::uint32_t s = 0; s < n; ++s, ++lsn) {
-        // Every version on a never-written device is 0.
-        const std::uint32_t version = map_.bump_version(lsn);
-        PPSSD_CHECK(version == 1);
         map_.set(lsn, PhysicalAddress{b, p, static_cast<SubpageId>(s)});
       }
       if (++q == planes) q = 0;
@@ -775,7 +775,9 @@ void Scheme::save(io::StateSink& sink) const {
                   "checkpointing inside GC victim processing");
   array_.save(sink);
   bm_.save(sink);
-  map_.save(sink);
+  map_.save(sink, [this](const PhysicalAddress& a) {
+    return array_.slot_version(a.block, a.page, a.subpage);
+  });
   sink.u32(rr_plane_);
   save_scheme_state(sink);
 }
@@ -785,7 +787,16 @@ void Scheme::restore(io::StateSource& src) {
   // counts out of the restored array.
   array_.restore(src);
   bm_.restore(src);
-  map_.restore(src);
+  // Each mapped entry's version must be the one its restored slot holds;
+  // a slot code outside the array reads as version 0, which never agrees.
+  const nand::Geometry& geom = array_.geometry();
+  map_.restore(src, [&](const PhysicalAddress& a) -> std::uint32_t {
+    if (a.block >= geom.total_blocks() || a.subpage >= spp_ ||
+        a.page >= geom.pages_per_block(array_.block_static(a.block).mode)) {
+      return 0;
+    }
+    return array_.slot_version(a.block, a.page, a.subpage);
+  });
   const std::uint32_t rr = src.u32();
   PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint truncated");
   rr_plane_ = rr;
@@ -803,7 +814,7 @@ void Scheme::check_consistency() const {
   const auto& geom = array_.geometry();
 
   // Physical walk: every valid subpage is the current mapping of its
-  // owner, counters match, and versions agree.
+  // owner, and the counters match.
   std::uint64_t valid_total = 0;
   for (BlockId b = 0; b < geom.total_blocks(); ++b) {
     const auto& blk = array_.block(b);
@@ -837,8 +848,6 @@ void Scheme::check_consistency() const {
                             mapped.page == static_cast<PageId>(p) &&
                             mapped.subpage == static_cast<SubpageId>(s),
                         "valid subpage is not its owner's current mapping");
-        PPSSD_CHECK_MSG(sp.version == map_.version(lsn),
-                        "stored version is stale");
       }
     }
     PPSSD_CHECK(recount_valid == blk.valid_subpages());

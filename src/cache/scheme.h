@@ -144,9 +144,12 @@ class Scheme {
   /// Mapping-table memory model for this scheme (Figure 11).
   [[nodiscard]] ftl::FootprintReport footprint() const;
 
-  /// Current stored version of an LSN (0 = never written).
+  /// Version stored in the LSN's mapped slot (0 = unmapped).
   [[nodiscard]] std::uint32_t version_of(Lsn lsn) const {
-    return map_.version(lsn);
+    const PhysicalAddress addr = map_.lookup(lsn);
+    return addr.valid()
+               ? array_.slot_version(addr.block, addr.page, addr.subpage)
+               : 0;
   }
 
   /// True if the LSN's current copy lives in the SLC-mode cache.
@@ -212,14 +215,16 @@ class Scheme {
 
   /// Warm-start checkpointing (DESIGN.md §14): serialize the device's
   /// complete mutable state — flash array, block manager, device map
-  /// (mappings and versions), round-robin cursor — then scheme-specific
+  /// (slot codes, each with the version gathered from its slot),
+  /// round-robin cursor — then scheme-specific
   /// side state via save_scheme_state(). Must be called at a quiescent
   /// point (no staged evictions, no GC victim mid-flight); metrics are NOT
   /// serialized — callers checkpoint right after reset_metrics() so both
   /// cold and warm paths start the measured phase from zero.
   void save(io::StateSink& sink) const;
   /// Inverse of save() on a freshly constructed scheme of the *same*
-  /// config and options. PPSSD_CHECKs on any shape mismatch (the
+  /// config and options. PPSSD_CHECKs on any shape mismatch, and on a map
+  /// entry whose version is not the one stored in its slot (the
   /// checkpoint container validates integrity up front).
   void restore(io::StateSource& src);
 
@@ -255,7 +260,8 @@ class Scheme {
   /// How commit_page() retires the old copies of the data it writes. Host
   /// writes supersede; every other commit is background relocation.
   enum class Retire : std::uint8_t {
-    kSupersede,  // host write: the map names the old copy, if any
+    kSupersede,  // host write: the map names the old copy, if any, and
+                 // the new version is the old copy's + 1 (1 if none)
     kSource,     // relocation: `from[i]` is the old copy of writes[i]
     kNone,       // staged eviction: retired when it was staged
   };
@@ -290,7 +296,8 @@ class Scheme {
 
   /// Hook invoked after program_new_slc_page() fills a fresh SLC page
   /// (host placement and GC moves; IPU tags the page's extent here).
-  /// Appends into open pages and in-page updates do not fire it.
+  /// Appends into open pages and in-page updates do not fire it. A host
+  /// write's `writes` carry no version (commit_page() assigns it).
   virtual void on_slc_page_programmed(
       BlockId /*block*/, PageId /*page*/,
       std::span<const nand::SlotWrite> /*writes*/) {}
@@ -321,6 +328,8 @@ class Scheme {
   /// through (DESIGN.md §10, "One page commit"): retire the old copies as
   /// `retire` says, program `writes` into page (block, page), map every
   /// slot, tally the region/host/level/GC-move metrics and emit the op.
+  /// A kSupersede commit assigns each write's version (the caller's is
+  /// ignored); the others program the versions they carry.
   /// A kReprogram commit is the IPS in-place switch: the source page is
   /// from[0]'s and the op carries no read dependency. Fires no hook.
   void commit_page(BlockId block, PageId page,
@@ -442,9 +451,9 @@ class Scheme {
   /// The page-at-a-time prefill oracle (tests/support/reference_paths.h).
   friend struct ReferencePrefill;
 
-  /// Drop the previous version of `lsn` wherever it lives. Safe to call
-  /// for never-written LSNs.
-  void invalidate_previous(Lsn lsn);
+  /// Drop the previous version of `lsn` wherever it lives and return it
+  /// (0 for a never-written LSN).
+  std::uint32_t invalidate_previous(Lsn lsn);
 
   /// Retire one physical slot: invalidate in the array, clear the map,
   /// fire the SLC hook. The slot must be the current mapping of `lsn`.

@@ -1,8 +1,8 @@
 // Allocator for the simulator's big flat rows (DESIGN.md §10).
 //
-// The device state is a handful of long rows — the device map (one
-// mapping-and-version entry per LSN), the block row, the page row and the
-// subpage SoA rows — that the per-request paths index at random. On
+// The device state is a handful of long rows — the device map (one slot
+// code per LSN), the block row, the page row and the subpage SoA rows —
+// that the per-request paths index at random. On
 // 4 KiB pages nearly every such access is a TLB miss, so every row of at
 // least kHugeRowBytes is mapped on its own with mmap at a 2 MiB boundary
 // and advised MADV_HUGEPAGE over its whole huge pages (the tail stays on

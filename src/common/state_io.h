@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -48,6 +49,14 @@ class StateSink {
     static_assert(std::is_trivially_copyable_v<T>);
     u64(v.size());
     raw(v.data(), v.size() * sizeof(T));
+  }
+
+  /// Raw bytes of a run of trivially copyable elements, with no count: a
+  /// caller that streams a long vector in chunks writes the count itself.
+  template <typename T>
+  void items(std::span<const T> v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    raw(v.data(), v.size_bytes());
   }
 
   /// Raw bytes of one trivially copyable object (fixed-size arrays etc.).

@@ -12,16 +12,19 @@
 // offsets for IPU) is modelled separately by mapping_footprint.h — the
 // Figure 11 numbers do not depend on this ground-truth representation.
 //
-// Each LSN's entry is 8 bytes: a 32-bit slot code and the LSN's current
-// version, which the write path reads and bumps together with the
-// mapping, so a supersede touches one cache line. The slot code packs
-// block, page and subpage with widths derived from the geometry
+// Each LSN's entry is one 32-bit slot code; the LSN's version is a
+// property of the stored data and lives only in the slot it names
+// (FlashArray's version row). The slot code packs block, page and
+// subpage with widths derived from the geometry
 // (GeometryConfig::slot_page_bits/slot_subpage_bits); SsdConfig::validate
 // rejects a device whose block ids do not fit the bits above them.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "common/check.h"
 #include "common/row_alloc.h"
@@ -32,11 +35,15 @@ namespace ppssd::ftl {
 
 class DeviceMap {
  public:
+  /// One LSN's entry: its slot code.
+  using Entry = std::uint32_t;
+  static_assert(sizeof(Entry) == 4, "DeviceMap entries should stay 4B");
+
   /// `page_bits`/`subpage_bits` are the slot code's field widths: enough
   /// bits for the largest page and subpage index of the geometry.
   DeviceMap(std::uint64_t logical_subpages, std::uint32_t page_bits,
             std::uint32_t subpage_bits)
-      : table_(logical_subpages),
+      : table_(logical_subpages, kUnmapped),
         sub_bits_(subpage_bits),
         block_shift_(page_bits + subpage_bits),
         page_mask_((std::uint32_t{1} << page_bits) - 1),
@@ -51,7 +58,7 @@ class DeviceMap {
   /// Physical location of a logical subpage (invalid when unmapped).
   [[nodiscard]] PhysicalAddress lookup(Lsn lsn) const {
     PPSSD_DCHECK(lsn < table_.size());
-    return unpack(table_[lsn].slot);
+    return unpack(table_[lsn]);
   }
 
   /// Cache hint for `lsn`'s entry, ahead of a lookup (DESIGN.md §10,
@@ -62,97 +69,102 @@ class DeviceMap {
   }
 
   [[nodiscard]] bool mapped(Lsn lsn) const {
-    return table_[lsn].slot != kUnmapped;
+    return table_[lsn] != kUnmapped;
   }
 
   /// Bind a logical subpage to a slot. The LSN must currently be unmapped
   /// (supersede via clear() first) — this keeps every transition explicit.
-  /// The LSN's version is untouched.
   void set(Lsn lsn, const PhysicalAddress& addr) {
     PPSSD_CHECK(lsn < table_.size());
     PPSSD_CHECK(addr.valid());
     Entry& e = table_[lsn];
-    PPSSD_CHECK_MSG(e.slot == kUnmapped,
-                    "mapping an LSN that is already mapped");
-    e.slot = pack(addr);
+    PPSSD_CHECK_MSG(e == kUnmapped, "mapping an LSN that is already mapped");
+    e = pack(addr);
     ++mapped_count_;
   }
 
   /// Fused lookup-and-clear: unbind `lsn` and return its previous slot in
   /// one table access, or an invalid address when the LSN was unmapped
   /// (never-written LSNs are a legal fast-path case for the write path's
-  /// supersede step, so this does not abort like clear()). The LSN's
-  /// version is untouched.
+  /// supersede step, so this does not abort like clear()).
   [[nodiscard]] PhysicalAddress take(Lsn lsn) {
     PPSSD_DCHECK(lsn < table_.size());
     Entry& e = table_[lsn];
-    const std::uint32_t slot = e.slot;
+    const std::uint32_t slot = e;
     if (slot != kUnmapped) {
-      e.slot = kUnmapped;
+      e = kUnmapped;
       PPSSD_DCHECK(mapped_count_ > 0);
       --mapped_count_;
     }
     return unpack(slot);
   }
 
-  /// Unbind a mapped logical subpage. The LSN's version is untouched.
+  /// Unbind a mapped logical subpage.
   void clear(Lsn lsn) {
     PPSSD_CHECK(lsn < table_.size());
     Entry& e = table_[lsn];
-    PPSSD_CHECK_MSG(e.slot != kUnmapped, "clearing an unmapped LSN");
-    e.slot = kUnmapped;
+    PPSSD_CHECK_MSG(e != kUnmapped, "clearing an unmapped LSN");
+    e = kUnmapped;
     PPSSD_CHECK(mapped_count_ > 0);
     --mapped_count_;
-  }
-
-  /// Current stored version of an LSN (0 = never written).
-  [[nodiscard]] std::uint32_t version(Lsn lsn) const {
-    PPSSD_DCHECK(lsn < table_.size());
-    return table_[lsn].version;
-  }
-
-  /// Bump and return the LSN's version; the mapping is untouched.
-  std::uint32_t bump_version(Lsn lsn) {
-    PPSSD_CHECK(lsn < table_.size());
-    return ++table_[lsn].version;
-  }
-
-  /// Undo one bump_version() whose write did not land.
-  void rollback_version(Lsn lsn) {
-    PPSSD_CHECK(lsn < table_.size());
-    PPSSD_CHECK_MSG(table_[lsn].version > 0,
-                    "rolling back an LSN that was never versioned");
-    --table_[lsn].version;
   }
 
   /// Number of currently mapped logical subpages.
   [[nodiscard]] std::uint64_t mapped_count() const { return mapped_count_; }
 
-  /// Warm-start checkpointing (DESIGN.md §14): the whole table verbatim.
-  void save(io::StateSink& sink) const {
-    sink.vec(table_);
+  /// Warm-start checkpointing (DESIGN.md §14). The map section keeps the
+  /// bytes of the former (slot code, version) entry: a u64 entry count,
+  /// then per LSN its u32 slot code and u32 version, then the u64 mapped
+  /// count. `version_at(addr)` returns the version stored in slot `addr`;
+  /// save gathers an unmapped LSN's version as 0.
+  template <typename VersionAt>
+  void save(io::StateSink& sink, VersionAt&& version_at) const {
+    sink.u64(table_.size());
+    constexpr std::size_t kChunk = 4096;
+    std::array<std::uint32_t, 2 * kChunk> chunk;
+    for (std::size_t lsn = 0; lsn < table_.size();) {
+      const std::size_t n = std::min(kChunk, table_.size() - lsn);
+      for (std::size_t k = 0; k < n; ++k, ++lsn) {
+        const std::uint32_t slot = table_[lsn];
+        chunk[2 * k] = slot;
+        chunk[2 * k + 1] = slot == kUnmapped ? 0 : version_at(unpack(slot));
+      }
+      sink.items(std::span<const std::uint32_t>(chunk.data(), 2 * n));
+    }
     sink.u64(mapped_count_);
   }
-  void restore(io::StateSource& src) {
-    // In place: the table is already sized for the device's LSN space and
-    // vec_into sticky-fails on a length mismatch.
-    (void)src.vec_into(table_);
+
+  /// Inverse of save(), into a map of the same size. Aborts when the
+  /// stream does not match the shape, or when an entry's version is not
+  /// the one stored in its slot (`version_at` of an address outside the
+  /// array must return 0) or an unmapped entry's version is not 0.
+  template <typename VersionAt>
+  void restore(io::StateSource& src, VersionAt&& version_at) {
+    const std::uint64_t n = src.u64();
+    bool agree = true;
+    if (n == table_.size()) {
+      for (Entry& e : table_) {
+        const std::uint32_t slot = src.u32();
+        const std::uint32_t version = src.u32();
+        if (!src.ok()) break;
+        e = slot;
+        agree &= slot == kUnmapped
+                     ? version == 0
+                     : version != 0 && version == version_at(unpack(slot));
+      }
+    }
     const std::uint64_t mapped = src.u64();
-    PPSSD_CHECK_MSG(src.ok(),
+    PPSSD_CHECK_MSG(src.ok() && n == table_.size(),
                     "warm-start checkpoint does not match mapping shape");
+    PPSSD_CHECK_MSG(agree,
+                    "warm-start checkpoint map disagrees with the versions "
+                    "stored in its slots");
     mapped_count_ = mapped;
   }
 
  private:
   /// Slot code of an unmapped LSN.
-  static constexpr std::uint32_t kUnmapped =
-      std::numeric_limits<std::uint32_t>::max();
-
-  struct Entry {
-    std::uint32_t slot = kUnmapped;
-    std::uint32_t version = 0;
-  };
-  static_assert(sizeof(Entry) == 8, "DeviceMap entries should stay 8B");
+  static constexpr Entry kUnmapped = std::numeric_limits<Entry>::max();
 
   [[nodiscard]] std::uint32_t pack(const PhysicalAddress& a) const {
     PPSSD_DCHECK(a.page <= page_mask_ && a.subpage <= sub_mask_);

@@ -151,6 +151,12 @@ class FlashArray {
     return static_cast<SubpageState>(sp_state_[slot_index(b, p, s)]);
   }
 
+  /// Version stored in slot (b, p, s): the LSN version its program wrote.
+  [[nodiscard]] std::uint32_t slot_version(BlockId b, PageId p,
+                                           SubpageId s) const {
+    return sp_version_[slot_index(b, p, s)];
+  }
+
   /// Materialized copy of one subpage's stored fields (SoA gather). An
   /// MLC slot's write time and disturb snapshots read as 0.
   [[nodiscard]] Subpage subpage(BlockId b, PageId p, SubpageId s) const {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/config.h"
 #include "common/state_io.h"
 
@@ -21,7 +24,6 @@ TEST(DeviceMap, StartsUnmapped) {
   for (Lsn lsn = 0; lsn < 100; ++lsn) {
     EXPECT_FALSE(map.mapped(lsn));
     EXPECT_FALSE(map.lookup(lsn).valid());
-    EXPECT_EQ(map.version(lsn), 0u);
   }
 }
 
@@ -128,48 +130,65 @@ TEST_P(DeviceMapSlotCode, ExtremeAddressesRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(SubpagesPerPage, DeviceMapSlotCode,
                          ::testing::Values(4u, 8u));
 
-TEST(DeviceMap, VersionsNeverDisturbTheMapping) {
-  DeviceMap map = paper_map(4);
-  const PhysicalAddress addr{9, 127, 3};
-  map.set(2, addr);
-  EXPECT_EQ(map.bump_version(2), 1u);
-  EXPECT_EQ(map.bump_version(2), 2u);
-  EXPECT_EQ(map.lookup(2), addr);
-  map.rollback_version(2);
-  EXPECT_EQ(map.version(2), 1u);
-  EXPECT_EQ(map.lookup(2), addr);
-  EXPECT_EQ(map.mapped_count(), 1u);
-  // Versions of an unmapped LSN leave it unmapped.
-  EXPECT_EQ(map.bump_version(3), 1u);
-  EXPECT_FALSE(map.mapped(3));
-  EXPECT_EQ(map.mapped_count(), 1u);
+/// A stand-in for the array's version row: the version "stored" in slot
+/// `a`, derived from its address.
+std::uint32_t version_in_slot(const PhysicalAddress& a) {
+  return a.block % 7 + a.page + a.subpage + 1;
 }
 
-TEST(DeviceMap, MappingNeverDisturbsTheVersion) {
+// An entry is the slot code alone; the checkpoint still writes the former
+// (slot code, version) pair, with the version gathered from the slot.
+TEST(DeviceMap, FourByteEntryKeepsTheCheckpointLayout) {
+  static_assert(sizeof(DeviceMap::Entry) == 4);
   DeviceMap map = paper_map(4);
-  for (int i = 0; i < 5; ++i) (void)map.bump_version(1);
-  map.set(1, PhysicalAddress{3, 4, 1});
-  EXPECT_EQ(map.version(1), 5u);
-  EXPECT_EQ(map.take(1), (PhysicalAddress{3, 4, 1}));
-  EXPECT_EQ(map.version(1), 5u);
-  // take() of an unmapped LSN is a no-op on both fields.
-  EXPECT_FALSE(map.take(1).valid());
-  EXPECT_EQ(map.version(1), 5u);
-  map.set(1, PhysicalAddress{0, 0, 0});
-  map.clear(1);
-  EXPECT_EQ(map.version(1), 5u);
-}
+  const PhysicalAddress a{9, 127, 3};
+  const PhysicalAddress b{0, 0, 0};
+  map.set(1, a);
+  map.set(2, b);
+  EXPECT_EQ(map.take(2), b);
+  EXPECT_FALSE(map.take(2).valid());
+  map.set(2, b);
+  map.set(3, a);
+  map.clear(3);
+  EXPECT_EQ(map.mapped_count(), 2u);
 
-TEST(DeviceMapDeathTest, RollbackOfAnUnversionedLsnAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  DeviceMap map = paper_map(4);
-  EXPECT_DEATH(map.rollback_version(0), "never versioned");
+  io::StateSink sink;
+  map.save(sink, version_in_slot);
+  const std::vector<std::uint8_t>& bytes = sink.buffer();
+  ASSERT_EQ(bytes.size(), 8u + 4u * 8u + 8u);
+  io::StateSource raw(bytes);
+  EXPECT_EQ(raw.u64(), 4u);
+  const GeometryConfig g;
+  const std::uint32_t shift = g.slot_page_bits() + g.slot_subpage_bits();
+  const std::uint32_t expected[4][2] = {
+      {0xffffffffu, 0},
+      {a.block << shift | std::uint32_t{a.page} << g.slot_subpage_bits() |
+           a.subpage,
+       version_in_slot(a)},
+      {0, version_in_slot(b)},
+      {0xffffffffu, 0},
+  };
+  for (const auto& [slot, version] : expected) {
+    EXPECT_EQ(raw.u32(), slot);
+    EXPECT_EQ(raw.u32(), version);
+  }
+  EXPECT_EQ(raw.u64(), 2u);
+  EXPECT_TRUE(raw.exhausted());
+
+  DeviceMap back = paper_map(4);
+  io::StateSource src(bytes);
+  back.restore(src, version_in_slot);
+  EXPECT_TRUE(src.exhausted());
+  EXPECT_EQ(back.mapped_count(), 2u);
+  EXPECT_FALSE(back.mapped(0));
+  EXPECT_EQ(back.lookup(1), a);
+  EXPECT_EQ(back.lookup(2), b);
+  EXPECT_FALSE(back.mapped(3));
 }
 
 TEST(DeviceMap, CheckpointRoundTripsEveryEntry) {
   DeviceMap map = paper_map(64);
   for (Lsn lsn = 0; lsn < 64; ++lsn) {
-    for (Lsn k = 0; k <= lsn % 5; ++k) (void)map.bump_version(lsn);
     if (lsn % 3 != 0) {
       map.set(lsn, PhysicalAddress{static_cast<BlockId>(lsn * 1000),
                                    static_cast<PageId>(lsn % 128),
@@ -177,27 +196,52 @@ TEST(DeviceMap, CheckpointRoundTripsEveryEntry) {
     }
   }
   io::StateSink sink;
-  map.save(sink);
+  map.save(sink, version_in_slot);
 
   DeviceMap back = paper_map(64);
   io::StateSource src(sink.buffer());
-  back.restore(src);
+  back.restore(src, version_in_slot);
   EXPECT_TRUE(src.ok());
   EXPECT_EQ(back.mapped_count(), map.mapped_count());
   for (Lsn lsn = 0; lsn < 64; ++lsn) {
     EXPECT_EQ(back.lookup(lsn), map.lookup(lsn)) << "lsn " << lsn;
-    EXPECT_EQ(back.version(lsn), map.version(lsn)) << "lsn " << lsn;
   }
+}
+
+// Restore checks each entry's version against the slot it names: a
+// mapped entry whose version differs, or an unmapped entry with a
+// version, means the map disagrees with the array.
+TEST(DeviceMapDeathTest, CheckpointVersionThatDisagreesWithItsSlotAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DeviceMap map = paper_map(4);
+  map.set(1, PhysicalAddress{3, 4, 1});
+  io::StateSink sink;
+  map.save(sink, version_in_slot);
+  const auto other = [](const PhysicalAddress& a) {
+    return version_in_slot(a) + 1;
+  };
+  {
+    DeviceMap back = paper_map(4);
+    io::StateSource src(sink.buffer());
+    EXPECT_DEATH(back.restore(src, other), "disagrees with the versions");
+  }
+  // LSN 0 is unmapped; give it a version.
+  std::vector<std::uint8_t> bytes = sink.buffer();
+  bytes[8 + 4] = 1;
+  DeviceMap back = paper_map(4);
+  io::StateSource src(bytes);
+  EXPECT_DEATH(back.restore(src, version_in_slot),
+               "disagrees with the versions");
 }
 
 TEST(DeviceMapDeathTest, CheckpointOfAnotherSizeAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   DeviceMap map = paper_map(8);
   io::StateSink sink;
-  map.save(sink);
+  map.save(sink, version_in_slot);
   DeviceMap other = paper_map(9);
   io::StateSource src(sink.buffer());
-  EXPECT_DEATH(other.restore(src), "mapping shape");
+  EXPECT_DEATH(other.restore(src, version_in_slot), "mapping shape");
 }
 
 }  // namespace

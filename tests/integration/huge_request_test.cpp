@@ -2,12 +2,14 @@
 // starve garbage collection. Scheme::host_write places a request in
 // bounded chunks and runs the GC loop between them, so a stream of
 // 16 MiB writes on a small device runs to completion with consistency
-// OK on every scheme.
+// OK on every scheme, and every written subpage reads back at the
+// version a per-LSN shadow expects.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "common/units.h"
@@ -46,11 +48,27 @@ TEST_P(HugeWrites, SixteenMiBWritesOnSmallDeviceStayConsistent) {
   trace::MsrTraceParser parser(path);
   sim::Replayer replayer(ssd);
   const sim::ReplayResult result = replayer.replay(parser);
-  std::remove(path.c_str());
 
   EXPECT_EQ(result.requests, 400u);
   EXPECT_EQ(result.latency.write_count(), 400u);
   ssd.scheme().check_consistency();
+
+  // Read-your-writes: each write bumps the expected version of the LSNs
+  // it covers, and the version stored in each one's mapped slot must
+  // match.
+  std::unordered_map<Lsn, std::uint32_t> shadow;
+  parser.reset();
+  trace::TraceRecord rec;
+  while (parser.next(rec)) {
+    const sim::Ssd::LsnRange r = ssd.resolve(rec.offset, rec.size);
+    for (std::uint32_t i = 0; i < r.count; ++i) ++shadow[r.lsn + i];
+  }
+  std::remove(path.c_str());
+  ASSERT_FALSE(shadow.empty());
+  for (const auto& [lsn, version] : shadow) {
+    ASSERT_TRUE(ssd.scheme().device_map().mapped(lsn)) << "lsn " << lsn;
+    ASSERT_EQ(ssd.scheme().version_of(lsn), version) << "lsn " << lsn;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, HugeWrites,

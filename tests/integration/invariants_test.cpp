@@ -68,8 +68,8 @@ void fuzz_scheme(const char* scheme, const cache::SchemeOptions& options,
   ssd.drain_background(now);
   ssd.scheme().check_consistency();
 
-  // Read-your-writes: every written subpage is mapped and carries the
-  // expected version (check_consistency ties the stored copy to it).
+  // Read-your-writes: every written subpage is mapped, and its mapped
+  // slot stores the expected version.
   for (const auto& [lsn, version] : shadow.versions) {
     EXPECT_TRUE(ssd.scheme().device_map().mapped(lsn)) << "lsn " << lsn;
     EXPECT_EQ(ssd.scheme().version_of(lsn), version) << "lsn " << lsn;

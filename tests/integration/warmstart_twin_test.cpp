@@ -6,6 +6,7 @@
 // exercised for every scheme and both GC-interleave settings.
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,12 @@ struct TwinCase {
   const char* scheme;
   std::uint32_t interleave;
 };
+
+// gtest would print the struct's raw bytes, pointer included, into the
+// test names; print the values instead so the names are stable.
+void PrintTo(const TwinCase& tc, std::ostream* os) {
+  *os << "{\"" << tc.scheme << "\", " << tc.interleave << "}";
+}
 
 class WarmstartTwin : public ::testing::TestWithParam<TwinCase> {};
 

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "cache/ipu_scheme.h"
+#include "common/state_io.h"
 #include "common/units.h"
 #include "telemetry/introspect/snapshotter.h"
 #include "trace/profiles.h"
@@ -195,6 +197,45 @@ TEST(Ssd, LogicalBytesMatchesGeometry) {
   EXPECT_EQ(ssd.logical_bytes(),
             ssd.scheme().array().geometry().logical_subpages() *
                 kSubpageBytes);
+}
+
+// The map section of a checkpoint keeps each LSN's version beside its
+// slot code. Restore must reject a stream in which one mapped LSN's
+// version differs from the version the restored array holds in its slot,
+// rather than restore a map that disagrees with the array.
+TEST(SsdDeathTest, RestoreRejectsAMapVersionThatDisagreesWithItsSlot) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Ssd ssd(cfg(), "IPU");
+  ssd.submit(OpType::kWrite, 0, 4 * kSubpageBytes, 0);
+  ssd.submit(OpType::kWrite, kSubpageBytes, kSubpageBytes, ms_to_ns(1.0));
+  ssd.reset_timing();
+  ASSERT_EQ(ssd.scheme().version_of(1), 2u);
+  io::StateSink sink;
+  ssd.save(sink);
+  std::vector<std::uint8_t> bytes = sink.take();
+
+  // The map section follows the array and block-manager sections: a u64
+  // entry count, then a (u32 slot code, u32 version) pair per LSN.
+  io::StateSink prefix;
+  ssd.scheme().array().save(prefix);
+  ssd.scheme().blocks().save(prefix);
+  const std::size_t at = prefix.buffer().size() + 8 + 8 * 1 + 4;
+  ASSERT_LT(at + 4, bytes.size());
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + at, sizeof version);
+  ASSERT_EQ(version, 2u);
+
+  {
+    Ssd twin(cfg(), "IPU");
+    io::StateSource src(bytes);
+    twin.restore(src);
+    EXPECT_EQ(twin.scheme().version_of(1), 2u);
+  }
+  version = 3;
+  std::memcpy(bytes.data() + at, &version, sizeof version);
+  Ssd twin(cfg(), "IPU");
+  io::StateSource src(bytes);
+  EXPECT_DEATH(twin.restore(src), "map disagrees with the versions");
 }
 
 /// A prefilled device whose ts0 replay runs SLC and MLC GC.

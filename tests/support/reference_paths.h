@@ -184,8 +184,8 @@ struct ReferencePrefill {
       std::size_t n = 0;
       while (n < spp && filled < max_subpages) {
         const Lsn lsn = filled++;
-        writes[n] = {static_cast<SubpageId>(n), lsn,
-                     scheme.map_.bump_version(lsn)};
+        // Every LSN of a fresh device is written for the first time.
+        writes[n] = {static_cast<SubpageId>(n), lsn, /*version=*/1};
         ++n;
       }
       nand::ReferencePaths::program(
