@@ -789,14 +789,17 @@ void Scheme::restore(io::StateSource& src) {
   bm_.restore(src);
   // Each mapped entry's version must be the one its restored slot holds;
   // a slot code outside the array reads as version 0, which never agrees.
-  const nand::Geometry& geom = array_.geometry();
-  map_.restore(src, [&](const PhysicalAddress& a) -> std::uint32_t {
-    if (a.block >= geom.total_blocks() || a.subpage >= spp_ ||
-        a.page >= geom.pages_per_block(array_.block_static(a.block).mode)) {
-      return 0;
-    }
-    return array_.slot_version(a.block, a.page, a.subpage);
-  });
+  map_.restore(
+      src,
+      [&](const PhysicalAddress& a) -> std::uint32_t {
+        const nand::SlotRecord* const r = array_.record_at(a);
+        return r != nullptr ? r->version() : 0;
+      },
+      [&](const PhysicalAddress& a) {
+        if (const nand::SlotRecord* const r = array_.record_at(a)) {
+          __builtin_prefetch(r);
+        }
+      });
   const std::uint32_t rr = src.u32();
   PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint truncated");
   rr_plane_ = rr;

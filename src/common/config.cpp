@@ -1,10 +1,34 @@
 #include "common/config.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <sstream>
 
 namespace ppssd {
+
+namespace {
+/// Fraction of MLC capacity hidden from the host for GC headroom.
+constexpr double kOverProvision = 0.05;
+}  // namespace
+
+std::uint32_t GeometryConfig::slc_blocks_per_plane(double slc_ratio) const {
+  return static_cast<std::uint32_t>(
+      std::ceil((total_blocks / planes()) * slc_ratio));
+}
+
+std::uint64_t GeometryConfig::logical_subpages(double slc_ratio) const {
+  const std::uint32_t per_plane = total_blocks / planes();
+  const std::uint32_t slc = slc_blocks_per_plane(slc_ratio);
+  const std::uint64_t mlc_blocks =
+      static_cast<std::uint64_t>(per_plane - std::min(slc, per_plane)) *
+      planes();
+  const std::uint64_t mlc_subpages =
+      mlc_blocks * pages_per_mlc_block * subpages_per_page();
+  const auto logical =
+      static_cast<std::uint64_t>(mlc_subpages * (1.0 - kOverProvision));
+  return logical - logical % subpages_per_page();
+}
 
 SsdConfig SsdConfig::paper() { return SsdConfig{}; }
 
@@ -53,6 +77,9 @@ std::string SsdConfig::validate() const {
   if (g.page_bytes == 0 || g.subpage_bytes == 0 ||
       g.page_bytes % g.subpage_bytes != 0) {
     err << "page_bytes must be a positive multiple of subpage_bytes; ";
+  } else if (g.subpages_per_page() > kMaxSubpagesPerPage) {
+    err << "page_bytes / subpage_bytes (" << g.subpages_per_page()
+        << ") exceeds " << kMaxSubpagesPerPage << " subpages per page; ";
   }
   if (g.pages_per_slc_block == 0 || g.pages_per_mlc_block == 0) {
     err << "pages per block must be nonzero; ";
@@ -77,6 +104,14 @@ std::string SsdConfig::validate() const {
   }
   if (cache.slc_ratio <= 0.0 || cache.slc_ratio >= 1.0) {
     err << "slc_ratio must be in (0,1); ";
+  } else if (g.planes() != 0 && g.subpage_bytes != 0 &&
+             g.subpages_per_page() != 0) {
+    // A flash slot record keeps its owner LSN in kSlotOwnerBits bits.
+    const std::uint64_t lsns = g.logical_subpages(cache.slc_ratio);
+    if (lsns > (std::uint64_t{1} << kSlotOwnerBits)) {
+      err << "logical subpage count (" << lsns << ") does not fit the "
+          << kSlotOwnerBits << "-bit owner field of a slot record; ";
+    }
   }
   if (cache.gc_threshold <= 0.0 || cache.gc_threshold >= 1.0) {
     err << "gc_threshold must be in (0,1); ";

@@ -16,6 +16,14 @@
 
 namespace ppssd {
 
+/// Most subpages a page may hold: program write lists are fixed arrays of
+/// this size, and it bounds a page's program count (DESIGN.md §10).
+inline constexpr std::uint32_t kMaxSubpagesPerPage = 8;
+
+/// Width of the owner-LSN field of a flash slot record (nand::SlotRecord):
+/// a device's logical subpage count must fit it.
+inline constexpr std::uint32_t kSlotOwnerBits = 30;
+
 /// Physical organisation of the flash array.
 ///
 /// total_blocks are striped over channels*chips_per_channel*dies_per_chip*
@@ -52,6 +60,13 @@ struct GeometryConfig {
     const std::uint32_t spp = subpages_per_page();
     return spp == 0 ? 0 : static_cast<std::uint32_t>(std::bit_width(spp - 1));
   }
+  /// SLC-mode blocks per plane at `slc_ratio`: the first
+  /// ceil(blocks_per_plane * slc_ratio) of each plane. Needs planes() > 0.
+  [[nodiscard]] std::uint32_t slc_blocks_per_plane(double slc_ratio) const;
+  /// Host-visible logical subpages at `slc_ratio`: the MLC region's
+  /// subpages less the over-provisioned share, rounded down to whole
+  /// pages. Needs planes() > 0 and subpages_per_page() > 0.
+  [[nodiscard]] std::uint64_t logical_subpages(double slc_ratio) const;
   [[nodiscard]] std::uint64_t mlc_capacity_bytes() const {
     return static_cast<std::uint64_t>(total_blocks) * pages_per_mlc_block *
            page_bytes;

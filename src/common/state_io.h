@@ -133,6 +133,14 @@ class StateSource {
     return true;
   }
 
+  /// Take the next `n` bytes in place: where they start in the buffer,
+  /// or nullptr (sticky-fail) when they are not there. Lets a reader
+  /// decode several consecutive rows in one pass.
+  [[nodiscard]] const std::uint8_t* bytes(std::uint64_t n) {
+    if (!take(n)) return nullptr;
+    return data_ + pos_ - n;
+  }
+
   template <typename T>
   [[nodiscard]] T pod() {
     static_assert(std::is_trivially_copyable_v<T>);

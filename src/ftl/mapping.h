@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 
@@ -138,16 +139,35 @@ class DeviceMap {
   /// stream does not match the shape, or when an entry's version is not
   /// the one stored in its slot (`version_at` of an address outside the
   /// array must return 0) or an unmapped entry's version is not 0.
-  template <typename VersionAt>
-  void restore(io::StateSource& src, VersionAt&& version_at) {
+  /// `prefetch_at(addr)` hints slot `addr`'s stored version (it must
+  /// ignore an address outside the array); restore calls it
+  /// kRestoreAhead entries ahead of each check, whose loads are scattered
+  /// over the array (consecutive LSN pages sit on different planes).
+  template <typename VersionAt, typename PrefetchAt>
+  void restore(io::StateSource& src, VersionAt&& version_at,
+               PrefetchAt&& prefetch_at) {
     const std::uint64_t n = src.u64();
     bool agree = true;
-    if (n == table_.size()) {
-      for (Entry& e : table_) {
-        const std::uint32_t slot = src.u32();
-        const std::uint32_t version = src.u32();
-        if (!src.ok()) break;
-        e = slot;
+    const std::uint8_t* const pairs =
+        n == table_.size() ? src.bytes(8 * n) : nullptr;
+    if (pairs != nullptr) {
+      const auto word = [&](std::size_t i) {
+        std::uint32_t v = 0;
+        std::memcpy(&v, pairs + 4 * i, sizeof v);
+        return v;
+      };
+      const auto hint = [&](std::size_t lsn) {
+        const std::uint32_t slot = word(2 * lsn);
+        if (slot != kUnmapped) prefetch_at(unpack(slot));
+      };
+      for (std::size_t lsn = 0; lsn < std::min(kRestoreAhead, n); ++lsn) {
+        hint(lsn);
+      }
+      for (std::size_t lsn = 0; lsn < n; ++lsn) {
+        if (lsn + kRestoreAhead < n) hint(lsn + kRestoreAhead);
+        const std::uint32_t slot = word(2 * lsn);
+        const std::uint32_t version = word(2 * lsn + 1);
+        table_[lsn] = slot;
         agree &= slot == kUnmapped
                      ? version == 0
                      : version != 0 && version == version_at(unpack(slot));
@@ -163,6 +183,9 @@ class DeviceMap {
   }
 
  private:
+  /// How many entries ahead of its version check restore() hints a slot.
+  static constexpr std::size_t kRestoreAhead = 16;
+
   /// Slot code of an unmapped LSN.
   static constexpr Entry kUnmapped = std::numeric_limits<Entry>::max();
 

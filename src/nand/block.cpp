@@ -12,8 +12,9 @@ Block::Block(CellMode mode, std::uint32_t pages,
       page_count_(pages),
       subpages_per_page_(subpages_per_page) {
   PPSSD_CHECK(pages > 0);
-  PPSSD_CHECK(subpages_per_page >= 1 &&
-              subpages_per_page <= kMaxSubpagesPerPage);
+  // SsdConfig::validate bounds the subpages per page, with a message.
+  PPSSD_DCHECK(subpages_per_page >= 1 &&
+               subpages_per_page <= kMaxSubpagesPerPage);
 }
 
 void Block::erase(SimTime now) {

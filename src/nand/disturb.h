@@ -6,7 +6,7 @@
 //   * neighbouring-page disturb — programs on wordline-adjacent pages.
 // Page/Block track the raw counters; DisturbSnapshot packages everything
 // the BER model needs to price a read of one subpage. The snapshot is
-// assembled by FlashArray::disturb_of, which owns the SoA subpage rows
+// assembled by FlashArray::disturb_of, which owns the subpage rows
 // the subtraction terms come from (DESIGN.md §14).
 #pragma once
 

@@ -1,11 +1,50 @@
 #include "nand/flash_array.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "common/check.h"
 #include "common/state_io.h"
 
 namespace ppssd::nand {
+
+namespace {
+
+/// Elements per chunk of a streamed checkpoint row.
+constexpr std::size_t kRowChunk = 4096;
+
+/// Write a checkpoint row of `n` elements of type T (a u64 count, then the
+/// raw elements) whose element i is `at(i)`, gathered in fixed-size chunks
+/// so no full-size temporary is built.
+template <typename T, typename At>
+void save_row(io::StateSink& sink, std::size_t n, At&& at) {
+  sink.u64(n);
+  std::array<T, kRowChunk> chunk;
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t m = std::min(kRowChunk, n - i);
+    for (std::size_t k = 0; k < m; ++k, ++i) chunk[k] = at(i);
+    sink.items(std::span<const T>(chunk.data(), m));
+  }
+}
+
+/// Read a checkpoint row written by save_row in place, calling
+/// `put(i, value)` for each element. Returns false when the row's count
+/// is not `n` or the stream runs short.
+template <typename T, typename Put>
+bool restore_row(io::StateSource& src, std::size_t n, Put&& put) {
+  if (src.u64() != n) return false;
+  const std::uint8_t* const bytes = src.bytes(n * sizeof(T));
+  if (bytes == nullptr) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    T v;
+    std::memcpy(&v, bytes + i * sizeof(T), sizeof(T));
+    put(i, v);
+  }
+  return true;
+}
+
+}  // namespace
 
 FlashArray::FlashArray(const SsdConfig& cfg)
     : cfg_(cfg), geom_(cfg.geometry, cfg.cache.slc_ratio) {
@@ -33,10 +72,7 @@ FlashArray::FlashArray(const SsdConfig& cfg)
   PPSSD_CHECK(next_ordinal == hists_.size());
   // SsdConfig::validate() bounds the page count to a 32-bit page index.
   pages_.resize(pages);
-  const std::size_t slots = static_cast<std::size_t>(pages) * spp_;
-  sp_state_.assign(slots, 0);
-  sp_owner_.assign(slots, 0);
-  sp_version_.assign(slots, 0);
+  slots_.assign(static_cast<std::size_t>(pages) * spp_, SlotRecord{});
   slc_block_slots_ = geom_.pages_per_block(CellMode::kSlc) * spp_;
   const std::size_t slc_slots =
       static_cast<std::size_t>(hists_.size()) * slc_block_slots_;
@@ -71,13 +107,12 @@ void FlashArray::prefill_block(BlockId b, std::uint32_t pages, Lsn first_lsn,
     const std::uint32_t n = p + 1 == pages ? last_slots : spp_;
     const Lsn lsn = first_lsn + p * lsn_stride;
     for (std::uint32_t s = 0; s < n; ++s) {
-      const std::size_t i = base + s;
-      PPSSD_CHECK_MSG(sp_state_[i] ==
-                          static_cast<std::uint8_t>(SubpageState::kFree),
+      SlotRecord& r = slots_[base + s];
+      PPSSD_CHECK_MSG(r.is_free(),
                       "programming a non-free subpage (NAND write-once rule)");
-      sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
-      sp_owner_[i] = static_cast<std::uint32_t>(lsn + s);
-      sp_version_[i] = version;
+      PPSSD_DCHECK(lsn + s <= SlotRecord::kOwnerMask);
+      r = SlotRecord(SubpageState::kValid,
+                     static_cast<std::uint32_t>(lsn + s), version);
       // An SLC slot's write time and disturb snapshots stay 0: a frontier
       // fill at sim time 0 has seen no prior programs or neighbour disturbs.
     }
@@ -122,18 +157,16 @@ void FlashArray::erase(BlockId b, SimTime now) {
   }
   BlockStatic& bs = statics_[b];
   bs.pe_cycles = cfg_.wear.initial_pe_cycles + blk.erase_count();
-  // Clear the block's page and SoA slot ranges back to the erased state.
+  // Clear the block's page and slot ranges back to the erased state.
   std::fill_n(pages_.begin() + bs.page_base, blk.page_count(), Page{});
   const std::size_t base = static_cast<std::size_t>(bs.page_base) * spp_;
   const std::size_t n = static_cast<std::size_t>(blk.page_count()) * spp_;
-  std::fill_n(sp_state_.begin() + base, n, std::uint8_t{0});
-  std::fill_n(sp_owner_.begin() + base, n, std::uint32_t{0});
-  std::fill_n(sp_version_.begin() + base, n, std::uint32_t{0});
+  std::fill_n(slots_.begin() + base, n, SlotRecord{});
   if (bs.mode == CellMode::kSlc) {
     const std::size_t sbase = slc_slot(blk.slc_ordinal_, 0, 0);
     std::fill_n(slc_wtime_.begin() + sbase, n, std::uint32_t{0});
     std::fill_n(slc_programs_before_.begin() + sbase, n, std::uint8_t{0});
-    std::fill_n(slc_neighbors_before_.begin() + sbase, n, std::uint16_t{0});
+    std::fill_n(slc_neighbors_before_.begin() + sbase, n, std::uint8_t{0});
     ++counters_.slc_erases;
   } else {
     ++counters_.mlc_erases;
@@ -164,32 +197,37 @@ void FlashArray::save(io::StateSink& sink) const {
   // guarantee this; the check is defense in depth).
   sink.u32(spp_);
   sink.u32(static_cast<std::uint32_t>(blocks_.size()));
-  sink.u64(sp_state_.size());
+  sink.u64(slots_.size());
 
-  sink.vec(sp_state_);
-  sink.vec(sp_owner_);
-  sink.vec(sp_version_);
+  // The slot records stream out as the three rows the checkpoint has
+  // always held (u8 state, u32 owner, u32 version), and the SLC neighbour
+  // snapshots widened to u16, each in fixed-size chunks.
+  const std::size_t slots = slots_.size();
+  save_row<std::uint8_t>(sink, slots, [&](std::size_t i) {
+    return static_cast<std::uint8_t>(slots_[i].state());
+  });
+  save_row<std::uint32_t>(sink, slots,
+                          [&](std::size_t i) { return slots_[i].owner(); });
+  save_row<std::uint32_t>(sink, slots,
+                          [&](std::size_t i) { return slots_[i].version(); });
   sink.vec(slc_wtime_);
   sink.vec(slc_programs_before_);
-  sink.vec(slc_neighbors_before_);
+  save_row<std::uint16_t>(
+      sink, slc_neighbors_before_.size(),
+      [&](std::size_t i) -> std::uint16_t { return slc_neighbors_before_[i]; });
 
-  // Page fields as three SoA rows in page-row order (block-major), so
-  // restore ingests them as three bulk copies instead of a per-page
-  // scalar loop over the stream.
-  std::vector<std::uint8_t> pg_ops;
-  std::vector<std::uint16_t> pg_neighbors;
-  std::vector<std::uint8_t> pg_reprogrammed;
-  pg_ops.reserve(pages_.size());
-  pg_neighbors.reserve(pages_.size());
-  pg_reprogrammed.reserve(pages_.size());
-  for (const Page& pg : pages_) {
-    pg_ops.push_back(pg.program_ops_);
-    pg_neighbors.push_back(pg.neighbor_programs_);
-    pg_reprogrammed.push_back(pg.reprogrammed_ ? 1 : 0);
-  }
-  sink.vec(pg_ops);
-  sink.vec(pg_neighbors);
-  sink.vec(pg_reprogrammed);
+  // Page fields as three rows in page-row order (block-major): u8 program
+  // count, u16 neighbour count, u8 reprogrammed flag.
+  const std::size_t pages = pages_.size();
+  save_row<std::uint8_t>(sink, pages, [&](std::size_t i) -> std::uint8_t {
+    return pages_[i].program_ops_;
+  });
+  save_row<std::uint16_t>(sink, pages, [&](std::size_t i) -> std::uint16_t {
+    return pages_[i].neighbor_programs_;
+  });
+  save_row<std::uint8_t>(sink, pages, [&](std::size_t i) -> std::uint8_t {
+    return pages_[i].reprogrammed_;
+  });
 
   // Per-block scalars *and* the running aggregates: the aggregates are
   // derivable from the rows above, but serializing them makes restore a
@@ -221,33 +259,89 @@ void FlashArray::save(io::StateSink& sink) const {
 void FlashArray::restore(io::StateSource& src) {
   PPSSD_CHECK_MSG(src.u32() == spp_ &&
                       src.u32() == static_cast<std::uint32_t>(blocks_.size()) &&
-                      src.u64() == sp_state_.size(),
+                      src.u64() == slots_.size(),
                   "warm-start checkpoint does not match device geometry");
 
-  // In-place row reads: the arrays are already sized by the constructor
-  // (the geometry check above passed), so each row is one bulk copy;
-  // vec_into sticky-fails on any length mismatch.
-  (void)src.vec_into(sp_state_);
-  (void)src.vec_into(sp_owner_);
-  (void)src.vec_into(sp_version_);
+  // The three slot rows (u8 state, u32 owner, u32 version) decode into
+  // the records in one pass over the rows in place. Every field is
+  // range-checked, so a corrupt stream aborts here instead of restoring
+  // silently; a free slot is all zero, as erase leaves it.
+  const std::size_t slots = slots_.size();
+  const auto row = [&](std::size_t element_bytes) -> const std::uint8_t* {
+    return src.u64() == slots ? src.bytes(slots * element_bytes) : nullptr;
+  };
+  const std::uint8_t* const states = row(1);
+  const std::uint8_t* const owners = row(4);
+  const std::uint8_t* const versions = row(4);
+  PPSSD_CHECK_MSG(states != nullptr && owners != nullptr && versions != nullptr,
+                  "warm-start checkpoint rows truncated");
+  const std::uint64_t lsns = geom_.logical_subpages();
+  // Branch-free flags: a bad field sets its flag, checked after the pass.
+  std::uint32_t bad_state = 0;
+  std::uint32_t bad_owner = 0;
+  std::uint32_t bad_free = 0;
+  for (std::size_t i = 0; i < slots; ++i) {
+    std::uint32_t owner = 0;
+    std::uint32_t version = 0;
+    std::memcpy(&owner, owners + 4 * i, sizeof owner);
+    std::memcpy(&version, versions + 4 * i, sizeof version);
+    const std::uint32_t st = states[i];
+    const std::uint32_t is_free = st == 0;
+    bad_state |= st > static_cast<std::uint32_t>(SubpageState::kInvalid);
+    bad_free |= is_free & ((owner | version) != 0);
+    bad_owner |= (is_free ^ 1u) & (owner >= lsns);
+    slots_[i] = SlotRecord(static_cast<SubpageState>(st & 3u),
+                           owner & SlotRecord::kOwnerMask, version);
+  }
+  PPSSD_CHECK_MSG(bad_state == 0,
+                  "warm-start checkpoint slot state out of range");
+  PPSSD_CHECK_MSG(bad_owner == 0,
+                  "warm-start checkpoint slot owner beyond the logical "
+                  "subpage count");
+  PPSSD_CHECK_MSG(bad_free == 0,
+                  "warm-start checkpoint free slot holds an owner or version");
+
+  const std::uint32_t max_neighbors = 2 * spp_;
+  bool neighbors_ok = true;
   (void)src.vec_into(slc_wtime_);
   (void)src.vec_into(slc_programs_before_);
-  (void)src.vec_into(slc_neighbors_before_);
-  PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint rows truncated");
+  bool rows = src.ok() && restore_row<std::uint16_t>(
+                              src, slc_neighbors_before_.size(),
+                              [&](std::size_t i, std::uint16_t v) {
+                                neighbors_ok &= v <= max_neighbors;
+                                slc_neighbors_before_[i] =
+                                    static_cast<std::uint8_t>(v);
+                              });
+  PPSSD_CHECK_MSG(rows, "warm-start checkpoint rows truncated");
 
-  const std::vector<std::uint8_t> pg_ops = src.vec<std::uint8_t>();
-  const std::vector<std::uint16_t> pg_neighbors = src.vec<std::uint16_t>();
-  const std::vector<std::uint8_t> pg_reprogrammed = src.vec<std::uint8_t>();
-  PPSSD_CHECK_MSG(src.ok() && pg_ops.size() == pages_.size() &&
-                      pg_neighbors.size() == pages_.size() &&
-                      pg_reprogrammed.size() == pages_.size(),
-                  "warm-start checkpoint page rows truncated");
-  for (std::size_t i = 0; i < pages_.size(); ++i) {
-    Page& pg = pages_[i];
-    pg.program_ops_ = pg_ops[i];
-    pg.neighbor_programs_ = pg_neighbors[i];
-    pg.reprogrammed_ = pg_reprogrammed[i] != 0;
-  }
+  const std::size_t pages = pages_.size();
+  bool ops_ok = true;
+  bool reprogrammed_ok = true;
+  rows = restore_row<std::uint8_t>(src, pages,
+                                   [&](std::size_t i, std::uint8_t v) {
+                                     ops_ok &= v <= spp_;
+                                     pages_[i].program_ops_ = v & 0x7Fu;
+                                   }) &&
+         restore_row<std::uint16_t>(src, pages,
+                                    [&](std::size_t i, std::uint16_t v) {
+                                      neighbors_ok &= v <= max_neighbors;
+                                      pages_[i].neighbor_programs_ =
+                                          static_cast<std::uint8_t>(v);
+                                    }) &&
+         restore_row<std::uint8_t>(src, pages,
+                                   [&](std::size_t i, std::uint8_t v) {
+                                     reprogrammed_ok &= v <= 1;
+                                     pages_[i].reprogrammed_ = v & 1u;
+                                   });
+  PPSSD_CHECK_MSG(rows, "warm-start checkpoint page rows truncated");
+  PPSSD_CHECK_MSG(ops_ok,
+                  "warm-start checkpoint page program count above subpages "
+                  "per page");
+  PPSSD_CHECK_MSG(neighbors_ok,
+                  "warm-start checkpoint neighbour count above twice the "
+                  "subpages per page");
+  PPSSD_CHECK_MSG(reprogrammed_ok,
+                  "warm-start checkpoint reprogrammed flag above 1");
 
   // Take the serialized aggregates as is — they were read off a
   // consistent device and the stream already passed the container

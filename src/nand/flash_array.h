@@ -9,14 +9,14 @@
 // neighbours, and erase/wear accounting.
 //
 // Hot-path layout (DESIGN.md §10, §14): program() and invalidate() are
-// *fused* single-pass implementations, and the per-subpage fields they
-// walk are stored as structure-of-arrays rows (one flat row per field,
-// indexed by the block's page base) so a state scan touches one densely
-// packed row instead of striding over interleaved structs. Page counters
-// live in one flat page row too, and every big row sits on huge pages
-// (common/row_alloc.h). A slot's write time and disturb snapshots are
-// kept for SLC-mode slots only: an MLC slot is written by its page's one
-// program, when both snapshots are 0, and no reader needs its write time.
+// *fused* single-pass implementations. Each subpage slot's state, owner
+// and version share one 8-byte record in a flat slot row (indexed by the
+// block's page base), so a supersede or a state scan loads one line per
+// slot. Page counters live in one flat row of 2-byte entries, and every
+// big row sits on huge pages (common/row_alloc.h). A slot's write time
+// and disturb snapshots are kept for SLC-mode slots only: an MLC slot is
+// written by its page's one program, when both snapshots are 0, and no
+// reader needs its write time.
 // The layer-by-layer oracles that hold the fused paths state-identical
 // live in tests/nand/fused_path_test.cpp. Contract invariants (write-once,
 // frontier order, one MLC program, partial-program limit, valid-state)
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -123,7 +122,7 @@ class FlashArray {
     return static_cast<std::uint32_t>(chips_.size());
   }
 
-  /// Subpages per page — uniform across cell modes; the SoA rows rely on
+  /// Subpages per page — uniform across cell modes; the slot rows rely on
   /// that uniformity for their fixed per-page stride.
   [[nodiscard]] std::uint32_t subpages_per_page() const { return spp_; }
 
@@ -134,7 +133,7 @@ class FlashArray {
     return static_cast<std::size_t>(statics_[b].page_base) + p;
   }
 
-  /// Flat SoA slot index of subpage (b, p, s).
+  /// Flat slot-row index of subpage (b, p, s).
   [[nodiscard]] std::size_t slot_index(BlockId b, PageId p,
                                        SubpageId s) const {
     PPSSD_DCHECK(s < spp_);
@@ -148,23 +147,24 @@ class FlashArray {
 
   [[nodiscard]] SubpageState subpage_state(BlockId b, PageId p,
                                            SubpageId s) const {
-    return static_cast<SubpageState>(sp_state_[slot_index(b, p, s)]);
+    return slots_[slot_index(b, p, s)].state();
   }
 
   /// Version stored in slot (b, p, s): the LSN version its program wrote.
   [[nodiscard]] std::uint32_t slot_version(BlockId b, PageId p,
                                            SubpageId s) const {
-    return sp_version_[slot_index(b, p, s)];
+    return slots_[slot_index(b, p, s)].version();
   }
 
-  /// Materialized copy of one subpage's stored fields (SoA gather). An
-  /// MLC slot's write time and disturb snapshots read as 0.
+  /// Materialized copy of one subpage's stored fields (the slot record
+  /// plus, for an SLC-mode slot, its SLC-only rows). An MLC slot's write
+  /// time and disturb snapshots read as 0.
   [[nodiscard]] Subpage subpage(BlockId b, PageId p, SubpageId s) const {
-    const std::size_t i = slot_index(b, p, s);
+    const SlotRecord& r = slots_[slot_index(b, p, s)];
     Subpage sp;
-    sp.owner_lsn = sp_owner_[i];
-    sp.version = sp_version_[i];
-    sp.state = static_cast<SubpageState>(sp_state_[i]);
+    sp.owner_lsn = r.owner();
+    sp.version = r.version();
+    sp.state = r.state();
     const Block& blk = blocks_[b];
     if (blk.slc_ordinal_ != Block::kNotSlc) {
       const std::size_t j = slc_slot(blk.slc_ordinal_, p, s);
@@ -181,7 +181,7 @@ class FlashArray {
     const std::size_t base = slot_index(b, p, 0);
     std::uint32_t c = 0;
     for (std::uint32_t s = 0; s < spp_; ++s) {
-      if (sp_state_[base + s] == static_cast<std::uint8_t>(st)) ++c;
+      if (slots_[base + s].state() == st) ++c;
     }
     return c;
   }
@@ -192,10 +192,7 @@ class FlashArray {
   [[nodiscard]] SubpageId page_first_free(BlockId b, PageId p) const {
     const std::size_t base = slot_index(b, p, 0);
     for (std::uint32_t s = 0; s < spp_; ++s) {
-      if (sp_state_[base + s] ==
-          static_cast<std::uint8_t>(SubpageState::kFree)) {
-        return static_cast<SubpageId>(s);
-      }
+      if (slots_[base + s].is_free()) return static_cast<SubpageId>(s);
     }
     return kInvalidSubpage;
   }
@@ -218,13 +215,14 @@ class FlashArray {
   /// one program per erase) and propagates neighbour disturb. Returns true
   /// if it was a partial program.
   ///
-  /// Fused single-pass implementation: subpage rows, page counters, block
+  /// Fused single-pass implementation: slot records, page counters, block
   /// aggregates, the age histogram (SLC blocks) and array counters update
-  /// in one walk over `writes`.
+  /// in one walk over `writes`. Every program fills at least one free slot
+  /// (always checked), which bounds a page's program count by spp.
   bool program(BlockId b, PageId p, std::span<const SlotWrite> writes,
                SimTime now) {
     PPSSD_DCHECK(b < blocks_.size());
-    PPSSD_DCHECK(!writes.empty());
+    PPSSD_CHECK_MSG(!writes.empty(), "a program must fill at least one slot");
     Block& blk = blocks_[b];
     PPSSD_DCHECK(p < blk.page_count());
     const BlockStatic& bs = statics_[b];
@@ -254,26 +252,21 @@ class FlashArray {
         // The page transitions to "updated": its valid subpages leave the
         // cold (never-updated) population tracked by the age histogram.
         for (std::uint32_t s = 0; s < spp_; ++s) {
-          if (sp_state_[base + s] ==
-              static_cast<std::uint8_t>(SubpageState::kValid)) {
+          if (slots_[base + s].state() == SubpageState::kValid) {
             hist->remove(slc_wtime_[sbase + s]);
           }
         }
       }
     }
-    PPSSD_DCHECK_MSG(pg.program_ops_ <
-                         std::numeric_limits<std::uint8_t>::max(),
-                     "page program-op counter overflow");
     const auto wt = static_cast<std::uint32_t>(now / 1'000'000);
     for (const SlotWrite& w : writes) {
       PPSSD_DCHECK(w.slot < spp_);
-      const std::size_t i = base + w.slot;
-      PPSSD_CHECK_MSG(sp_state_[i] ==
-                          static_cast<std::uint8_t>(SubpageState::kFree),
+      PPSSD_DCHECK(w.lsn <= SlotRecord::kOwnerMask);
+      SlotRecord& r = slots_[base + w.slot];
+      PPSSD_CHECK_MSG(r.is_free(),
                       "programming a non-free subpage (NAND write-once rule)");
-      sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
-      sp_owner_[i] = static_cast<std::uint32_t>(w.lsn);
-      sp_version_[i] = w.version;
+      r = SlotRecord(SubpageState::kValid, static_cast<std::uint32_t>(w.lsn),
+                     w.version);
       if (hist != nullptr) {
         slc_wtime_[sbase + w.slot] = wt;
         slc_programs_before_[sbase + w.slot] = pre_ops;
@@ -356,7 +349,7 @@ class FlashArray {
   /// Always false for a programmed MLC page.
   [[nodiscard]] bool can_partial_program(BlockId b, PageId p) const;
 
-  /// Fused invalidate: one slot lookup updates the state row, block
+  /// Fused invalidate: one slot lookup updates the slot record, block
   /// aggregates, the age histogram (SLC blocks) and the observer in a
   /// single pass.
   void invalidate(BlockId b, PageId p, SubpageId s) {
@@ -365,11 +358,10 @@ class FlashArray {
     PPSSD_DCHECK(p < blk.page_count());
     PPSSD_DCHECK(s < spp_);
     const std::size_t pi = page_index(b, p);
-    const std::size_t i = pi * spp_ + s;
-    PPSSD_CHECK_MSG(sp_state_[i] ==
-                        static_cast<std::uint8_t>(SubpageState::kValid),
+    SlotRecord& r = slots_[pi * spp_ + s];
+    PPSSD_CHECK_MSG(r.state() == SubpageState::kValid,
                     "invalidating a subpage that is not valid");
-    sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kInvalid);
+    r.set_state(SubpageState::kInvalid);
     PPSSD_DCHECK(blk.valid_ > 0);
     --blk.valid_;
     ++blk.invalid_;
@@ -392,24 +384,31 @@ class FlashArray {
 
   /// Cache hints for the rows a host operation on slot (b, p, s) reads
   /// (DESIGN.md §10, "Request lookahead"): the block's entry, the page
-  /// counters, the slot's state, owner and version and, for an SLC-mode
-  /// block, its SLC-only slot rows. Reads the hot block row; changes no
-  /// state.
+  /// counters, the slot record and, for an SLC-mode block, its SLC-only
+  /// slot rows. Reads the hot block row; changes no state.
   void prefetch_slot(BlockId b, PageId p, SubpageId s) const {
     const BlockStatic& bs = block_static(b);
     const std::size_t pi = static_cast<std::size_t>(bs.page_base) + p;
     const std::size_t i = pi * spp_ + s;
     __builtin_prefetch(blocks_.data() + b);
     __builtin_prefetch(pages_.data() + pi);
-    __builtin_prefetch(sp_state_.data() + i);
-    __builtin_prefetch(sp_owner_.data() + i);
-    __builtin_prefetch(sp_version_.data() + i);
+    __builtin_prefetch(slots_.data() + i);
     if (bs.mode == CellMode::kSlc) {
       const std::size_t j = slc_slot(slc_ordinal(bs, b), p, s);
       __builtin_prefetch(slc_wtime_.data() + j);
       __builtin_prefetch(slc_programs_before_.data() + j);
       __builtin_prefetch(slc_neighbors_before_.data() + j);
     }
+  }
+
+  /// The record of the slot at `a`, or nullptr when `a` lies outside the
+  /// array (a checkpoint reader's range check: one block-row load).
+  [[nodiscard]] const SlotRecord* record_at(const PhysicalAddress& a) const {
+    if (a.block >= statics_.size() || a.subpage >= spp_) return nullptr;
+    const BlockStatic& bs = statics_[a.block];
+    if (a.page >= geom_.pages_per_block(bs.mode)) return nullptr;
+    return &slots_[(static_cast<std::size_t>(bs.page_base) + a.page) * spp_ +
+                   a.subpage];
   }
 
   /// Disturb snapshot of a stored subpage for the BER model. One read of
@@ -422,8 +421,7 @@ class FlashArray {
     const BlockStatic& bs = block_static(b);
     const std::size_t pi = page_index(b, p);
     PPSSD_DCHECK(s < spp_);
-    PPSSD_DCHECK(sp_state_[pi * spp_ + s] !=
-                 static_cast<std::uint8_t>(SubpageState::kFree));
+    PPSSD_DCHECK(!slots_[pi * spp_ + s].is_free());
     const Page& pg = pages_[pi];
     DisturbSnapshot snap;
     snap.mode = bs.mode;
@@ -452,14 +450,15 @@ class FlashArray {
   /// observer must outlive the array or unregister before destruction.
   void set_block_observer(BlockObserver* observer) { observer_ = observer; }
 
-  /// Serialize the complete mutable array state (SoA rows, per-page and
+  /// Serialize the complete mutable array state (slot rows, per-page and
   /// per-block counters, wear, SLC histograms, operation counters) for the
   /// warm-start checkpoint. Geometry/config are not written — the restore
   /// target must be constructed from the same SsdConfig.
   void save(io::StateSink& sink) const;
 
   /// Inverse of save(). PPSSD_CHECKs that the checkpoint's shape matches
-  /// this array's geometry; the caller validates checksum/version first.
+  /// this array's geometry and that every slot and page field is in
+  /// range; the caller validates checksum/version first.
   void restore(io::StateSource& src);
 
  private:
@@ -508,12 +507,10 @@ class FlashArray {
   // modes).
   Row<Page> pages_;
 
-  // Structure-of-arrays subpage rows (DESIGN.md §14). Slot index =
-  // page index * spp_ + slot.
+  // The slot row (DESIGN.md §10): one record per subpage slot. Slot
+  // index = page index * spp_ + slot.
   std::uint32_t spp_ = 0;
-  Row<std::uint8_t> sp_state_;
-  Row<std::uint32_t> sp_owner_;
-  Row<std::uint32_t> sp_version_;
+  Row<SlotRecord> slots_;
 
   // SLC-only slot rows (DESIGN.md §10): write time and the two disturb
   // snapshots, which stay 0 for every MLC slot. Index = SLC ordinal *
@@ -521,7 +518,7 @@ class FlashArray {
   std::uint32_t slc_block_slots_ = 0;
   Row<std::uint32_t> slc_wtime_;
   Row<std::uint8_t> slc_programs_before_;
-  Row<std::uint16_t> slc_neighbors_before_;
+  Row<std::uint8_t> slc_neighbors_before_;
 };
 
 }  // namespace ppssd::nand

@@ -1,15 +1,8 @@
 #include "nand/geometry.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace ppssd::nand {
-
-namespace {
-/// Fraction of MLC capacity hidden from the host for GC headroom.
-constexpr double kOverProvision = 0.05;
-}  // namespace
 
 Geometry::Geometry(const GeometryConfig& cfg, double slc_ratio) : cfg_(cfg) {
   planes_ = cfg.planes();
@@ -18,18 +11,10 @@ Geometry::Geometry(const GeometryConfig& cfg, double slc_ratio) : cfg_(cfg) {
                   "total_blocks must divide evenly across planes");
   planes_per_chip_ = cfg.dies_per_chip * cfg.planes_per_die;
   blocks_per_plane_ = cfg.total_blocks / planes_;
-  slc_blocks_per_plane_ = static_cast<std::uint32_t>(
-      std::ceil(blocks_per_plane_ * slc_ratio));
+  slc_blocks_per_plane_ = cfg.slc_blocks_per_plane(slc_ratio);
   PPSSD_CHECK_MSG(slc_blocks_per_plane_ < blocks_per_plane_,
                   "slc_ratio leaves no MLC blocks");
-
-  const std::uint64_t mlc_pages =
-      static_cast<std::uint64_t>(mlc_block_count()) * cfg.pages_per_mlc_block;
-  const std::uint64_t mlc_subpages = mlc_pages * cfg.subpages_per_page();
-  logical_subpages_ =
-      static_cast<std::uint64_t>(mlc_subpages * (1.0 - kOverProvision));
-  // Round down to whole logical pages.
-  logical_subpages_ -= logical_subpages_ % cfg.subpages_per_page();
+  logical_subpages_ = cfg.logical_subpages(slc_ratio);
   PPSSD_CHECK(logical_subpages_ > 0);
 }
 

@@ -11,19 +11,19 @@
 // per-event fan-out. An MLC subpage's snapshots are both 0 (its page's one
 // program saw neither), so only SLC-mode subpages store them.
 //
-// Storage layout (DESIGN.md §10, §14): per-subpage fields live in
-// structure-of-arrays rows owned by FlashArray — the fused program/
-// invalidate paths and the GC oracles walk one field's row each instead of
-// striding over interleaved structs. The write time and the two snapshots
-// have SLC-only rows. `Subpage` survives as the *value* type those rows
-// gather into (accessors, tests, BER snapshots). `Page` keeps only the
-// per-page counters the disturb model subtracts against, one entry per
-// page in FlashArray's flat page row.
+// Storage layout (DESIGN.md §10, §14): every slot's state, owner and
+// version share one 8-byte `SlotRecord` in FlashArray's slot row, so a
+// supersede or a GC scan loads one line per slot. The write time and the
+// two snapshots have SLC-only rows. `Subpage` survives as the *value*
+// type those rows gather into (accessors, tests, BER snapshots). `Page`
+// keeps only the per-page counters the disturb model subtracts against,
+// one 2-byte entry per page in FlashArray's flat page row.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 
+#include "common/check.h"
+#include "common/config.h"
 #include "common/types.h"
 
 namespace ppssd::nand {
@@ -34,7 +34,7 @@ enum class SubpageState : std::uint8_t {
   kInvalid = 2,
 };
 
-/// One 4 KiB subpage slot, materialized from the FlashArray SoA rows.
+/// One 4 KiB subpage slot, materialized from FlashArray's slot rows.
 struct Subpage {
   /// Logical subpage stored here (valid only when state == kValid).
   std::uint32_t owner_lsn = 0;
@@ -52,8 +52,45 @@ struct Subpage {
   bool operator==(const Subpage&) const = default;
 };
 
-/// Maximum subpages per page supported without heap allocation.
-inline constexpr std::uint32_t kMaxSubpagesPerPage = 8;
+/// Maximum subpages per page supported without heap allocation
+/// (SsdConfig::validate enforces it).
+using ppssd::kMaxSubpagesPerPage;
+
+/// One subpage slot's stored fields, packed into 8 bytes: the first word
+/// holds the owner LSN in its low kSlotOwnerBits bits and the
+/// SubpageState in the top two, the second the version. A free slot is
+/// all zero: the constructor and erase leave it so, and restore rejects a
+/// checkpoint that says otherwise.
+class SlotRecord {
+ public:
+  static constexpr std::uint32_t kOwnerMask =
+      (std::uint32_t{1} << kSlotOwnerBits) - 1;
+
+  /// A free slot.
+  SlotRecord() = default;
+  /// `owner` must fit kOwnerMask.
+  SlotRecord(SubpageState st, std::uint32_t owner, std::uint32_t version)
+      : word_(static_cast<std::uint32_t>(st) << kSlotOwnerBits | owner),
+        version_(version) {}
+
+  [[nodiscard]] SubpageState state() const {
+    return static_cast<SubpageState>(word_ >> kSlotOwnerBits);
+  }
+  [[nodiscard]] bool is_free() const { return word_ <= kOwnerMask; }
+  [[nodiscard]] std::uint32_t owner() const { return word_ & kOwnerMask; }
+  [[nodiscard]] std::uint32_t version() const { return version_; }
+
+  /// Set the state, keeping the owner and version.
+  void set_state(SubpageState st) {
+    word_ = (word_ & kOwnerMask) |
+            static_cast<std::uint32_t>(st) << kSlotOwnerBits;
+  }
+
+ private:
+  std::uint32_t word_ = 0;
+  std::uint32_t version_ = 0;
+};
+static_assert(sizeof(SlotRecord) == 8, "SlotRecord sets the slot row's size");
 
 /// One subpage slot to fill in a program operation.
 struct SlotWrite {
@@ -63,17 +100,28 @@ struct SlotWrite {
 };
 
 /// Per-page counters, stored in FlashArray's flat page row. Subpage slot
-/// contents live in the SoA rows; what remains here is the page-granular
+/// contents live in the slot row; what remains here is the page-granular
 /// state the disturb subtractions and the hot/cold split (page_updated)
 /// read.
+///
+/// The fields are as wide as their bounds: every program fills at least
+/// one free slot and a slot is written once per erase, so a page takes at
+/// most spp <= kMaxSubpagesPerPage programs (7 bits), and the neighbour
+/// count, fed by the two adjacent pages' programs, stays at most
+/// 2 * kMaxSubpagesPerPage (8 bits).
 class Page {
  public:
+  /// Most neighbour programs a page can absorb: both adjacent pages at
+  /// kMaxSubpagesPerPage programs.
+  static constexpr std::uint32_t kMaxNeighborPrograms =
+      2 * kMaxSubpagesPerPage;
+
   /// Number of program operations applied since the last erase.
   [[nodiscard]] std::uint8_t program_ops() const { return program_ops_; }
   /// True if at least one program has been applied (page not fully free).
   [[nodiscard]] bool programmed() const { return program_ops_ > 0; }
   /// Number of programs on wordline-adjacent pages since this page's erase.
-  [[nodiscard]] std::uint16_t neighbor_programs() const {
+  [[nodiscard]] std::uint8_t neighbor_programs() const {
     return neighbor_programs_;
   }
 
@@ -81,13 +129,12 @@ class Page {
   /// (ISPP continuation from SLC frontier state, IPS promotion) rather
   /// than a fresh program. Reprogrammed cells carry a retention/disturb
   /// BER penalty; cleared by erase.
-  [[nodiscard]] bool reprogrammed() const { return reprogrammed_; }
+  [[nodiscard]] bool reprogrammed() const { return reprogrammed_ != 0; }
 
   /// Called when a wordline-adjacent page is programmed.
   void absorb_neighbor_program() {
-    if (neighbor_programs_ < std::numeric_limits<std::uint16_t>::max()) {
-      ++neighbor_programs_;
-    }
+    PPSSD_DCHECK(neighbor_programs_ < kMaxNeighborPrograms);
+    ++neighbor_programs_;
   }
 
  private:
@@ -97,12 +144,11 @@ class Page {
   friend class FlashArray;
   friend struct ReferencePaths;
 
-  // Widest field first: four bytes with no padding, so the flat page row
-  // packs sixteen pages per cache line.
-  std::uint16_t neighbor_programs_ = 0;
-  std::uint8_t program_ops_ = 0;
-  bool reprogrammed_ = false;
+  // Two bytes, so the flat page row packs 32 pages per cache line.
+  std::uint8_t neighbor_programs_ = 0;
+  std::uint8_t program_ops_ : 7 = 0;
+  std::uint8_t reprogrammed_ : 1 = 0;
 };
-static_assert(sizeof(Page) == 4, "Page sets the flat page row's density");
+static_assert(sizeof(Page) == 2, "Page sets the flat page row's density");
 
 }  // namespace ppssd::nand

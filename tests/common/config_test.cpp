@@ -100,12 +100,43 @@ TEST(SsdConfig, ValidateBoundsTheSlotCodeAndPageIndex) {
   EXPECT_NE(err.find("32-bit slot code"), std::string::npos) << err;
   EXPECT_NE(err.find("32-bit page index"), std::string::npos) << err;
 
-  // 23 block bits remain at 128 pages and 4 subpages.
+  // 23 block bits remain at 128 pages and 4 subpages. A 90% SLC share
+  // keeps the logical subpage count inside the slot record's owner field,
+  // so only the slot code is at its edge.
   SsdConfig edge = SsdConfig::paper();
+  edge.cache.slc_ratio = 0.9;
   edge.geometry.total_blocks = (1u << 23) - edge.geometry.planes();
   EXPECT_TRUE(edge.validate().empty()) << edge.validate();
   edge.geometry.total_blocks = 1u << 23;
   EXPECT_NE(edge.validate().find("slot code"), std::string::npos);
+}
+
+// A slot record keeps its owner LSN in kSlotOwnerBits (30) bits: at the
+// paper's ratios that is about 2.2 M blocks.
+TEST(SsdConfig, ValidateBoundsTheLogicalSubpagesByTheOwnerField) {
+  SsdConfig cfg = SsdConfig::paper();
+  cfg.geometry.total_blocks = 2'097'152;  // 2^21: 0.97 G logical subpages
+  EXPECT_LE(cfg.geometry.logical_subpages(cfg.cache.slc_ratio),
+            std::uint64_t{1} << kSlotOwnerBits);
+  EXPECT_TRUE(cfg.validate().empty()) << cfg.validate();
+  cfg.geometry.total_blocks = 2'359'296;  // 1.09 G logical subpages
+  EXPECT_GT(cfg.geometry.logical_subpages(cfg.cache.slc_ratio),
+            std::uint64_t{1} << kSlotOwnerBits);
+  const std::string err = cfg.validate();
+  EXPECT_NE(err.find("does not fit the 30-bit owner field"), std::string::npos)
+      << err;
+}
+
+// More than kMaxSubpagesPerPage subpages per page is rejected with a
+// message before any block is built.
+TEST(SsdConfig, ValidateBoundsTheSubpagesPerPage) {
+  SsdConfig cfg = SsdConfig::paper();
+  cfg.geometry.page_bytes = 32 * kKiB;  // 8 subpages: the largest page
+  EXPECT_TRUE(cfg.validate().empty()) << cfg.validate();
+  cfg.geometry.page_bytes = 64 * kKiB;  // 16 subpages
+  const std::string err = cfg.validate();
+  EXPECT_NE(err.find("(16) exceeds 8 subpages per page"), std::string::npos)
+      << err;
 }
 
 TEST(Units, Conversions) {

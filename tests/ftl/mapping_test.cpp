@@ -136,6 +136,9 @@ std::uint32_t version_in_slot(const PhysicalAddress& a) {
   return a.block % 7 + a.page + a.subpage + 1;
 }
 
+/// A restore slot hint that does nothing.
+void no_hint(const PhysicalAddress&) {}
+
 // An entry is the slot code alone; the checkpoint still writes the former
 // (slot code, version) pair, with the version gathered from the slot.
 TEST(DeviceMap, FourByteEntryKeepsTheCheckpointLayout) {
@@ -177,7 +180,7 @@ TEST(DeviceMap, FourByteEntryKeepsTheCheckpointLayout) {
 
   DeviceMap back = paper_map(4);
   io::StateSource src(bytes);
-  back.restore(src, version_in_slot);
+  back.restore(src, version_in_slot, no_hint);
   EXPECT_TRUE(src.exhausted());
   EXPECT_EQ(back.mapped_count(), 2u);
   EXPECT_FALSE(back.mapped(0));
@@ -198,14 +201,21 @@ TEST(DeviceMap, CheckpointRoundTripsEveryEntry) {
   io::StateSink sink;
   map.save(sink, version_in_slot);
 
+  // Restore hints every mapped entry's slot once, in LSN order, and no
+  // unmapped one.
   DeviceMap back = paper_map(64);
   io::StateSource src(sink.buffer());
-  back.restore(src, version_in_slot);
+  std::vector<PhysicalAddress> hinted;
+  back.restore(src, version_in_slot,
+               [&](const PhysicalAddress& a) { hinted.push_back(a); });
   EXPECT_TRUE(src.ok());
   EXPECT_EQ(back.mapped_count(), map.mapped_count());
+  std::vector<PhysicalAddress> mapped;
   for (Lsn lsn = 0; lsn < 64; ++lsn) {
     EXPECT_EQ(back.lookup(lsn), map.lookup(lsn)) << "lsn " << lsn;
+    if (map.mapped(lsn)) mapped.push_back(map.lookup(lsn));
   }
+  EXPECT_EQ(hinted, mapped);
 }
 
 // Restore checks each entry's version against the slot it names: a
@@ -223,14 +233,14 @@ TEST(DeviceMapDeathTest, CheckpointVersionThatDisagreesWithItsSlotAborts) {
   {
     DeviceMap back = paper_map(4);
     io::StateSource src(sink.buffer());
-    EXPECT_DEATH(back.restore(src, other), "disagrees with the versions");
+    EXPECT_DEATH(back.restore(src, other, no_hint), "disagrees with the versions");
   }
   // LSN 0 is unmapped; give it a version.
   std::vector<std::uint8_t> bytes = sink.buffer();
   bytes[8 + 4] = 1;
   DeviceMap back = paper_map(4);
   io::StateSource src(bytes);
-  EXPECT_DEATH(back.restore(src, version_in_slot),
+  EXPECT_DEATH(back.restore(src, version_in_slot, no_hint),
                "disagrees with the versions");
 }
 
@@ -241,7 +251,7 @@ TEST(DeviceMapDeathTest, CheckpointOfAnotherSizeAborts) {
   map.save(sink, version_in_slot);
   DeviceMap other = paper_map(9);
   io::StateSource src(sink.buffer());
-  EXPECT_DEATH(other.restore(src, version_in_slot), "mapping shape");
+  EXPECT_DEATH(other.restore(src, version_in_slot, no_hint), "mapping shape");
 }
 
 }  // namespace

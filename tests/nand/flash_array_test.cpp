@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/config.h"
+#include "common/state_io.h"
+#include "support/checkpoint_rows.h"
 
 namespace ppssd::nand {
 namespace {
@@ -163,6 +168,145 @@ TEST(FlashArrayDeathTest, SecondProgramOfAnMlcPageAborts) {
   const SlotWrite s1[] = {w(1, 2)};
   arr.program(mlc, 0, s0, 0);
   EXPECT_DEATH(arr.program(mlc, 0, s1, 0), "second program of an MLC page");
+}
+
+// The slot row holds one 8-byte record per slot and the page row one
+// 2-byte entry per page (DESIGN.md §10, "Rows sized to their readers").
+static_assert(sizeof(SlotRecord) == 8);
+static_assert(sizeof(Page) == 2);
+
+// A slot's state shares a word with its owner: each state change must
+// keep the owner and the version, and erase must clear all three. The
+// owner and version are all-ones so a clobbered bit shows.
+TEST(FlashArray, SlotRecordKeepsOwnerAndVersionAcrossStates) {
+  FlashArray arr(small_config());
+  const Lsn owner = SlotRecord::kOwnerMask;
+  const std::uint32_t version = 0xFFFFFFFFu;
+  const auto expect_slot = [&](SubpageState st, std::uint32_t lsn,
+                               std::uint32_t v) {
+    const Subpage sp = arr.subpage(0, 0, 1);
+    EXPECT_EQ(sp.state, st);
+    EXPECT_EQ(arr.subpage_state(0, 0, 1), st);
+    EXPECT_EQ(sp.owner_lsn, lsn);
+    EXPECT_EQ(sp.version, v);
+    EXPECT_EQ(arr.slot_version(0, 0, 1), v);
+  };
+  expect_slot(SubpageState::kFree, 0, 0);
+
+  const SlotWrite ws[] = {w(0, 7), SlotWrite{1, owner, version}};
+  arr.program(0, 0, ws, 0);
+  expect_slot(SubpageState::kValid, SlotRecord::kOwnerMask, version);
+  EXPECT_EQ(arr.page_count_state(0, 0, SubpageState::kValid), 2u);
+  EXPECT_EQ(arr.page_first_free(0, 0), 2u);
+
+  arr.invalidate(0, 0, 1);
+  expect_slot(SubpageState::kInvalid, SlotRecord::kOwnerMask, version);
+  EXPECT_EQ(arr.page_count_state(0, 0, SubpageState::kInvalid), 1u);
+  // The neighbouring slot's record is untouched.
+  EXPECT_EQ(arr.subpage(0, 0, 0).owner_lsn, 7u);
+  EXPECT_EQ(arr.subpage_state(0, 0, 0), SubpageState::kValid);
+
+  arr.invalidate(0, 0, 0);
+  arr.erase(0, 0);
+  expect_slot(SubpageState::kFree, 0, 0);
+  EXPECT_EQ(arr.page_first_free(0, 0), 0u);
+  const SlotWrite again[] = {w(0, 1), SlotWrite{1, 5, 2}};
+  arr.program(0, 0, again, 0);
+  expect_slot(SubpageState::kValid, 5, 2);
+}
+
+// Neighbour counts are bounded by the program counts of the two adjacent
+// pages, each at most spp. Programming the middle page and both its
+// neighbours spp times reaches 2 * spp - 1: the lower neighbour's first
+// program precedes the middle page's (frontier order), so it is not
+// absorbed. A checkpoint may carry the bound itself, 2 * spp.
+TEST(FlashArray, NeighborCountReachesItsBound) {
+  FlashArray arr(small_config());
+  const std::uint32_t spp = arr.subpages_per_page();
+  ASSERT_EQ(arr.config().cache.max_partial_programs, spp);
+  const auto fill = [&](PageId p, SubpageId from, SubpageId to) {
+    for (SubpageId s = from; s < to; ++s) {
+      const SlotWrite one[] = {w(s, p * spp + s)};
+      arr.program(0, p, one, 0);
+    }
+  };
+  fill(0, 0, 1);
+  fill(1, 0, 1);
+  fill(0, 1, spp);  // spp - 1 lower-neighbour programs reach page 1
+  fill(2, 0, spp);  // spp upper-neighbour programs reach page 1
+  fill(1, 1, spp);
+  for (PageId p = 0; p < 3; ++p) {
+    EXPECT_EQ(arr.page(0, p).program_ops(), spp);
+  }
+  EXPECT_EQ(arr.page(0, 1).neighbor_programs(), 2 * spp - 1);
+  EXPECT_EQ(arr.page(0, 0).neighbor_programs(), spp);
+  EXPECT_EQ(arr.page(0, 2).neighbor_programs(), spp - 1);
+  // Page 1's first slot saw every neighbour program; its last saw none.
+  EXPECT_EQ(arr.neighbor_disturbs(0, 1, 0), 2 * spp - 1);
+  EXPECT_EQ(arr.neighbor_disturbs(0, 1, spp - 1), 0u);
+
+  io::StateSink sink;
+  arr.save(sink);
+  std::vector<std::uint8_t> bytes = sink.take();
+  const ArrayRowOffsets rows = locate_array_rows(bytes);
+  poke<std::uint16_t>(bytes, rows.page_neighbors, arr.page_index(0, 1),
+                      static_cast<std::uint16_t>(2 * spp));
+  FlashArray back(small_config());
+  io::StateSource src(bytes);
+  back.restore(src);
+  EXPECT_TRUE(src.exhausted());
+  EXPECT_EQ(back.page(0, 1).neighbor_programs(), 2 * spp);
+  EXPECT_EQ(back.subpage(0, 1, spp - 1), arr.subpage(0, 1, spp - 1));
+}
+
+// A checkpoint written and read back reproduces every slot record, page
+// entry and SLC-only snapshot, byte for byte on a second save.
+TEST(FlashArray, CheckpointRoundTripsRecordsAndPages) {
+  FlashArray arr(small_config());
+  const BlockId mlc = arr.geometry().slc_blocks_per_plane();
+  const SlotWrite a[] = {w(0, 1), w(1, 2)};
+  const SlotWrite b[] = {w(2, 3)};
+  arr.program(0, 0, a, 1'000'000);
+  arr.program(0, 1, a, 2'000'000);
+  arr.program(0, 0, b, 3'000'000);
+  arr.invalidate(0, 0, 1);
+  arr.program(mlc, 0, a, 4'000'000);
+  io::StateSink sink;
+  arr.save(sink);
+
+  FlashArray back(small_config());
+  io::StateSource src(sink.buffer());
+  back.restore(src);
+  EXPECT_TRUE(src.exhausted());
+  for (const BlockId blk : {BlockId{0}, mlc}) {
+    for (PageId p = 0; p < 2; ++p) {
+      EXPECT_EQ(back.page(blk, p).program_ops(), arr.page(blk, p).program_ops());
+      EXPECT_EQ(back.page(blk, p).neighbor_programs(),
+                arr.page(blk, p).neighbor_programs());
+      for (SubpageId s = 0; s < arr.subpages_per_page(); ++s) {
+        EXPECT_EQ(back.subpage(blk, p, s), arr.subpage(blk, p, s));
+      }
+    }
+  }
+  io::StateSink again;
+  back.save(again);
+  EXPECT_EQ(again.buffer(), sink.buffer());
+}
+
+TEST(FlashArrayDeathTest, EmptyProgramAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FlashArray arr(small_config());
+  EXPECT_DEATH(arr.program(0, 0, std::span<const SlotWrite>(), 0),
+               "at least one slot");
+}
+
+// SsdConfig::validate bounds the subpages per page with a message, which
+// the array's constructor reports before any block is built.
+TEST(FlashArrayDeathTest, TooManySubpagesPerPageAbortsWithTheMessage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SsdConfig cfg = small_config();
+  cfg.geometry.page_bytes = 64 * kKiB;
+  EXPECT_DEATH(FlashArray{cfg}, "exceeds 8 subpages per page");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "cache/ipu_scheme.h"
 #include "common/state_io.h"
 #include "common/units.h"
+#include "support/checkpoint_rows.h"
 #include "telemetry/introspect/snapshotter.h"
 #include "trace/profiles.h"
 #include "trace/synthetic.h"
@@ -236,6 +237,68 @@ TEST(SsdDeathTest, RestoreRejectsAMapVersionThatDisagreesWithItsSlot) {
   Ssd twin(cfg(), "IPU");
   io::StateSource src(bytes);
   EXPECT_DEATH(twin.restore(src), "map disagrees with the versions");
+}
+
+// The array section's slot and page rows are range-checked on restore:
+// a stream with one field out of shape aborts with its own message
+// instead of restoring silently.
+TEST(SsdDeathTest, RestoreRejectsOutOfShapeArrayRows) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Ssd ssd(cfg(), "IPU");
+  ssd.submit(OpType::kWrite, 0, 2 * kSubpageBytes, 0);
+  ssd.submit(OpType::kWrite, kSubpageBytes, kSubpageBytes, ms_to_ns(1.0));
+  ssd.reset_timing();
+  io::StateSink sink;
+  ssd.save(sink);
+  const std::vector<std::uint8_t> saved = sink.take();
+  const nand::ArrayRowOffsets rows = nand::locate_array_rows(saved);
+
+  const nand::FlashArray& array = ssd.scheme().array();
+  const PhysicalAddress a = ssd.scheme().device_map().lookup(0);
+  ASSERT_TRUE(a.valid());
+  const std::size_t slot = array.slot_index(a.block, a.page, a.subpage);
+  const std::size_t page = array.page_index(a.block, a.page);
+  const std::uint32_t spp = array.subpages_per_page();
+  ASSERT_EQ(array.page(a.block, a.page).program_ops(), 2u);
+
+  const auto restores = [&](const std::vector<std::uint8_t>& bytes) {
+    Ssd twin(cfg(), "IPU");
+    io::StateSource src(bytes);
+    twin.restore(src);
+    return src.exhausted();
+  };
+  ASSERT_TRUE(restores(saved));
+  const auto altered = [&](std::size_t row, std::size_t i, auto value) {
+    std::vector<std::uint8_t> bytes = saved;
+    nand::poke(bytes, row, i, value);
+    return bytes;
+  };
+  // Each bound itself restores.
+  ASSERT_TRUE(restores(altered(rows.page_ops, page, std::uint8_t(spp))));
+  ASSERT_TRUE(restores(
+      altered(rows.page_neighbors, page, std::uint16_t(2 * spp))));
+
+  EXPECT_DEATH(restores(altered(rows.state, slot, std::uint8_t{3})),
+               "slot state out of range");
+  EXPECT_DEATH(restores(altered(rows.state, slot, std::uint8_t{7})),
+               "slot state out of range");
+  const auto lsns = static_cast<std::uint32_t>(
+      array.geometry().logical_subpages());
+  EXPECT_DEATH(restores(altered(rows.owner, slot, lsns)),
+               "slot owner beyond the logical subpage count");
+  EXPECT_DEATH(restores(altered(rows.page_ops, page, std::uint8_t(spp + 1))),
+               "page program count above subpages per page");
+  EXPECT_DEATH(restores(altered(rows.page_neighbors, page,
+                                std::uint16_t(2 * spp + 1))),
+               "neighbour count above twice the subpages per page");
+  EXPECT_DEATH(restores(altered(rows.page_reprogrammed, page, std::uint8_t{2})),
+               "reprogrammed flag above 1");
+  // A free slot holds nothing: the slot after LSN 1's page is unwritten.
+  const std::size_t free_slot = array.slot_index(a.block, a.page, spp - 1);
+  ASSERT_EQ(array.subpage_state(a.block, a.page, spp - 1),
+            nand::SubpageState::kFree);
+  EXPECT_DEATH(restores(altered(rows.owner, free_slot, std::uint32_t{1})),
+               "free slot holds an owner or version");
 }
 
 /// A prefilled device whose ts0 replay runs SLC and MLC GC.

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <span>
 
 #include "cache/scheme.h"
@@ -60,8 +59,7 @@ struct ReferencePaths {
       ++blk.frontier_;
     } else if (pre_ops == 1 && hist != nullptr) {
       for (std::uint32_t s = 0; s < a.spp_; ++s) {
-        if (a.sp_state_[base + s] ==
-            static_cast<std::uint8_t>(SubpageState::kValid)) {
+        if (a.slots_[base + s].state() == SubpageState::kValid) {
           hist->remove(
               a.slc_wtime_[slc_slot(a, b, p, static_cast<SubpageId>(s))]);
         }
@@ -69,17 +67,16 @@ struct ReferencePaths {
     }
 
     // Layer "page": write-once slot stamping in its own pass.
-    PPSSD_CHECK(pre_ops < std::numeric_limits<std::uint8_t>::max());
+    PPSSD_CHECK(pre_ops < a.spp_);
     const auto wt = static_cast<std::uint32_t>(now / 1'000'000);
     for (const SlotWrite& w : writes) {
       PPSSD_CHECK(w.slot < a.spp_);
-      const std::size_t i = base + w.slot;
-      PPSSD_CHECK_MSG(a.sp_state_[i] ==
-                          static_cast<std::uint8_t>(SubpageState::kFree),
+      PPSSD_CHECK(w.lsn <= SlotRecord::kOwnerMask);
+      SlotRecord& r = a.slots_[base + w.slot];
+      PPSSD_CHECK_MSG(r.state() == SubpageState::kFree,
                       "programming a non-free subpage (NAND write-once rule)");
-      a.sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kValid);
-      a.sp_owner_[i] = static_cast<std::uint32_t>(w.lsn);
-      a.sp_version_[i] = w.version;
+      r = SlotRecord(SubpageState::kValid, static_cast<std::uint32_t>(w.lsn),
+                     w.version);
       if (slc) {
         const std::size_t j = slc_slot(a, b, p, w.slot);
         a.slc_wtime_[j] = wt;
@@ -87,7 +84,7 @@ struct ReferencePaths {
         a.slc_neighbors_before_[j] = pg.neighbor_programs_;
       }
     }
-    pg.program_ops_ = static_cast<std::uint8_t>(pre_ops + 1);
+    pg.program_ops_ = (pre_ops + 1) & 0x7Fu;
     const bool partial = pre_ops > 0;
 
     // Layer "block" aggregates, separate pass.
@@ -124,11 +121,11 @@ struct ReferencePaths {
     PPSSD_CHECK(s < a.spp_);
     const std::size_t i = a.slot_index(b, p, s);
 
-    // Layer "page": the state flip.
-    PPSSD_CHECK_MSG(a.sp_state_[i] ==
-                        static_cast<std::uint8_t>(SubpageState::kValid),
+    // Layer "page": the state flip, keeping owner and version.
+    SlotRecord& r = a.slots_[i];
+    PPSSD_CHECK_MSG(r.state() == SubpageState::kValid,
                     "invalidating a subpage that is not valid");
-    a.sp_state_[i] = static_cast<std::uint8_t>(SubpageState::kInvalid);
+    r.set_state(SubpageState::kInvalid);
 
     // Layer "block": aggregates in a separate pass.
     PPSSD_CHECK(blk.valid_ > 0);
