@@ -47,11 +47,10 @@ SimTime populate_slc_plane(nand::FlashArray& arr, ftl::BlockManager& bm) {
     const auto alloc = bm.allocate_page(0, BlockLevel::kWork);
     if (!alloc) break;
     const SimTime t = ms_to_ns(static_cast<double>(++page_seq));
-    const nand::SlotWrite first[] = {{0, lsn, 1}, {1, lsn + 1, 1},
-                                     {2, lsn + 2, 1}};
+    const nand::SlotWrite first[] = {{0, lsn}, {1, lsn + 1}, {2, lsn + 2}};
     arr.program(alloc->block, alloc->page, first, t);
     if (alloc->page % 3 == 0) {
-      const nand::SlotWrite upd[] = {{3, lsn + 3, 1}};
+      const nand::SlotWrite upd[] = {{3, lsn + 3}};
       arr.program(alloc->block, alloc->page, upd, t + ms_to_ns(0.5));
     }
     lsn += 4;

@@ -73,14 +73,14 @@ void run_cycle(nand::FlashArray& arr, ftl::BlockManager& bm, CellMode mode,
     if (!alloc) break;
     now += ms_to_ns(1.0);
     for (std::uint32_t s = 0; s < head; ++s) {
-      writes[s] = {static_cast<SubpageId>(s), lsn + s, 1};
+      writes[s] = {static_cast<SubpageId>(s), lsn + s};
     }
     arr.program(alloc->block, alloc->page,
                 std::span<const nand::SlotWrite>(writes.data(), head), now);
     ++program.calls;
     if (partial && alloc->page % 2 == 0) {
       const nand::SlotWrite upd[] = {
-          {static_cast<SubpageId>(spp - 1), lsn + spp - 1, 1}};
+          {static_cast<SubpageId>(spp - 1), lsn + spp - 1}};
       arr.program(alloc->block, alloc->page, upd, now);
       ++program.calls;
     }

@@ -29,7 +29,8 @@ Scheme::Scheme(const SsdConfig& cfg)
       array_(cfg),
       bm_(array_),
       map_(array_.geometry().logical_subpages(),
-           cfg.geometry.slot_page_bits(), cfg.geometry.slot_subpage_bits()),
+           cfg.geometry.slot_block_bits(), cfg.geometry.slot_page_bits(),
+           cfg.geometry.slot_subpage_bits()),
       ber_model_(cfg.ber),
       ecc_model_(cfg.ecc),
       spp_(cfg.geometry.subpages_per_page()) {}
@@ -116,27 +117,26 @@ void Scheme::emit_page_read(BlockId block, std::uint32_t subpages,
 
 // ---- invalidation ----------------------------------------------------------
 
-void Scheme::retire_slot(Lsn lsn, const PhysicalAddress& addr) {
+std::uint32_t Scheme::retire_slot(Lsn lsn, const PhysicalAddress& addr) {
   array_.invalidate(addr.block, addr.page, addr.subpage);
-  map_.clear(lsn);
-  if (array_.block_static(addr.block).mode == CellMode::kSlc) {
-    on_slc_slot_invalidated(addr);
-  }
-}
-
-std::uint32_t Scheme::invalidate_previous(Lsn lsn) {
-  // Fused supersede: one mapping-table access resolves and unbinds the
-  // old slot, then the fused array invalidate does the single page
-  // lookup + bucket move (no per-layer re-resolution).
-  const PhysicalAddress addr = map_.take(lsn);
-  if (!addr.valid()) return 0;
-  const std::uint32_t version =
-      array_.slot_version(addr.block, addr.page, addr.subpage);
-  array_.invalidate(addr.block, addr.page, addr.subpage);
+  const std::uint32_t version = map_.clear(lsn);
   if (array_.block_static(addr.block).mode == CellMode::kSlc) {
     on_slc_slot_invalidated(addr);
   }
   return version;
+}
+
+std::uint32_t Scheme::invalidate_previous(Lsn lsn) {
+  // Fused supersede: one mapping-table access resolves and unbinds the
+  // old slot and yields its version, then the fused array invalidate does
+  // the single page lookup + bucket move (no per-layer re-resolution).
+  const ftl::DeviceMap::Mapping old = map_.take(lsn);
+  if (!old.addr.valid()) return 0;
+  array_.invalidate(old.addr.block, old.addr.page, old.addr.subpage);
+  if (array_.block_static(old.addr.block).mode == CellMode::kSlc) {
+    on_slc_slot_invalidated(old.addr);
+  }
+  return old.version;
 }
 
 // ---- the page commit and the placement helpers built on it -----------------
@@ -145,23 +145,29 @@ void Scheme::commit_page(BlockId block, PageId page,
                          std::span<const nand::SlotWrite> writes,
                          Retire retire, std::span<const PhysicalAddress> from,
                          SimTime now, std::vector<PhysOp>& ops,
-                         PhysOp::Kind kind) {
+                         PhysOp::Kind kind,
+                         std::span<const std::uint32_t> staged_versions) {
   PPSSD_CHECK(!writes.empty() && writes.size() <= spp_);
   PPSSD_DCHECK(retire == Retire::kSource ? from.size() == writes.size()
                                          : from.empty());
+  PPSSD_DCHECK(retire == Retire::kNone
+                   ? staged_versions.size() == writes.size()
+                   : staged_versions.empty());
   // Every old copy retires before the program, so each map transition is
   // a clean clear + set. A host write's version follows the one it
-  // supersedes.
-  std::array<nand::SlotWrite, nand::kMaxSubpagesPerPage> versioned;
-  if (retire == Retire::kSupersede) {
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      versioned[i] = writes[i];
-      versioned[i].version = invalidate_previous(writes[i].lsn) + 1;
-    }
-    writes = std::span<const nand::SlotWrite>(versioned.data(), writes.size());
-  } else if (retire == Retire::kSource) {
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      retire_slot(writes[i].lsn, from[i]);
+  // supersedes; a relocation keeps the one its source retires with.
+  std::array<std::uint32_t, nand::kMaxSubpagesPerPage> versions;
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    switch (retire) {
+      case Retire::kSupersede:
+        versions[i] = invalidate_previous(writes[i].lsn) + 1;
+        break;
+      case Retire::kSource:
+        versions[i] = retire_slot(writes[i].lsn, from[i]);
+        break;
+      case Retire::kNone:
+        versions[i] = staged_versions[i];
+        break;
     }
   }
   if (kind == PhysOp::Kind::kReprogram) {
@@ -169,8 +175,9 @@ void Scheme::commit_page(BlockId block, PageId page,
   } else {
     array_.program(block, page, writes, now);
   }
-  for (const nand::SlotWrite& w : writes) {
-    map_.set(w.lsn, PhysicalAddress{block, page, w.slot});
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    map_.set(writes[i].lsn, PhysicalAddress{block, page, writes[i].slot},
+             versions[i]);
   }
 
   const auto n = static_cast<std::uint32_t>(writes.size());
@@ -224,27 +231,28 @@ ftl::PageAlloc Scheme::allocate_dense_page(std::uint32_t plane, SimTime now,
 }
 
 void Scheme::program_mlc_page(std::span<const nand::SlotWrite> writes,
-                              bool host, SimTime now,
-                              std::vector<PhysOp>& ops,
+                              std::span<const std::uint32_t> staged_versions,
+                              SimTime now, std::vector<PhysOp>& ops,
                               std::uint32_t plane_hint) {
   // GC evictions stay plane-local (SSDsim-style copy out of the victim's
   // plane); host-path MLC writes stripe round-robin.
   const ftl::PageAlloc alloc = allocate_dense_page(
       plane_hint != UINT32_MAX ? plane_hint : next_plane(), now, ops);
   commit_page(alloc.block, alloc.page, writes,
-              host ? Retire::kSupersede : Retire::kNone, {}, now, ops);
+              staged_versions.empty() ? Retire::kSupersede : Retire::kNone,
+              {}, now, ops, PhysOp::Kind::kProgram, staged_versions);
 }
 
 void Scheme::evict_page_to_mlc(const VictimPage& src, SimTime now,
                                std::vector<PhysOp>& ops) {
-  // Stage and retire the page's live data; the staged buffer flushes
-  // into packed MLC pages at the end of the GC pass.
+  // Stage and retire the page's live data, keeping each version the map
+  // gives up; the staged buffer flushes into packed MLC pages at the end
+  // of the GC pass.
   for (std::uint32_t i = 0; i < src.count; ++i) {
     const nand::SlotWrite& w = src.live[i];
     staged_evictions_.push_back(
-        {static_cast<SubpageId>(staged_evictions_.size() % spp_), w.lsn,
-         w.version});
-    retire_slot(w.lsn, src.from[i]);
+        {static_cast<SubpageId>(staged_evictions_.size() % spp_), w.lsn});
+    staged_versions_.push_back(retire_slot(w.lsn, src.from[i]));
   }
   if (staged_evictions_.size() >= 4 * spp_) {
     flush_evictions(array_.block_static(src.block).plane, now, ops);
@@ -254,9 +262,11 @@ void Scheme::evict_page_to_mlc(const VictimPage& src, SimTime now,
 void Scheme::flush_evictions(std::uint32_t plane, SimTime now,
                              std::vector<PhysOp>& ops) {
   const std::span<const nand::SlotWrite> staged(staged_evictions_);
+  const std::span<const std::uint32_t> versions(staged_versions_);
   for (std::size_t i = 0; i < staged.size(); i += spp_) {
     const std::size_t n = std::min<std::size_t>(spp_, staged.size() - i);
-    program_mlc_page(staged.subspan(i, n), /*host=*/false, now, ops, plane);
+    program_mlc_page(staged.subspan(i, n), versions.subspan(i, n), now, ops,
+                     plane);
     count_evicted(static_cast<std::uint32_t>(n));
   }
   if (!staged.empty() && tlog_ &&
@@ -267,6 +277,7 @@ void Scheme::flush_evictions(std::uint32_t plane, SimTime now,
                     {"plane", static_cast<double>(plane)}});
   }
   staged_evictions_.clear();
+  staged_versions_.clear();
 }
 
 void Scheme::write_fresh_page(Lsn lsn, std::uint32_t n, BlockLevel level,
@@ -302,8 +313,8 @@ void Scheme::direct_mlc_write(Lsn lsn, std::uint32_t count, SimTime now,
     for (; i < count && n < spp_; ++n, ++i) {
       writes[n] = {static_cast<SubpageId>(n), lsn + i};
     }
-    program_mlc_page(std::span<const nand::SlotWrite>(writes.data(), n),
-                     /*host=*/true, now, ops);
+    program_mlc_page(std::span<const nand::SlotWrite>(writes.data(), n), {},
+                     now, ops);
   }
 }
 
@@ -433,12 +444,13 @@ std::uint64_t Scheme::prefill_mlc(std::uint64_t max_subpages,
                         (pages - 1) % planes == i;
       array_.prefill_block(alloc->block, n,
                            (first_page * planes + i) * spp_, stride,
-                           last ? tail_slots : spp_, /*version=*/1);
+                           last ? tail_slots : spp_);
     }
   }
 
   // Pass B, LSN order: page g = j·P + i of the fill holds LSNs
-  // [g·spp, g·spp + spp) on page j of plane (r0 + i) mod P.
+  // [g·spp, g·spp + spp) on page j of plane (r0 + i) mod P, each at
+  // version 1.
   Lsn lsn = 0;
   for (std::uint64_t j = 0; lsn < filled; ++j) {
     const auto p = static_cast<PageId>(j % per_block);
@@ -449,7 +461,7 @@ std::uint64_t Scheme::prefill_mlc(std::uint64_t max_subpages,
       const std::uint32_t n = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(spp_, filled - lsn));
       for (std::uint32_t s = 0; s < n; ++s, ++lsn) {
-        map_.set(lsn, PhysicalAddress{b, p, static_cast<SubpageId>(s)});
+        map_.set(lsn, PhysicalAddress{b, p, static_cast<SubpageId>(s)}, 1);
       }
       if (++q == planes) q = 0;
     }
@@ -621,8 +633,7 @@ bool Scheme::mlc_gc_once(std::uint32_t plane, SimTime now,
     emit_page_read(victim, src.count, src.max_ber, /*background=*/true, ops);
     gc_read_dep_ = static_cast<std::uint32_t>(ops.size() - 1);
     for (std::uint32_t i = 0; i < src.count; ++i) {
-      pack[packed] = {static_cast<SubpageId>(packed), src.live[i].lsn,
-                      src.live[i].version};
+      pack[packed] = {static_cast<SubpageId>(packed), src.live[i].lsn};
       pack_from[packed++] = src.from[i];
       if (packed == spp_) flush_pack();
     }
@@ -646,7 +657,7 @@ Scheme::VictimPage Scheme::scan_victim_page(BlockId block,
       continue;
     }
     const nand::Subpage sp = array_.subpage(block, page, addr.subpage);
-    src.live[src.count] = {addr.subpage, sp.owner_lsn, sp.version};
+    src.live[src.count] = {addr.subpage, sp.owner_lsn};
     src.from[src.count++] = addr;
     src.max_ber = std::max(src.max_ber, ber_of(addr));
   }
@@ -775,9 +786,7 @@ void Scheme::save(io::StateSink& sink) const {
                   "checkpointing inside GC victim processing");
   array_.save(sink);
   bm_.save(sink);
-  map_.save(sink, [this](const PhysicalAddress& a) {
-    return array_.slot_version(a.block, a.page, a.subpage);
-  });
+  map_.save(sink);
   sink.u32(rr_plane_);
   save_scheme_state(sink);
 }
@@ -787,19 +796,13 @@ void Scheme::restore(io::StateSource& src) {
   // counts out of the restored array.
   array_.restore(src);
   bm_.restore(src);
-  // Each mapped entry's version must be the one its restored slot holds;
-  // a slot code outside the array reads as version 0, which never agrees.
-  map_.restore(
-      src,
-      [&](const PhysicalAddress& a) -> std::uint32_t {
-        const nand::SlotRecord* const r = array_.record_at(a);
-        return r != nullptr ? r->version() : 0;
-      },
-      [&](const PhysicalAddress& a) {
-        if (const nand::SlotRecord* const r = array_.record_at(a)) {
-          __builtin_prefetch(r);
-        }
-      });
+  const nand::Geometry& geom = array_.geometry();
+  std::vector<std::uint32_t> block_pages(geom.total_blocks());
+  for (BlockId b = 0; b < geom.total_blocks(); ++b) {
+    block_pages[b] = geom.pages_per_block(geom.is_slc_block(b) ? CellMode::kSlc
+                                                               : CellMode::kMlc);
+  }
+  map_.restore(src, block_pages, spp_);
   const std::uint32_t rr = src.u32();
   PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint truncated");
   rr_plane_ = rr;
@@ -867,6 +870,8 @@ void Scheme::check_consistency() const {
   // Bijection: mapped LSNs == valid physical subpages (each valid subpage
   // points back at its unique mapping, counts close the loop).
   PPSSD_CHECK(valid_total == map_.mapped_count());
+  // The version overflow table mirrors the saturated map entries.
+  map_.check_versions();
   // The GC victim index must mirror block states and invalid counts.
   bm_.check_victim_index();
 }

@@ -144,12 +144,10 @@ class Scheme {
   /// Mapping-table memory model for this scheme (Figure 11).
   [[nodiscard]] ftl::FootprintReport footprint() const;
 
-  /// Version stored in the LSN's mapped slot (0 = unmapped).
+  /// Version of the LSN's mapped copy, kept in its map entry (0 =
+  /// unmapped).
   [[nodiscard]] std::uint32_t version_of(Lsn lsn) const {
-    const PhysicalAddress addr = map_.lookup(lsn);
-    return addr.valid()
-               ? array_.slot_version(addr.block, addr.page, addr.subpage)
-               : 0;
+    return map_.version(lsn);
   }
 
   /// True if the LSN's current copy lives in the SLC-mode cache.
@@ -215,16 +213,16 @@ class Scheme {
 
   /// Warm-start checkpointing (DESIGN.md §14): serialize the device's
   /// complete mutable state — flash array, block manager, device map
-  /// (slot codes, each with the version gathered from its slot),
-  /// round-robin cursor — then scheme-specific
+  /// (entries and version overflow table), round-robin cursor — then
+  /// scheme-specific
   /// side state via save_scheme_state(). Must be called at a quiescent
   /// point (no staged evictions, no GC victim mid-flight); metrics are NOT
   /// serialized — callers checkpoint right after reset_metrics() so both
   /// cold and warm paths start the measured phase from zero.
   void save(io::StateSink& sink) const;
   /// Inverse of save() on a freshly constructed scheme of the *same*
-  /// config and options. PPSSD_CHECKs on any shape mismatch, and on a map
-  /// entry whose version is not the one stored in its slot (the
+  /// config and options. PPSSD_CHECKs on any shape mismatch and on any
+  /// row field out of range, a map code outside the array included (the
   /// checkpoint container validates integrity up front).
   void restore(io::StateSource& src);
 
@@ -238,8 +236,8 @@ class Scheme {
 
  protected:
   /// The live slots of one GC victim page, read once by the GC driver.
-  /// live[i] is the LSN and version stored at victim slot from[i], and
-  /// its `slot` is that slot's subpage. max_ber is the highest raw BER
+  /// live[i] is the LSN stored at victim slot from[i], and its `slot` is
+  /// that slot's subpage. max_ber is the highest raw BER
   /// among them, which prices the page read that sources the data.
   struct VictimPage {
     BlockId block = kInvalidBlock;
@@ -262,8 +260,10 @@ class Scheme {
   enum class Retire : std::uint8_t {
     kSupersede,  // host write: the map names the old copy, if any, and
                  // the new version is the old copy's + 1 (1 if none)
-    kSource,     // relocation: `from[i]` is the old copy of writes[i]
-    kNone,       // staged eviction: retired when it was staged
+    kSource,     // relocation: `from[i]` is the old copy of writes[i],
+                 // whose version carries over
+    kNone,       // staged eviction: retired, and its version captured,
+                 // when it was staged
   };
 
   /// Scheme-specific write placement: map updates, old-version
@@ -296,8 +296,7 @@ class Scheme {
 
   /// Hook invoked after program_new_slc_page() fills a fresh SLC page
   /// (host placement and GC moves; IPU tags the page's extent here).
-  /// Appends into open pages and in-page updates do not fire it. A host
-  /// write's `writes` carry no version (commit_page() assigns it).
+  /// Appends into open pages and in-page updates do not fire it.
   virtual void on_slc_page_programmed(
       BlockId /*block*/, PageId /*page*/,
       std::span<const nand::SlotWrite> /*writes*/) {}
@@ -327,16 +326,19 @@ class Scheme {
   /// The one page-commit primitive every program in the cache layer goes
   /// through (DESIGN.md §10, "One page commit"): retire the old copies as
   /// `retire` says, program `writes` into page (block, page), map every
-  /// slot, tally the region/host/level/GC-move metrics and emit the op.
-  /// A kSupersede commit assigns each write's version (the caller's is
-  /// ignored); the others program the versions they carry.
+  /// slot at its version, tally the region/host/level/GC-move metrics and
+  /// emit the op. A kSupersede commit maps each write at the superseded
+  /// version + 1, a kSource commit at the version its source retires
+  /// with, and a kNone commit at `staged_versions[i]`, captured when the
+  /// write was staged (empty for the other modes).
   /// A kReprogram commit is the IPS in-place switch: the source page is
   /// from[0]'s and the op carries no read dependency. Fires no hook.
   void commit_page(BlockId block, PageId page,
                    std::span<const nand::SlotWrite> writes, Retire retire,
                    std::span<const PhysicalAddress> from, SimTime now,
                    std::vector<PhysOp>& ops,
-                   PhysOp::Kind kind = PhysOp::Kind::kProgram);
+                   PhysOp::Kind kind = PhysOp::Kind::kProgram,
+                   std::span<const std::uint32_t> staged_versions = {});
 
   /// Emit a read op of `subpages` subpages from one physical page of
   /// `block`, pricing ECC by the max raw BER across the read subpages.
@@ -456,8 +458,9 @@ class Scheme {
   std::uint32_t invalidate_previous(Lsn lsn);
 
   /// Retire one physical slot: invalidate in the array, clear the map,
-  /// fire the SLC hook. The slot must be the current mapping of `lsn`.
-  void retire_slot(Lsn lsn, const PhysicalAddress& addr);
+  /// fire the SLC hook, and return the version the map held. The slot
+  /// must be the current mapping of `lsn`.
+  std::uint32_t retire_slot(Lsn lsn, const PhysicalAddress& addr);
 
   /// The one op builder: append an op on `block`'s chip and channel in
   /// its cell mode and return it. Background ops are GC work (kGc);
@@ -469,9 +472,11 @@ class Scheme {
   [[nodiscard]] double ber_of(const PhysicalAddress& addr) const;
 
   /// Write `writes` (slots 0..n-1) into a fresh MLC page: host writes
-  /// stripe round-robin and supersede, evictions (host = false) stay on
-  /// `plane_hint` and were retired when staged.
-  void program_mlc_page(std::span<const nand::SlotWrite> writes, bool host,
+  /// (no `staged_versions`) stripe round-robin and supersede, evictions
+  /// stay on `plane_hint` and were retired, at `staged_versions`, when
+  /// staged.
+  void program_mlc_page(std::span<const nand::SlotWrite> writes,
+                        std::span<const std::uint32_t> staged_versions,
                         SimTime now, std::vector<PhysOp>& ops,
                         std::uint32_t plane_hint = UINT32_MAX);
 
@@ -495,8 +500,10 @@ class Scheme {
 
   /// Evicted data waiting for flush_evictions(), in the packed layout it
   /// will be programmed in: entry j fills slot j mod subpages-per-page of
-  /// the flush's (j / subpages-per-page)-th MLC page.
+  /// the flush's (j / subpages-per-page)-th MLC page. Entry j's version,
+  /// taken from the map as its source retired, is staged_versions_[j].
   std::vector<nand::SlotWrite> staged_evictions_;
+  std::vector<std::uint32_t> staged_versions_;
 
   GcDecisionHook gc_decision_hook_;
 

@@ -85,8 +85,7 @@ std::string SsdConfig::validate() const {
     err << "pages per block must be nonzero; ";
   } else if (g.subpage_bytes != 0) {
     // The flat page row takes a 32-bit page index (bounded here with
-    // every block at the larger page count) and the device map a 32-bit
-    // slot code.
+    // every block at the larger page count).
     const std::uint64_t pages =
         std::uint64_t{g.total_blocks} *
         std::max(g.pages_per_slc_block, g.pages_per_mlc_block);
@@ -94,12 +93,16 @@ std::string SsdConfig::validate() const {
       err << "device has more pages (" << pages
           << ") than a 32-bit page index; ";
     }
-    const std::uint32_t low_bits = g.slot_page_bits() + g.slot_subpage_bits();
-    if (low_bits >= 32 || (std::uint64_t{g.total_blocks} << low_bits) >
-                              std::numeric_limits<std::uint32_t>::max()) {
-      err << "total_blocks (" << g.total_blocks
-          << ") does not fit a 32-bit slot code beside " << low_bits
-          << " page and subpage bits; ";
+    // A 32-bit device-map entry holds the slot code and at least one bit
+    // of the LSN's version above it.
+    const std::uint32_t code_bits =
+        g.slot_block_bits() + g.slot_page_bits() + g.slot_subpage_bits();
+    if (code_bits >= 32) {
+      err << "total_blocks (" << g.total_blocks << ") needs a " << code_bits
+          << "-bit slot code (" << g.slot_block_bits() << " block, "
+          << g.slot_page_bits() << " page, " << g.slot_subpage_bits()
+          << " subpage bits), which leaves no version bit in a 32-bit map "
+             "entry; ";
     }
   }
   if (cache.slc_ratio <= 0.0 || cache.slc_ratio >= 1.0) {

@@ -48,8 +48,15 @@ struct GeometryConfig {
   [[nodiscard]] std::uint32_t subpages_per_page() const {
     return page_bytes / subpage_bytes;
   }
-  /// Widths of the page and subpage fields of an ftl::DeviceMap slot code
-  /// (DESIGN.md §10); the block id takes the bits above them.
+  /// Widths of the block, page and subpage fields of an ftl::DeviceMap
+  /// slot code (DESIGN.md §10): enough bits for the largest index of
+  /// each. The LSN's version takes the bits of the 32-bit entry above
+  /// them.
+  [[nodiscard]] std::uint32_t slot_block_bits() const {
+    return total_blocks == 0
+               ? 0
+               : static_cast<std::uint32_t>(std::bit_width(total_blocks - 1));
+  }
   [[nodiscard]] std::uint32_t slot_page_bits() const {
     const std::uint32_t pages =
         std::max(pages_per_mlc_block, pages_per_slc_block);

@@ -34,8 +34,11 @@ inline constexpr char kMagic[9] = "PPSSDWRM";
 /// Container version. 2: MLC block records carry no age histogram.
 /// 3: one 8-byte (slot code, version) device-map entry per LSN and no
 /// separate version row; write-time and disturb-snapshot rows cover
-/// SLC-mode slots only.
-inline constexpr std::uint32_t kVersion = 3;
+/// SLC-mode slots only. 4: the array and map rows as they stand in
+/// memory — 4-byte slot records (no version), 2-byte page entries, u8
+/// SLC neighbour snapshots, and 4-byte map entries whose top bits hold
+/// the version, followed by the sorted version overflow table.
+inline constexpr std::uint32_t kVersion = 4;
 
 struct Header {
   std::string key;

@@ -1,50 +1,11 @@
 #include "nand/flash_array.h"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 
 #include "common/check.h"
 #include "common/state_io.h"
 
 namespace ppssd::nand {
-
-namespace {
-
-/// Elements per chunk of a streamed checkpoint row.
-constexpr std::size_t kRowChunk = 4096;
-
-/// Write a checkpoint row of `n` elements of type T (a u64 count, then the
-/// raw elements) whose element i is `at(i)`, gathered in fixed-size chunks
-/// so no full-size temporary is built.
-template <typename T, typename At>
-void save_row(io::StateSink& sink, std::size_t n, At&& at) {
-  sink.u64(n);
-  std::array<T, kRowChunk> chunk;
-  for (std::size_t i = 0; i < n;) {
-    const std::size_t m = std::min(kRowChunk, n - i);
-    for (std::size_t k = 0; k < m; ++k, ++i) chunk[k] = at(i);
-    sink.items(std::span<const T>(chunk.data(), m));
-  }
-}
-
-/// Read a checkpoint row written by save_row in place, calling
-/// `put(i, value)` for each element. Returns false when the row's count
-/// is not `n` or the stream runs short.
-template <typename T, typename Put>
-bool restore_row(io::StateSource& src, std::size_t n, Put&& put) {
-  if (src.u64() != n) return false;
-  const std::uint8_t* const bytes = src.bytes(n * sizeof(T));
-  if (bytes == nullptr) return false;
-  for (std::size_t i = 0; i < n; ++i) {
-    T v;
-    std::memcpy(&v, bytes + i * sizeof(T), sizeof(T));
-    put(i, v);
-  }
-  return true;
-}
-
-}  // namespace
 
 FlashArray::FlashArray(const SsdConfig& cfg)
     : cfg_(cfg), geom_(cfg.geometry, cfg.cache.slc_ratio) {
@@ -91,8 +52,7 @@ FlashArray::FlashArray(const SsdConfig& cfg)
 
 void FlashArray::prefill_block(BlockId b, std::uint32_t pages, Lsn first_lsn,
                                std::uint64_t lsn_stride,
-                               std::uint32_t last_slots,
-                               std::uint32_t version) {
+                               std::uint32_t last_slots) {
   PPSSD_DCHECK(b < blocks_.size());
   Block& blk = blocks_[b];
   PPSSD_CHECK_MSG(blk.frontier_ == 0, "bulk prefill of a programmed block");
@@ -111,12 +71,11 @@ void FlashArray::prefill_block(BlockId b, std::uint32_t pages, Lsn first_lsn,
       PPSSD_CHECK_MSG(r.is_free(),
                       "programming a non-free subpage (NAND write-once rule)");
       PPSSD_DCHECK(lsn + s <= SlotRecord::kOwnerMask);
-      r = SlotRecord(SubpageState::kValid,
-                     static_cast<std::uint32_t>(lsn + s), version);
+      r = SlotRecord(SubpageState::kValid, static_cast<std::uint32_t>(lsn + s));
       // An SLC slot's write time and disturb snapshots stay 0: a frontier
       // fill at sim time 0 has seen no prior programs or neighbour disturbs.
     }
-    pages_[pi].program_ops_ = 1;
+    pages_[pi].set_program_ops(1);
     // Programming page p disturbs the page behind it, already filled.
     if (p > 0) pages_[pi - 1].absorb_neighbor_program();
     written += n;
@@ -199,35 +158,13 @@ void FlashArray::save(io::StateSink& sink) const {
   sink.u32(static_cast<std::uint32_t>(blocks_.size()));
   sink.u64(slots_.size());
 
-  // The slot records stream out as the three rows the checkpoint has
-  // always held (u8 state, u32 owner, u32 version), and the SLC neighbour
-  // snapshots widened to u16, each in fixed-size chunks.
-  const std::size_t slots = slots_.size();
-  save_row<std::uint8_t>(sink, slots, [&](std::size_t i) {
-    return static_cast<std::uint8_t>(slots_[i].state());
-  });
-  save_row<std::uint32_t>(sink, slots,
-                          [&](std::size_t i) { return slots_[i].owner(); });
-  save_row<std::uint32_t>(sink, slots,
-                          [&](std::size_t i) { return slots_[i].version(); });
+  // The rows as they stand in memory: the 4-byte slot records, the
+  // SLC-only write-time and snapshot rows, and the 2-byte page entries.
+  sink.vec(slots_);
   sink.vec(slc_wtime_);
   sink.vec(slc_programs_before_);
-  save_row<std::uint16_t>(
-      sink, slc_neighbors_before_.size(),
-      [&](std::size_t i) -> std::uint16_t { return slc_neighbors_before_[i]; });
-
-  // Page fields as three rows in page-row order (block-major): u8 program
-  // count, u16 neighbour count, u8 reprogrammed flag.
-  const std::size_t pages = pages_.size();
-  save_row<std::uint8_t>(sink, pages, [&](std::size_t i) -> std::uint8_t {
-    return pages_[i].program_ops_;
-  });
-  save_row<std::uint16_t>(sink, pages, [&](std::size_t i) -> std::uint16_t {
-    return pages_[i].neighbor_programs_;
-  });
-  save_row<std::uint8_t>(sink, pages, [&](std::size_t i) -> std::uint8_t {
-    return pages_[i].reprogrammed_;
-  });
+  sink.vec(slc_neighbors_before_);
+  sink.vec(pages_);
 
   // Per-block scalars *and* the running aggregates: the aggregates are
   // derivable from the rows above, but serializing them makes restore a
@@ -262,36 +199,28 @@ void FlashArray::restore(io::StateSource& src) {
                       src.u64() == slots_.size(),
                   "warm-start checkpoint does not match device geometry");
 
-  // The three slot rows (u8 state, u32 owner, u32 version) decode into
-  // the records in one pass over the rows in place. Every field is
-  // range-checked, so a corrupt stream aborts here instead of restoring
-  // silently; a free slot is all zero, as erase leaves it.
-  const std::size_t slots = slots_.size();
-  const auto row = [&](std::size_t element_bytes) -> const std::uint8_t* {
-    return src.u64() == slots ? src.bytes(slots * element_bytes) : nullptr;
-  };
-  const std::uint8_t* const states = row(1);
-  const std::uint8_t* const owners = row(4);
-  const std::uint8_t* const versions = row(4);
-  PPSSD_CHECK_MSG(states != nullptr && owners != nullptr && versions != nullptr,
-                  "warm-start checkpoint rows truncated");
-  const std::uint64_t lsns = geom_.logical_subpages();
-  // Branch-free flags: a bad field sets its flag, checked after the pass.
+  // One copy per row, then one branch-free range-check pass over each
+  // restored row: a bad field sets its flag, checked after the pass, so a
+  // corrupt stream aborts here instead of restoring silently.
+  (void)src.vec_into(slots_);
+  (void)src.vec_into(slc_wtime_);
+  (void)src.vec_into(slc_programs_before_);
+  (void)src.vec_into(slc_neighbors_before_);
+  (void)src.vec_into(pages_);
+  PPSSD_CHECK_MSG(src.ok(), "warm-start checkpoint rows truncated");
+
+  // A free slot is all zero, as erase leaves it; a programmed slot's owner
+  // is a logical subpage (validate() bounds the count to the owner field).
+  const auto lsns = static_cast<std::uint32_t>(geom_.logical_subpages());
   std::uint32_t bad_state = 0;
   std::uint32_t bad_owner = 0;
   std::uint32_t bad_free = 0;
-  for (std::size_t i = 0; i < slots; ++i) {
-    std::uint32_t owner = 0;
-    std::uint32_t version = 0;
-    std::memcpy(&owner, owners + 4 * i, sizeof owner);
-    std::memcpy(&version, versions + 4 * i, sizeof version);
-    const std::uint32_t st = states[i];
-    const std::uint32_t is_free = st == 0;
+  for (const SlotRecord& r : slots_) {
+    const auto st = static_cast<std::uint32_t>(r.state());
+    const std::uint32_t owner = r.owner();
     bad_state |= st > static_cast<std::uint32_t>(SubpageState::kInvalid);
-    bad_free |= is_free & ((owner | version) != 0);
-    bad_owner |= (is_free ^ 1u) & (owner >= lsns);
-    slots_[i] = SlotRecord(static_cast<SubpageState>(st & 3u),
-                           owner & SlotRecord::kOwnerMask, version);
+    bad_free |= (st == 0) & (owner != 0);
+    bad_owner |= (st != 0) & (owner >= lsns);
   }
   PPSSD_CHECK_MSG(bad_state == 0,
                   "warm-start checkpoint slot state out of range");
@@ -299,49 +228,24 @@ void FlashArray::restore(io::StateSource& src) {
                   "warm-start checkpoint slot owner beyond the logical "
                   "subpage count");
   PPSSD_CHECK_MSG(bad_free == 0,
-                  "warm-start checkpoint free slot holds an owner or version");
+                  "warm-start checkpoint free slot holds an owner");
 
   const std::uint32_t max_neighbors = 2 * spp_;
-  bool neighbors_ok = true;
-  (void)src.vec_into(slc_wtime_);
-  (void)src.vec_into(slc_programs_before_);
-  bool rows = src.ok() && restore_row<std::uint16_t>(
-                              src, slc_neighbors_before_.size(),
-                              [&](std::size_t i, std::uint16_t v) {
-                                neighbors_ok &= v <= max_neighbors;
-                                slc_neighbors_before_[i] =
-                                    static_cast<std::uint8_t>(v);
-                              });
-  PPSSD_CHECK_MSG(rows, "warm-start checkpoint rows truncated");
-
-  const std::size_t pages = pages_.size();
-  bool ops_ok = true;
-  bool reprogrammed_ok = true;
-  rows = restore_row<std::uint8_t>(src, pages,
-                                   [&](std::size_t i, std::uint8_t v) {
-                                     ops_ok &= v <= spp_;
-                                     pages_[i].program_ops_ = v & 0x7Fu;
-                                   }) &&
-         restore_row<std::uint16_t>(src, pages,
-                                    [&](std::size_t i, std::uint16_t v) {
-                                      neighbors_ok &= v <= max_neighbors;
-                                      pages_[i].neighbor_programs_ =
-                                          static_cast<std::uint8_t>(v);
-                                    }) &&
-         restore_row<std::uint8_t>(src, pages,
-                                   [&](std::size_t i, std::uint8_t v) {
-                                     reprogrammed_ok &= v <= 1;
-                                     pages_[i].reprogrammed_ = v & 1u;
-                                   });
-  PPSSD_CHECK_MSG(rows, "warm-start checkpoint page rows truncated");
-  PPSSD_CHECK_MSG(ops_ok,
+  std::uint32_t bad_neighbors = 0;
+  for (const std::uint8_t v : slc_neighbors_before_) {
+    bad_neighbors |= v > max_neighbors;
+  }
+  std::uint32_t bad_ops = 0;
+  for (const Page& pg : pages_) {
+    bad_ops |= pg.program_ops() > spp_;
+    bad_neighbors |= pg.neighbor_programs_ > max_neighbors;
+  }
+  PPSSD_CHECK_MSG(bad_ops == 0,
                   "warm-start checkpoint page program count above subpages "
                   "per page");
-  PPSSD_CHECK_MSG(neighbors_ok,
+  PPSSD_CHECK_MSG(bad_neighbors == 0,
                   "warm-start checkpoint neighbour count above twice the "
                   "subpages per page");
-  PPSSD_CHECK_MSG(reprogrammed_ok,
-                  "warm-start checkpoint reprogrammed flag above 1");
 
   // Take the serialized aggregates as is — they were read off a
   // consistent device and the stream already passed the container

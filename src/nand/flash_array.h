@@ -9,10 +9,10 @@
 // neighbours, and erase/wear accounting.
 //
 // Hot-path layout (DESIGN.md §10, §14): program() and invalidate() are
-// *fused* single-pass implementations. Each subpage slot's state, owner
-// and version share one 8-byte record in a flat slot row (indexed by the
-// block's page base), so a supersede or a state scan loads one line per
-// slot. Page counters live in one flat row of 2-byte entries, and every
+// *fused* single-pass implementations. Each subpage slot's state and
+// owner share one 4-byte record in a flat slot row (indexed by the block's
+// page base), so a supersede or a state scan loads one line per slot; the
+// array keeps no version (an LSN's version lives in its device-map entry). Page counters live in one flat row of 2-byte entries, and every
 // big row sits on huge pages (common/row_alloc.h). A slot's write time
 // and disturb snapshots are kept for SLC-mode slots only: an MLC slot is
 // written by its page's one program, when both snapshots are 0, and no
@@ -150,12 +150,6 @@ class FlashArray {
     return slots_[slot_index(b, p, s)].state();
   }
 
-  /// Version stored in slot (b, p, s): the LSN version its program wrote.
-  [[nodiscard]] std::uint32_t slot_version(BlockId b, PageId p,
-                                           SubpageId s) const {
-    return slots_[slot_index(b, p, s)].version();
-  }
-
   /// Materialized copy of one subpage's stored fields (the slot record
   /// plus, for an SLC-mode slot, its SLC-only rows). An MLC slot's write
   /// time and disturb snapshots read as 0.
@@ -163,7 +157,6 @@ class FlashArray {
     const SlotRecord& r = slots_[slot_index(b, p, s)];
     Subpage sp;
     sp.owner_lsn = r.owner();
-    sp.version = r.version();
     sp.state = r.state();
     const Block& blk = blocks_[b];
     if (blk.slc_ordinal_ != Block::kNotSlc) {
@@ -229,7 +222,7 @@ class FlashArray {
     const std::size_t pi = page_index(b, p);
     Page& pg = pages_[pi];
     const std::size_t base = pi * spp_;
-    const std::uint8_t pre_ops = pg.program_ops_;
+    const std::uint8_t pre_ops = pg.program_ops();
     AgeHistogram* const hist = histogram_of(blk);
     // SLC-only rows: write time and disturb snapshots (MLC slots keep none).
     const std::size_t sbase =
@@ -265,8 +258,7 @@ class FlashArray {
       SlotRecord& r = slots_[base + w.slot];
       PPSSD_CHECK_MSG(r.is_free(),
                       "programming a non-free subpage (NAND write-once rule)");
-      r = SlotRecord(SubpageState::kValid, static_cast<std::uint32_t>(w.lsn),
-                     w.version);
+      r = SlotRecord(SubpageState::kValid, static_cast<std::uint32_t>(w.lsn));
       if (hist != nullptr) {
         slc_wtime_[sbase + w.slot] = wt;
         slc_programs_before_[sbase + w.slot] = pre_ops;
@@ -278,15 +270,15 @@ class FlashArray {
       blk.sum_write_time_ms_ += static_cast<std::uint64_t>(wt) * n;
       if (pre_ops == 0) hist->add(wt, n);
     }
-    pg.program_ops_ = static_cast<std::uint8_t>(pre_ops + 1);
+    pg.set_program_ops(pre_ops + 1u);
     blk.valid_ += n;
 
     // Wordline adjacency: programming page p disturbs pages p-1 and p+1
     // of the same block if they already hold data (Figure 1).
-    if (p > 0 && pages_[pi - 1].program_ops_ > 0) {
+    if (p > 0 && pages_[pi - 1].programmed()) {
       pages_[pi - 1].absorb_neighbor_program();
     }
-    if (p + 1u < blk.page_count() && pages_[pi + 1].program_ops_ > 0) {
+    if (p + 1u < blk.page_count() && pages_[pi + 1].programmed()) {
       pages_[pi + 1].absorb_neighbor_program();
     }
 
@@ -326,7 +318,7 @@ class FlashArray {
     PPSSD_CHECK_MSG(statics_[dst_b].mode == CellMode::kMlc,
                     "reprogram destination must be a dense-mode page");
     program(dst_b, dst_p, writes, now);
-    pages_[page_index(dst_b, dst_p)].reprogrammed_ = true;
+    pages_[page_index(dst_b, dst_p)].mark_reprogrammed();
     ++counters_.reprogram_ops;
     counters_.reprogrammed_subpages += writes.size();
   }
@@ -334,15 +326,14 @@ class FlashArray {
   /// Bulk first-program entry point for setup (Scheme prefill): fills
   /// pages [0, pages) of block `b`, which has no programmed page, front
   /// to back at sim time 0. Page p's slot s holds LSN
-  /// first_lsn + p·lsn_stride + s at `version`; every page takes all
+  /// first_lsn + p·lsn_stride + s; every page takes all
   /// subpages_per_page() slots except the last, which takes
   /// `last_slots`. Skips the partial-program
   /// branches and the forward-neighbour probe — a frontier fill can only
   /// disturb the page behind it. State produced is identical to
   /// program(b, p, writes, 0) for each page in turn.
   void prefill_block(BlockId b, std::uint32_t pages, Lsn first_lsn,
-                     std::uint64_t lsn_stride, std::uint32_t last_slots,
-                     std::uint32_t version);
+                     std::uint64_t lsn_stride, std::uint32_t last_slots);
 
   /// True if page (b, p) may accept another program operation: an SLC-mode
   /// page below the partial-program limit with free subpage slots left.
@@ -368,7 +359,7 @@ class FlashArray {
     if (AgeHistogram* const hist = histogram_of(blk)) {
       const std::uint32_t wt = slc_wtime_[slc_slot(blk.slc_ordinal_, p, s)];
       blk.sum_write_time_ms_ -= wt;
-      if (pages_[pi].program_ops_ == 1) hist->remove(wt);
+      if (pages_[pi].program_ops() == 1) hist->remove(wt);
     }
     if (observer_ != nullptr) {
       observer_->on_subpage_invalidated(b, blk.invalid_);
@@ -401,16 +392,6 @@ class FlashArray {
     }
   }
 
-  /// The record of the slot at `a`, or nullptr when `a` lies outside the
-  /// array (a checkpoint reader's range check: one block-row load).
-  [[nodiscard]] const SlotRecord* record_at(const PhysicalAddress& a) const {
-    if (a.block >= statics_.size() || a.subpage >= spp_) return nullptr;
-    const BlockStatic& bs = statics_[a.block];
-    if (a.page >= geom_.pages_per_block(bs.mode)) return nullptr;
-    return &slots_[(static_cast<std::size_t>(bs.page_base) + a.page) * spp_ +
-                   a.subpage];
-  }
-
   /// Disturb snapshot of a stored subpage for the BER model. One read of
   /// the hot block row yields the page base and mode; the page entry and,
   /// for an SLC-mode slot, the two snapshot fields then load
@@ -426,14 +407,14 @@ class FlashArray {
     DisturbSnapshot snap;
     snap.mode = bs.mode;
     snap.pe_cycles = bs.pe_cycles;
-    snap.in_page_disturbs = pg.program_ops_ - 1u;
+    snap.in_page_disturbs = pg.program_ops() - 1u;
     snap.neighbor_disturbs = pg.neighbor_programs_;
     if (bs.mode == CellMode::kSlc) {
       const std::size_t j = slc_slot(slc_ordinal(bs, b), p, s);
       snap.in_page_disturbs -= slc_programs_before_[j];
       snap.neighbor_disturbs -= slc_neighbors_before_[j];
     }
-    snap.reprogrammed = pg.reprogrammed_;
+    snap.reprogrammed = pg.reprogrammed();
     return snap;
   }
 
@@ -452,13 +433,15 @@ class FlashArray {
 
   /// Serialize the complete mutable array state (slot rows, per-page and
   /// per-block counters, wear, SLC histograms, operation counters) for the
-  /// warm-start checkpoint. Geometry/config are not written — the restore
-  /// target must be constructed from the same SsdConfig.
+  /// warm-start checkpoint. The slot, SLC and page rows are written as
+  /// they stand in memory, byte for byte. Geometry/config are not written
+  /// — the restore target must be constructed from the same SsdConfig.
   void save(io::StateSink& sink) const;
 
-  /// Inverse of save(). PPSSD_CHECKs that the checkpoint's shape matches
-  /// this array's geometry and that every slot and page field is in
-  /// range; the caller validates checksum/version first.
+  /// Inverse of save(): one copy per row, range-checking every slot and
+  /// page field as it lands. PPSSD_CHECKs that the checkpoint's shape
+  /// matches this array's geometry and that every field is in range; the
+  /// caller validates checksum/version first.
   void restore(io::StateSource& src);
 
  private:

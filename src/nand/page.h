@@ -11,10 +11,11 @@
 // per-event fan-out. An MLC subpage's snapshots are both 0 (its page's one
 // program saw neither), so only SLC-mode subpages store them.
 //
-// Storage layout (DESIGN.md §10, §14): every slot's state, owner and
-// version share one 8-byte `SlotRecord` in FlashArray's slot row, so a
-// supersede or a GC scan loads one line per slot. The write time and the
-// two snapshots have SLC-only rows. `Subpage` survives as the *value*
+// Storage layout (DESIGN.md §10, §14): every slot's state and owner share
+// one 4-byte `SlotRecord` in FlashArray's slot row, so a supersede or a GC
+// scan loads one line per slot. The array stores no version: an LSN's
+// version lives in its ftl::DeviceMap entry. The write time and the two
+// snapshots have SLC-only rows. `Subpage` survives as the *value*
 // type those rows gather into (accessors, tests, BER snapshots). `Page`
 // keeps only the per-page counters the disturb model subtracts against,
 // one 2-byte entry per page in FlashArray's flat page row.
@@ -41,8 +42,6 @@ struct Subpage {
   /// Wall-clock (sim) write time, milliseconds. Used by the IS' age model;
   /// kept for SLC-mode slots only (0 for an MLC slot).
   std::uint32_t write_time_ms = 0;
-  /// Monotonic per-LSN version, for integrity checking.
-  std::uint32_t version = 0;
   SubpageState state = SubpageState::kFree;
   /// Page program-op count when this subpage was written.
   std::uint8_t programs_before = 0;
@@ -56,11 +55,10 @@ struct Subpage {
 /// (SsdConfig::validate enforces it).
 using ppssd::kMaxSubpagesPerPage;
 
-/// One subpage slot's stored fields, packed into 8 bytes: the first word
-/// holds the owner LSN in its low kSlotOwnerBits bits and the
-/// SubpageState in the top two, the second the version. A free slot is
-/// all zero: the constructor and erase leave it so, and restore rejects a
-/// checkpoint that says otherwise.
+/// One subpage slot's stored fields, packed into one 32-bit word: the
+/// owner LSN in its low kSlotOwnerBits bits and the SubpageState in the
+/// top two. A free slot is all zero: the constructor and erase leave it
+/// so, and restore rejects a checkpoint that says otherwise.
 class SlotRecord {
  public:
   static constexpr std::uint32_t kOwnerMask =
@@ -69,18 +67,16 @@ class SlotRecord {
   /// A free slot.
   SlotRecord() = default;
   /// `owner` must fit kOwnerMask.
-  SlotRecord(SubpageState st, std::uint32_t owner, std::uint32_t version)
-      : word_(static_cast<std::uint32_t>(st) << kSlotOwnerBits | owner),
-        version_(version) {}
+  SlotRecord(SubpageState st, std::uint32_t owner)
+      : word_(static_cast<std::uint32_t>(st) << kSlotOwnerBits | owner) {}
 
   [[nodiscard]] SubpageState state() const {
     return static_cast<SubpageState>(word_ >> kSlotOwnerBits);
   }
   [[nodiscard]] bool is_free() const { return word_ <= kOwnerMask; }
   [[nodiscard]] std::uint32_t owner() const { return word_ & kOwnerMask; }
-  [[nodiscard]] std::uint32_t version() const { return version_; }
 
-  /// Set the state, keeping the owner and version.
+  /// Set the state, keeping the owner.
   void set_state(SubpageState st) {
     word_ = (word_ & kOwnerMask) |
             static_cast<std::uint32_t>(st) << kSlotOwnerBits;
@@ -88,15 +84,13 @@ class SlotRecord {
 
  private:
   std::uint32_t word_ = 0;
-  std::uint32_t version_ = 0;
 };
-static_assert(sizeof(SlotRecord) == 8, "SlotRecord sets the slot row's size");
+static_assert(sizeof(SlotRecord) == 4, "SlotRecord sets the slot row's size");
 
 /// One subpage slot to fill in a program operation.
 struct SlotWrite {
   SubpageId slot = 0;
   Lsn lsn = kInvalidLsn;
-  std::uint32_t version = 0;
 };
 
 /// Per-page counters, stored in FlashArray's flat page row. Subpage slot
@@ -108,7 +102,9 @@ struct SlotWrite {
 /// one free slot and a slot is written once per erase, so a page takes at
 /// most spp <= kMaxSubpagesPerPage programs (7 bits), and the neighbour
 /// count, fed by the two adjacent pages' programs, stays at most
-/// 2 * kMaxSubpagesPerPage (8 bits).
+/// 2 * kMaxSubpagesPerPage (8 bits). The two bytes are the checkpoint's
+/// page row as they stand: byte 0 is the neighbour count, byte 1 the
+/// program count in its low 7 bits and the reprogrammed mark in bit 7.
 class Page {
  public:
   /// Most neighbour programs a page can absorb: both adjacent pages at
@@ -116,10 +112,16 @@ class Page {
   static constexpr std::uint32_t kMaxNeighborPrograms =
       2 * kMaxSubpagesPerPage;
 
+  /// Byte-1 mask of the program count and bit of the reprogrammed mark.
+  static constexpr std::uint8_t kProgramOpsMask = 0x7F;
+  static constexpr std::uint8_t kReprogrammedBit = 0x80;
+
   /// Number of program operations applied since the last erase.
-  [[nodiscard]] std::uint8_t program_ops() const { return program_ops_; }
+  [[nodiscard]] std::uint8_t program_ops() const {
+    return ops_ & kProgramOpsMask;
+  }
   /// True if at least one program has been applied (page not fully free).
-  [[nodiscard]] bool programmed() const { return program_ops_ > 0; }
+  [[nodiscard]] bool programmed() const { return program_ops() > 0; }
   /// Number of programs on wordline-adjacent pages since this page's erase.
   [[nodiscard]] std::uint8_t neighbor_programs() const {
     return neighbor_programs_;
@@ -129,7 +131,9 @@ class Page {
   /// (ISPP continuation from SLC frontier state, IPS promotion) rather
   /// than a fresh program. Reprogrammed cells carry a retention/disturb
   /// BER penalty; cleared by erase.
-  [[nodiscard]] bool reprogrammed() const { return reprogrammed_ != 0; }
+  [[nodiscard]] bool reprogrammed() const {
+    return (ops_ & kReprogrammedBit) != 0;
+  }
 
   /// Called when a wordline-adjacent page is programmed.
   void absorb_neighbor_program() {
@@ -144,10 +148,15 @@ class Page {
   friend class FlashArray;
   friend struct ReferencePaths;
 
+  /// Set the program count, keeping the reprogrammed mark.
+  void set_program_ops(std::uint32_t n) {
+    ops_ = static_cast<std::uint8_t>((ops_ & kReprogrammedBit) | n);
+  }
+  void mark_reprogrammed() { ops_ |= kReprogrammedBit; }
+
   // Two bytes, so the flat page row packs 32 pages per cache line.
   std::uint8_t neighbor_programs_ = 0;
-  std::uint8_t program_ops_ : 7 = 0;
-  std::uint8_t reprogrammed_ : 1 = 0;
+  std::uint8_t ops_ = 0;
 };
 static_assert(sizeof(Page) == 2, "Page sets the flat page row's density");
 

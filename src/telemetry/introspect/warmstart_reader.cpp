@@ -79,18 +79,20 @@ bool load_warmstart_as_snapshot(const std::string& path, SnapshotFile* out,
   if (!p.ok() || spp != h.subpages_per_page || block_count != h.total_blocks) {
     return fail(error, "array shape disagrees with the container header");
   }
-  const std::vector<std::uint8_t> sp_state = p.vec<std::uint8_t>();
-  (void)p.vec<std::uint32_t>();  // sp_owner
-  (void)p.vec<std::uint32_t>();  // sp_version
-  (void)p.vec<std::uint32_t>();  // slc_wtime (SLC-mode slots only)
+  // The rows as FlashArray keeps them in memory: a 4-byte slot record
+  // (owner in the low 30 bits, state in the top 2), the SLC-only u32
+  // write-time and u8 snapshot rows, and a 2-byte page entry (byte 0 the
+  // neighbour count, byte 1 the program count in its low 7 bits and the
+  // reprogrammed mark in bit 7).
+  const std::uint64_t slots = p.u64();
+  (void)p.bytes(slots * 4);      // slot records
+  (void)p.vec<std::uint32_t>();  // slc_wtime
   (void)p.vec<std::uint8_t>();   // slc_programs_before
-  (void)p.vec<std::uint16_t>();  // slc_neighbors_before
-  if (!p.ok() || sp_state.size() != slot_count) {
+  (void)p.vec<std::uint8_t>();   // slc_neighbors_before
+  if (!p.ok() || slots != slot_count) {
     return fail(error, "subpage-state rows truncated or missized");
   }
-  (void)p.vec<std::uint8_t>();  // pg_program_ops
-  (void)p.vec<std::uint16_t>();  // pg_neighbor_programs
-  const std::vector<std::uint8_t> pg_reprogrammed = p.vec<std::uint8_t>();
+  const std::vector<std::uint16_t> page_entries = p.vec<std::uint16_t>();
   if (!p.ok()) return fail(error, "page rows truncated");
 
   SnapshotStream stream;
@@ -135,19 +137,19 @@ bool load_warmstart_as_snapshot(const std::string& path, SnapshotFile* out,
     if (!p.ok() || frontier > pages) {
       return fail(error, "block record truncated or out of shape");
     }
-    if (page_cursor + pages > pg_reprogrammed.size()) {
+    if (page_cursor + pages > page_entries.size()) {
       return fail(error, "block pages run past the page rows");
     }
     // Same walk as Snapshotter::snapshot_now: sticky marks count only
     // below the frontier (an erase clears the pages but the mark rows
     // are rewritten lazily).
     for (std::uint32_t pg = 0; pg < frontier; ++pg) {
-      bs.reprogrammed_pages += pg_reprogrammed[page_cursor + pg] != 0;
+      bs.reprogrammed_pages += (page_entries[page_cursor + pg] >> 15) & 1u;
     }
     page_cursor += pages;
     frame.blocks.push_back(bs);
   }
-  if (page_cursor != pg_reprogrammed.size()) {
+  if (page_cursor != page_entries.size()) {
     return fail(error, "page rows extend past the last block");
   }
   for (std::uint32_t pl = 0; pl < h.planes; ++pl) {

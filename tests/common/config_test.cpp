@@ -92,23 +92,37 @@ TEST(SsdConfig, ValidateRejectsTooFewBlocks) {
 
 TEST(SsdConfig, ValidateBoundsTheSlotCodeAndPageIndex) {
   const GeometryConfig paper;
+  EXPECT_EQ(paper.slot_block_bits(), 16u);   // 65,536 blocks
   EXPECT_EQ(paper.slot_page_bits(), 7u);     // 128 MLC pages
   EXPECT_EQ(paper.slot_subpage_bits(), 2u);  // 4 subpages
 
   const SsdConfig huge = SsdConfig::scaled(3'000'000'000u);
   const std::string err = huge.validate();
-  EXPECT_NE(err.find("32-bit slot code"), std::string::npos) << err;
+  EXPECT_NE(err.find("no version bit in a 32-bit map entry"),
+            std::string::npos)
+      << err;
   EXPECT_NE(err.find("32-bit page index"), std::string::npos) << err;
+}
 
-  // 23 block bits remain at 128 pages and 4 subpages. A 90% SLC share
-  // keeps the logical subpage count inside the slot record's owner field,
-  // so only the slot code is at its edge.
+// A device-map entry is 32 bits: the slot code (block, page and subpage
+// bits) plus at least one bit of the LSN's version. At 128 pages and 4
+// subpages that leaves 22 block bits. A 90% SLC share keeps the logical
+// subpage count inside the slot record's owner field, so only the map
+// entry is at its edge.
+TEST(SsdConfig, ValidateBoundsTheMapEntryByOneVersionBit) {
   SsdConfig edge = SsdConfig::paper();
   edge.cache.slc_ratio = 0.9;
-  edge.geometry.total_blocks = (1u << 23) - edge.geometry.planes();
+  edge.geometry.total_blocks = 1u << 22;
+  EXPECT_EQ(edge.geometry.slot_block_bits(), 22u);
   EXPECT_TRUE(edge.validate().empty()) << edge.validate();
-  edge.geometry.total_blocks = 1u << 23;
-  EXPECT_NE(edge.validate().find("slot code"), std::string::npos);
+  edge.geometry.total_blocks += edge.geometry.planes();
+  EXPECT_EQ(edge.geometry.slot_block_bits(), 23u);
+  const std::string err = edge.validate();
+  EXPECT_NE(err.find("needs a 32-bit slot code (23 block, 7 page, 2 subpage "
+                     "bits), which leaves no version bit in a 32-bit map "
+                     "entry"),
+            std::string::npos)
+      << err;
 }
 
 // A slot record keeps its owner LSN in kSlotOwnerBits (30) bits: at the

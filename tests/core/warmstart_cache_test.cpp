@@ -161,7 +161,7 @@ TEST_F(WarmStartCacheCorruption, VersionOneCheckpointIsAMiss) {
   // versions write one for SLC-mode blocks only. An old file under the
   // current name must miss at the container check, not misparse block
   // records.
-  ASSERT_EQ(io::warmstart::kVersion, 3u);
+  ASSERT_EQ(io::warmstart::kVersion, 4u);
   std::vector<std::uint8_t> old = good_;
   old[8] = 1;  // container_version, little-endian u32 after the magic
   old[9] = old[10] = old[11] = 0;
@@ -174,9 +174,23 @@ TEST_F(WarmStartCacheCorruption, VersionTwoCheckpointIsAMiss) {
   // disturb-snapshot rows; version 3 folds versions into the device-map
   // entries and keeps those rows for SLC-mode slots only. A version-2
   // file must miss at the container check, not misparse the rows.
-  ASSERT_EQ(io::warmstart::kVersion, 3u);
+  ASSERT_EQ(io::warmstart::kVersion, 4u);
   std::vector<std::uint8_t> old = good_;
   old[8] = 2;  // container_version, little-endian u32 after the magic
+  old[9] = old[10] = old[11] = 0;
+  write_bytes(path_, old);
+  expect_miss();
+}
+
+TEST_F(WarmStartCacheCorruption, VersionThreeCheckpointIsAMiss) {
+  // Version 3 streamed u8 state, u32 owner and u32 version rows and an
+  // 8-byte (slot code, version) map entry; version 4 writes the 4-byte
+  // slot records and map entries as they stand, with the version in the
+  // entry's top bits. A version-3 file must miss at the container check,
+  // not abort in a layer restore.
+  ASSERT_EQ(io::warmstart::kVersion, 4u);
+  std::vector<std::uint8_t> old = good_;
+  old[8] = 3;  // container_version, little-endian u32 after the magic
   old[9] = old[10] = old[11] = 0;
   write_bytes(path_, old);
   expect_miss();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/config.h"
@@ -11,11 +12,18 @@
 namespace ppssd::ftl {
 namespace {
 
-/// A map over `n` LSNs with the paper geometry's slot-code widths.
+/// A map over `n` LSNs with the paper geometry's slot-code widths (16
+/// block, 7 page and 2 subpage bits, so 7 version bits and a cap of 126).
 DeviceMap paper_map(std::uint64_t n) {
   const GeometryConfig g;
-  return DeviceMap(n, g.slot_page_bits(), g.slot_subpage_bits());
+  return DeviceMap(n, g.slot_block_bits(), g.slot_page_bits(),
+                   g.slot_subpage_bits());
 }
+
+/// Every block of the paper map's slot-code range at 128 pages, 4
+/// subpages each: a restore range check that accepts every slot.
+const std::vector<std::uint32_t> kAllBlocks(std::size_t{1} << 16, 128);
+constexpr std::uint32_t kSpp = 4;
 
 TEST(DeviceMap, StartsUnmapped) {
   DeviceMap map = paper_map(100);
@@ -30,12 +38,14 @@ TEST(DeviceMap, StartsUnmapped) {
 TEST(DeviceMap, SetLookupClearRoundTrip) {
   DeviceMap map = paper_map(10);
   const PhysicalAddress addr{42, 7, 3};
-  map.set(5, addr);
+  map.set(5, addr, 3);
   EXPECT_TRUE(map.mapped(5));
   EXPECT_EQ(map.lookup(5), addr);
+  EXPECT_EQ(map.version(5), 3u);
   EXPECT_EQ(map.mapped_count(), 1u);
 
-  map.clear(5);
+  EXPECT_EQ(map.clear(5), 3u);
+  EXPECT_EQ(map.version(5), 0u);
   EXPECT_FALSE(map.mapped(5));
   EXPECT_EQ(map.mapped_count(), 0u);
 }
@@ -43,8 +53,8 @@ TEST(DeviceMap, SetLookupClearRoundTrip) {
 TEST(DeviceMapDeathTest, DoubleSetAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   DeviceMap map = paper_map(10);
-  map.set(1, PhysicalAddress{1, 1, 1});
-  EXPECT_DEATH(map.set(1, PhysicalAddress{2, 2, 2}), "already mapped");
+  map.set(1, PhysicalAddress{1, 1, 1}, 1);
+  EXPECT_DEATH(map.set(1, PhysicalAddress{2, 2, 2}, 1), "already mapped");
 }
 
 TEST(DeviceMapDeathTest, ClearUnmappedAborts) {
@@ -56,9 +66,11 @@ TEST(DeviceMapDeathTest, ClearUnmappedAborts) {
 TEST(DeviceMap, ManyEntries) {
   DeviceMap map = paper_map(10000);
   for (Lsn lsn = 0; lsn < 10000; lsn += 7) {
-    map.set(lsn, PhysicalAddress{static_cast<BlockId>(lsn / 64),
-                                 static_cast<PageId>(lsn % 64),
-                                 static_cast<SubpageId>(lsn % 4)});
+    map.set(lsn,
+            PhysicalAddress{static_cast<BlockId>(lsn / 64),
+                            static_cast<PageId>(lsn % 64),
+                            static_cast<SubpageId>(lsn % 4)},
+            static_cast<std::uint32_t>(lsn + 1));
   }
   for (Lsn lsn = 0; lsn < 10000; ++lsn) {
     if (lsn % 7 == 0) {
@@ -66,6 +78,7 @@ TEST(DeviceMap, ManyEntries) {
       EXPECT_EQ(addr.block, lsn / 64);
       EXPECT_EQ(addr.page, lsn % 64);
       EXPECT_EQ(addr.subpage, lsn % 4);
+      EXPECT_EQ(map.version(lsn), lsn + 1);
     } else {
       EXPECT_FALSE(map.mapped(lsn));
     }
@@ -74,17 +87,17 @@ TEST(DeviceMap, ManyEntries) {
 
 TEST(DeviceMap, RemapAfterClear) {
   DeviceMap map = paper_map(4);
-  map.set(0, PhysicalAddress{1, 2, 3});
+  map.set(0, PhysicalAddress{1, 2, 3}, 1);
   map.clear(0);
-  map.set(0, PhysicalAddress{4, 5, 2});
+  map.set(0, PhysicalAddress{4, 5, 2}, 2);
   EXPECT_EQ(map.lookup(0).block, 4u);
   EXPECT_EQ(map.mapped_count(), 1u);
 }
 
 // The slot code's field widths follow the geometry: at the largest block
-// id a geometry may have, with the last MLC page and the last subpage,
-// every field must survive pack/unpack without bleeding into its
-// neighbour.
+// id a geometry may have (one bit left for the version), with the last
+// MLC page and the last subpage, every field must survive pack/unpack
+// without bleeding into its neighbour or the version bit.
 class DeviceMapSlotCode : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(DeviceMapSlotCode, ExtremeAddressesRoundTrip) {
@@ -96,20 +109,21 @@ TEST_P(DeviceMapSlotCode, ExtremeAddressesRoundTrip) {
   EXPECT_EQ(page_bits, 7u);  // 128 MLC pages
   EXPECT_EQ(sub_bits, GetParam() == 4 ? 2u : 3u);
   // The largest block count validate() accepts for these widths.
-  g.total_blocks = static_cast<std::uint32_t>(
-      (std::uint64_t{1} << (32 - page_bits - sub_bits)) - 1);
+  const std::uint32_t block_bits = 31 - page_bits - sub_bits;
+  g.total_blocks = std::uint32_t{1} << block_bits;
+  EXPECT_EQ(g.slot_block_bits(), block_bits);
   SsdConfig cfg;
   cfg.geometry = g;
-  cfg.geometry.total_blocks -= cfg.geometry.total_blocks % g.planes();
-  EXPECT_EQ(cfg.validate().find("slot code"), std::string::npos)
+  EXPECT_EQ(cfg.validate().find("no version bit"), std::string::npos)
       << cfg.validate();
   cfg.geometry.total_blocks += g.planes();
-  EXPECT_NE(cfg.validate().find("slot code"), std::string::npos);
+  EXPECT_NE(cfg.validate().find("no version bit"), std::string::npos);
   const auto max_block = static_cast<BlockId>(g.total_blocks - 1);
   const auto last_page = static_cast<PageId>(g.pages_per_mlc_block - 1);
   const auto last_sub = static_cast<SubpageId>(GetParam() - 1);
 
-  DeviceMap map(8, page_bits, sub_bits);
+  DeviceMap map(8, block_bits, page_bits, sub_bits);
+  EXPECT_EQ(map.version_cap(), 0u);  // one version bit: every LSN overflows
   const PhysicalAddress cases[] = {
       {max_block, last_page, last_sub}, {max_block, 0, 0},
       {0, last_page, 0},                {0, 0, last_sub},
@@ -118,11 +132,16 @@ TEST_P(DeviceMapSlotCode, ExtremeAddressesRoundTrip) {
   };
   Lsn lsn = 0;
   for (const PhysicalAddress& a : cases) {
-    map.set(lsn, a);
+    const auto version = static_cast<std::uint32_t>(lsn + 1);
+    map.set(lsn, a, version);
     EXPECT_TRUE(map.mapped(lsn));
     EXPECT_EQ(map.lookup(lsn), a) << "lsn " << lsn;
-    EXPECT_EQ(map.take(lsn), a) << "lsn " << lsn;
+    EXPECT_EQ(map.version(lsn), version) << "lsn " << lsn;
+    const DeviceMap::Mapping taken = map.take(lsn);
+    EXPECT_EQ(taken.addr, a) << "lsn " << lsn;
+    EXPECT_EQ(taken.version, version) << "lsn " << lsn;
     EXPECT_FALSE(map.mapped(lsn));
+    EXPECT_EQ(map.overflow_count(), 0u);
     ++lsn;
   }
 }
@@ -130,128 +149,245 @@ TEST_P(DeviceMapSlotCode, ExtremeAddressesRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(SubpagesPerPage, DeviceMapSlotCode,
                          ::testing::Values(4u, 8u));
 
-/// A stand-in for the array's version row: the version "stored" in slot
-/// `a`, derived from its address.
-std::uint32_t version_in_slot(const PhysicalAddress& a) {
-  return a.block % 7 + a.page + a.subpage + 1;
-}
-
-/// A restore slot hint that does nothing.
-void no_hint(const PhysicalAddress&) {}
-
-// An entry is the slot code alone; the checkpoint still writes the former
-// (slot code, version) pair, with the version gathered from the slot.
+// An entry is one 4-byte word, [version | block | page | subpage], and the
+// checkpoint writes the entry row as it stands, then the mapped count and
+// the (LSN, version) overflow pairs sorted by LSN.
 TEST(DeviceMap, FourByteEntryKeepsTheCheckpointLayout) {
   static_assert(sizeof(DeviceMap::Entry) == 4);
   DeviceMap map = paper_map(4);
+  ASSERT_EQ(map.version_cap(), 126u);
   const PhysicalAddress a{9, 127, 3};
   const PhysicalAddress b{0, 0, 0};
-  map.set(1, a);
-  map.set(2, b);
-  EXPECT_EQ(map.take(2), b);
-  EXPECT_FALSE(map.take(2).valid());
-  map.set(2, b);
-  map.set(3, a);
+  map.set(1, a, 5);
+  map.set(2, b, 1);
+  const DeviceMap::Mapping taken = map.take(2);
+  EXPECT_EQ(taken.addr, b);
+  EXPECT_EQ(taken.version, 1u);
+  EXPECT_FALSE(map.take(2).addr.valid());
+  map.set(2, b, 900);
+  map.set(3, a, 126);
+  EXPECT_EQ(map.clear(3), 126u);
+  map.set(3, b, 127);
   map.clear(3);
   EXPECT_EQ(map.mapped_count(), 2u);
+  EXPECT_EQ(map.overflow_count(), 1u);  // LSN 2 at 900
 
   io::StateSink sink;
-  map.save(sink, version_in_slot);
+  map.save(sink);
   const std::vector<std::uint8_t>& bytes = sink.buffer();
-  ASSERT_EQ(bytes.size(), 8u + 4u * 8u + 8u);
+  ASSERT_EQ(bytes.size(), 8u + 4u * 4u + 8u + 8u + 8u);
   io::StateSource raw(bytes);
   EXPECT_EQ(raw.u64(), 4u);
   const GeometryConfig g;
+  const std::uint32_t code_bits =
+      g.slot_block_bits() + g.slot_page_bits() + g.slot_subpage_bits();
   const std::uint32_t shift = g.slot_page_bits() + g.slot_subpage_bits();
-  const std::uint32_t expected[4][2] = {
-      {0xffffffffu, 0},
-      {a.block << shift | std::uint32_t{a.page} << g.slot_subpage_bits() |
-           a.subpage,
-       version_in_slot(a)},
-      {0, version_in_slot(b)},
-      {0xffffffffu, 0},
+  const std::uint32_t expected[4] = {
+      0xffffffffu,
+      5u << code_bits | a.block << shift |
+          std::uint32_t{a.page} << g.slot_subpage_bits() | a.subpage,
+      126u << code_bits,  // saturated: the version is in the overflow
+      0xffffffffu,
   };
-  for (const auto& [slot, version] : expected) {
-    EXPECT_EQ(raw.u32(), slot);
-    EXPECT_EQ(raw.u32(), version);
-  }
-  EXPECT_EQ(raw.u64(), 2u);
+  for (const std::uint32_t entry : expected) EXPECT_EQ(raw.u32(), entry);
+  EXPECT_EQ(raw.u64(), 2u);  // mapped count
+  EXPECT_EQ(raw.u64(), 1u);  // overflow pairs
+  EXPECT_EQ(raw.u32(), 2u);
+  EXPECT_EQ(raw.u32(), 900u);
   EXPECT_TRUE(raw.exhausted());
 
   DeviceMap back = paper_map(4);
   io::StateSource src(bytes);
-  back.restore(src, version_in_slot, no_hint);
+  back.restore(src, kAllBlocks, kSpp);
   EXPECT_TRUE(src.exhausted());
   EXPECT_EQ(back.mapped_count(), 2u);
   EXPECT_FALSE(back.mapped(0));
   EXPECT_EQ(back.lookup(1), a);
+  EXPECT_EQ(back.version(1), 5u);
   EXPECT_EQ(back.lookup(2), b);
+  EXPECT_EQ(back.version(2), 900u);
   EXPECT_FALSE(back.mapped(3));
+  back.check_versions();
 }
 
 TEST(DeviceMap, CheckpointRoundTripsEveryEntry) {
   DeviceMap map = paper_map(64);
   for (Lsn lsn = 0; lsn < 64; ++lsn) {
     if (lsn % 3 != 0) {
-      map.set(lsn, PhysicalAddress{static_cast<BlockId>(lsn * 1000),
-                                   static_cast<PageId>(lsn % 128),
-                                   static_cast<SubpageId>(lsn % 4)});
+      map.set(lsn,
+              PhysicalAddress{static_cast<BlockId>(lsn * 1000),
+                              static_cast<PageId>(lsn % 128),
+                              static_cast<SubpageId>(lsn % 4)},
+              static_cast<std::uint32_t>(lsn * lsn + 1));
     }
   }
+  ASSERT_GT(map.overflow_count(), 0u);
   io::StateSink sink;
-  map.save(sink, version_in_slot);
+  map.save(sink);
 
-  // Restore hints every mapped entry's slot once, in LSN order, and no
-  // unmapped one.
   DeviceMap back = paper_map(64);
   io::StateSource src(sink.buffer());
-  std::vector<PhysicalAddress> hinted;
-  back.restore(src, version_in_slot,
-               [&](const PhysicalAddress& a) { hinted.push_back(a); });
-  EXPECT_TRUE(src.ok());
+  back.restore(src, kAllBlocks, kSpp);
+  EXPECT_TRUE(src.exhausted());
   EXPECT_EQ(back.mapped_count(), map.mapped_count());
-  std::vector<PhysicalAddress> mapped;
+  EXPECT_EQ(back.overflow_count(), map.overflow_count());
   for (Lsn lsn = 0; lsn < 64; ++lsn) {
     EXPECT_EQ(back.lookup(lsn), map.lookup(lsn)) << "lsn " << lsn;
-    if (map.mapped(lsn)) mapped.push_back(map.lookup(lsn));
+    EXPECT_EQ(back.version(lsn), map.version(lsn)) << "lsn " << lsn;
   }
-  EXPECT_EQ(hinted, mapped);
+  io::StateSink again;
+  back.save(again);
+  EXPECT_EQ(again.buffer(), sink.buffer());
 }
 
-// Restore checks each entry's version against the slot it names: a
-// mapped entry whose version differs, or an unmapped entry with a
-// version, means the map disagrees with the array.
-TEST(DeviceMapDeathTest, CheckpointVersionThatDisagreesWithItsSlotAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  DeviceMap map = paper_map(4);
-  map.set(1, PhysicalAddress{3, 4, 1});
-  io::StateSink sink;
-  map.save(sink, version_in_slot);
-  const auto other = [](const PhysicalAddress& a) {
-    return version_in_slot(a) + 1;
-  };
-  {
-    DeviceMap back = paper_map(4);
-    io::StateSource src(sink.buffer());
-    EXPECT_DEATH(back.restore(src, other, no_hint), "disagrees with the versions");
+// At narrow widths the version field is small: a version below the cap
+// stays in the entry, one at or above it goes to the overflow table, and
+// both come back exactly through set, lookup, take and clear. With two
+// version bits the cap is 2 (3 would make a mapped entry all-ones).
+TEST(DeviceMap, NarrowVersionFieldOverflowsAtTheCap) {
+  DeviceMap map(1u << 12, 20, 7, 3);
+  ASSERT_EQ(map.version_cap(), 2u);
+  const PhysicalAddress last{(1u << 20) - 1, 127, 7};
+  map.set(0, last, 1);
+  map.set(1, last, 2);
+  map.set(2, last, 0xFFFFFFFFu);
+  EXPECT_EQ(map.overflow_count(), 2u);
+  EXPECT_EQ(map.version(0), 1u);
+  EXPECT_EQ(map.version(1), 2u);
+  EXPECT_EQ(map.version(2), 0xFFFFFFFFu);
+  for (Lsn lsn = 0; lsn < 3; ++lsn) EXPECT_EQ(map.lookup(lsn), last);
+  map.check_versions();
+
+  // A supersede takes the old version and sets the next one.
+  const DeviceMap::Mapping old = map.take(1);
+  EXPECT_EQ(old.version, 2u);
+  EXPECT_EQ(map.overflow_count(), 1u);
+  map.set(1, PhysicalAddress{3, 4, 5}, old.version + 1);
+  EXPECT_EQ(map.version(1), 3u);
+  EXPECT_EQ(map.clear(2), 0xFFFFFFFFu);
+  map.check_versions();
+
+  // Many saturated LSNs grow the table; retiring every one empties it.
+  for (Lsn lsn = 3; lsn < map.logical_subpages(); ++lsn) {
+    map.set(lsn, PhysicalAddress{static_cast<BlockId>(lsn), 0, 0},
+            static_cast<std::uint32_t>(lsn + 7));
   }
-  // LSN 0 is unmapped; give it a version.
-  std::vector<std::uint8_t> bytes = sink.buffer();
-  bytes[8 + 4] = 1;
-  DeviceMap back = paper_map(4);
-  io::StateSource src(bytes);
-  EXPECT_DEATH(back.restore(src, version_in_slot, no_hint),
-               "disagrees with the versions");
+  EXPECT_EQ(map.overflow_count(), map.logical_subpages() - 2);
+  map.check_versions();
+  for (Lsn lsn = 3; lsn < map.logical_subpages(); lsn += 2) {
+    EXPECT_EQ(map.clear(lsn), lsn + 7) << "lsn " << lsn;
+  }
+  map.check_versions();
+  for (Lsn lsn = 4; lsn < map.logical_subpages(); lsn += 2) {
+    EXPECT_EQ(map.version(lsn), lsn + 7) << "lsn " << lsn;
+    EXPECT_EQ(map.take(lsn).version, lsn + 7) << "lsn " << lsn;
+  }
+  EXPECT_EQ(map.overflow_count(), 1u);  // LSN 1 at version 3
+  map.check_versions();
+}
+
+// One version bit (the widest legal slot code): the cap is 0, so every
+// mapped LSN keeps its version in the overflow table.
+TEST(DeviceMap, OneVersionBitOverflowsEveryLsn) {
+  DeviceMap map(16, 22, 7, 2);
+  ASSERT_EQ(map.version_cap(), 0u);
+  for (Lsn lsn = 0; lsn < 16; ++lsn) {
+    map.set(lsn, PhysicalAddress{static_cast<BlockId>(lsn << 18), 127, 3},
+            1);
+  }
+  EXPECT_EQ(map.overflow_count(), 16u);
+  map.check_versions();
+  io::StateSink sink;
+  map.save(sink);
+  DeviceMap back(16, 22, 7, 2);
+  io::StateSource src(sink.buffer());
+  back.restore(src, std::vector<std::uint32_t>(std::size_t{1} << 22, 128),
+               kSpp);
+  for (Lsn lsn = 0; lsn < 16; ++lsn) {
+    EXPECT_EQ(back.version(lsn), 1u);
+    EXPECT_EQ(back.lookup(lsn), map.lookup(lsn));
+  }
 }
 
 TEST(DeviceMapDeathTest, CheckpointOfAnotherSizeAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   DeviceMap map = paper_map(8);
   io::StateSink sink;
-  map.save(sink, version_in_slot);
+  map.save(sink);
   DeviceMap other = paper_map(9);
   io::StateSource src(sink.buffer());
-  EXPECT_DEATH(other.restore(src, version_in_slot, no_hint), "mapping shape");
+  EXPECT_DEATH(other.restore(src, kAllBlocks, kSpp), "mapping shape");
+}
+
+/// The map section of paper_map(4) with LSN 1 at `version` on slot
+/// {2, 3, 1}, LSN 3 at version 1, and the overflow pairs replaced by
+/// `pairs`.
+std::vector<std::uint8_t> map_section(
+    std::uint32_t version,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) {
+  DeviceMap map = paper_map(4);
+  map.set(1, PhysicalAddress{2, 3, 1}, version);
+  map.set(3, PhysicalAddress{2, 3, 2}, 1);
+  io::StateSink sink;
+  map.save(sink);
+  std::vector<std::uint8_t> bytes = sink.take();
+  bytes.resize(8 + 4 * 4 + 8);  // drop the saved overflow table
+  io::StateSink tail;
+  tail.u64(pairs.size());
+  for (const auto& [lsn, v] : pairs) {
+    tail.u32(lsn);
+    tail.u32(v);
+  }
+  bytes.insert(bytes.end(), tail.buffer().begin(), tail.buffer().end());
+  return bytes;
+}
+
+// A corrupt map section is rejected up front, one message per fault.
+TEST(DeviceMapDeathTest, CorruptCheckpointAbortsWithOneMessageEach) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto restore = [](const std::vector<std::uint8_t>& bytes,
+                          std::span<const std::uint32_t> blocks = kAllBlocks,
+                          std::uint32_t spp = kSpp) {
+    DeviceMap back = paper_map(4);
+    io::StateSource src(bytes);
+    back.restore(src, blocks, spp);
+    back.check_versions();
+    return back.version(1);
+  };
+  // The unaltered sections restore.
+  EXPECT_EQ(restore(map_section(7, {})), 7u);
+  EXPECT_EQ(restore(map_section(300, {{1, 300}})), 300u);
+  EXPECT_EQ(restore(map_section(126, {{1, 126}})), 126u);
+
+  // LSNs 1 and 3 are on block 2, page 3, subpages 1 and 2.
+  const std::vector<std::uint32_t> two_blocks = {128, 128};
+  const std::vector<std::uint32_t> three_pages = {128, 128, 3};
+  EXPECT_EQ(restore(map_section(7, {}), std::vector<std::uint32_t>{0, 0, 4},
+                    3),
+            7u);
+  EXPECT_DEATH(restore(map_section(7, {}), two_blocks),
+               "map code outside the array");
+  EXPECT_DEATH(restore(map_section(7, {}), three_pages),
+               "map code outside the array");
+  EXPECT_DEATH(restore(map_section(7, {}), kAllBlocks, 2),
+               "map code outside the array");
+  std::vector<std::uint8_t> count = map_section(7, {});
+  count[8 + 4 * 4] = 3;  // the stored mapped count: 2 entries are mapped
+  EXPECT_DEATH(restore(count), "mapped count disagrees with the map entries");
+  EXPECT_DEATH(restore(map_section(300, {{3, 126}, {1, 300}})),
+               "overflow table is not sorted by LSN");
+  EXPECT_DEATH(restore(map_section(300, {{1, 300}, {1, 300}})),
+               "overflow table repeats an LSN");
+  EXPECT_DEATH(restore(map_section(300, {{0, 300}, {1, 300}})),
+               "overflow entry for an unmapped LSN");
+  EXPECT_DEATH(restore(map_section(300, {{1, 300}, {9, 300}})),
+               "overflow entry for an unmapped LSN");
+  EXPECT_DEATH(restore(map_section(300, {{1, 125}})),
+               "overflow entry below the version cap");
+  EXPECT_DEATH(restore(map_section(300, {{1, 300}, {3, 300}})),
+               "overflow entry for an unsaturated entry");
+  EXPECT_DEATH(restore(map_section(300, {})),
+               "saturated map entry has no overflow entry");
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 namespace ppssd::nand {
 namespace {
 
-SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn, 1}; }
+SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn}; }
 
 SsdConfig small_config() {
   SsdConfig cfg = SsdConfig::scaled(1024);
@@ -252,8 +252,7 @@ TEST(AgeHistogramRow, RandomWalkMatchesRecountAcrossRestore) {
           static_cast<std::uint32_t>(1 + rng.next_below(spp - first));
       std::array<SlotWrite, kMaxSubpagesPerPage> writes;
       for (std::uint32_t k = 0; k < n; ++k) {
-        writes[k] = SlotWrite{static_cast<SubpageId>(first + k), next_lsn++,
-                              1};
+        writes[k] = SlotWrite{static_cast<SubpageId>(first + k), next_lsn++};
       }
       arr.program(b, p, std::span<const SlotWrite>(writes.data(), n), now);
     }

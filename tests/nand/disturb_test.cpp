@@ -18,7 +18,7 @@
 namespace ppssd::nand {
 namespace {
 
-SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn, 1}; }
+SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn}; }
 
 SsdConfig worn_config(std::uint64_t initial_pe) {
   SsdConfig cfg = SsdConfig::scaled(1024);
@@ -165,7 +165,7 @@ TEST(Disturb, RandomWalkMatchesShadowRecountAcrossRestore) {
     std::array<SlotWrite, kMaxSubpagesPerPage> writes;
     for (std::uint32_t k = 0; k < n; ++k) {
       const auto slot = static_cast<SubpageId>(first + k);
-      writes[k] = SlotWrite{slot, next_lsn++, 1};
+      writes[k] = SlotWrite{slot, next_lsn++};
       sp.slots[slot] = {true, sp.programs, sp.neighbors};
     }
     arr.program(sb.id, p, std::span<const SlotWrite>(writes.data(), n),

@@ -14,7 +14,7 @@ namespace {
 
 SsdConfig small_config() { return SsdConfig::scaled(1024); }
 
-SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn, 1}; }
+SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn}; }
 
 TEST(FlashArray, ConstructionPartitionsModes) {
   FlashArray arr(small_config());
@@ -170,37 +170,33 @@ TEST(FlashArrayDeathTest, SecondProgramOfAnMlcPageAborts) {
   EXPECT_DEATH(arr.program(mlc, 0, s1, 0), "second program of an MLC page");
 }
 
-// The slot row holds one 8-byte record per slot and the page row one
+// The slot row holds one 4-byte record per slot and the page row one
 // 2-byte entry per page (DESIGN.md §10, "Rows sized to their readers").
-static_assert(sizeof(SlotRecord) == 8);
+static_assert(sizeof(SlotRecord) == 4);
 static_assert(sizeof(Page) == 2);
 
 // A slot's state shares a word with its owner: each state change must
-// keep the owner and the version, and erase must clear all three. The
-// owner and version are all-ones so a clobbered bit shows.
-TEST(FlashArray, SlotRecordKeepsOwnerAndVersionAcrossStates) {
+// keep the owner, and erase must clear both. The owner is all-ones so a
+// clobbered bit shows.
+TEST(FlashArray, SlotRecordKeepsOwnerAcrossStates) {
   FlashArray arr(small_config());
   const Lsn owner = SlotRecord::kOwnerMask;
-  const std::uint32_t version = 0xFFFFFFFFu;
-  const auto expect_slot = [&](SubpageState st, std::uint32_t lsn,
-                               std::uint32_t v) {
+  const auto expect_slot = [&](SubpageState st, std::uint32_t lsn) {
     const Subpage sp = arr.subpage(0, 0, 1);
     EXPECT_EQ(sp.state, st);
     EXPECT_EQ(arr.subpage_state(0, 0, 1), st);
     EXPECT_EQ(sp.owner_lsn, lsn);
-    EXPECT_EQ(sp.version, v);
-    EXPECT_EQ(arr.slot_version(0, 0, 1), v);
   };
-  expect_slot(SubpageState::kFree, 0, 0);
+  expect_slot(SubpageState::kFree, 0);
 
-  const SlotWrite ws[] = {w(0, 7), SlotWrite{1, owner, version}};
+  const SlotWrite ws[] = {w(0, 7), SlotWrite{1, owner}};
   arr.program(0, 0, ws, 0);
-  expect_slot(SubpageState::kValid, SlotRecord::kOwnerMask, version);
+  expect_slot(SubpageState::kValid, SlotRecord::kOwnerMask);
   EXPECT_EQ(arr.page_count_state(0, 0, SubpageState::kValid), 2u);
   EXPECT_EQ(arr.page_first_free(0, 0), 2u);
 
   arr.invalidate(0, 0, 1);
-  expect_slot(SubpageState::kInvalid, SlotRecord::kOwnerMask, version);
+  expect_slot(SubpageState::kInvalid, SlotRecord::kOwnerMask);
   EXPECT_EQ(arr.page_count_state(0, 0, SubpageState::kInvalid), 1u);
   // The neighbouring slot's record is untouched.
   EXPECT_EQ(arr.subpage(0, 0, 0).owner_lsn, 7u);
@@ -208,11 +204,11 @@ TEST(FlashArray, SlotRecordKeepsOwnerAndVersionAcrossStates) {
 
   arr.invalidate(0, 0, 0);
   arr.erase(0, 0);
-  expect_slot(SubpageState::kFree, 0, 0);
+  expect_slot(SubpageState::kFree, 0);
   EXPECT_EQ(arr.page_first_free(0, 0), 0u);
-  const SlotWrite again[] = {w(0, 1), SlotWrite{1, 5, 2}};
+  const SlotWrite again[] = {w(0, 1), SlotWrite{1, 5}};
   arr.program(0, 0, again, 0);
-  expect_slot(SubpageState::kValid, 5, 2);
+  expect_slot(SubpageState::kValid, 5);
 }
 
 // Neighbour counts are bounded by the program counts of the two adjacent
@@ -249,8 +245,8 @@ TEST(FlashArray, NeighborCountReachesItsBound) {
   arr.save(sink);
   std::vector<std::uint8_t> bytes = sink.take();
   const ArrayRowOffsets rows = locate_array_rows(bytes);
-  poke<std::uint16_t>(bytes, rows.page_neighbors, arr.page_index(0, 1),
-                      static_cast<std::uint16_t>(2 * spp));
+  poke<std::uint8_t>(bytes, rows.page_neighbors(arr.page_index(0, 1)), 0,
+                     static_cast<std::uint8_t>(2 * spp));
   FlashArray back(small_config());
   io::StateSource src(bytes);
   back.restore(src);

@@ -7,7 +7,7 @@
 // randomized program / invalidate / erase sequences through two arrays
 // built from the same config — one using the fused entry points, one the
 // oracles — asserting the complete observable state stays identical at
-// every step: per-subpage fields (owner, version, write time, disturb
+// every step: per-subpage fields (owner, write time, disturb
 // snapshots), page counters, block running aggregates including the age
 // histogram, array counters, and the BlockObserver event stream.
 // prefill_block is additionally locked to frontier programs through the
@@ -75,7 +75,6 @@ void expect_same_state(const FlashArray& fused, const FlashArray& ref) {
         ASSERT_EQ(fs.state, rs.state)
             << "block " << b << " page " << p << " slot " << int(s);
         ASSERT_EQ(fs.owner_lsn, rs.owner_lsn);
-        ASSERT_EQ(fs.version, rs.version);
         ASSERT_EQ(fs.write_time_ms, rs.write_time_ms);
         ASSERT_EQ(fs.programs_before, rs.programs_before);
         ASSERT_EQ(fs.neighbors_before, rs.neighbors_before);
@@ -151,8 +150,7 @@ TEST_P(FusedPathEquivalence, RandomSequencesAgree) {
       for (SubpageId s = 0; s < blk.subpages_per_page(); ++s) {
         if (fused.subpage_state(b, p, s) == SubpageState::kFree &&
             (writes.empty() || rng.chance(0.4))) {
-          writes.push_back({s, next_lsn, static_cast<std::uint32_t>(
-                                             1 + rng.next_below(9))});
+          writes.push_back({s, next_lsn});
           ++next_lsn;
         }
       }
@@ -222,14 +220,13 @@ TEST(FusedPathEquivalence, PrefillMatchesReferenceFrontierFill) {
   };
   std::vector<SlotWrite> writes;
   for (const Case& c : cases) {
-    fused.prefill_block(c.block, c.pages, c.first_lsn, c.stride, c.last_slots,
-                        /*version=*/1);
+    fused.prefill_block(c.block, c.pages, c.first_lsn, c.stride, c.last_slots);
     for (PageId p = 0; p < c.pages; ++p) {
       writes.clear();
       const std::uint32_t n = p + 1u == c.pages ? c.last_slots : spp;
       for (std::uint32_t s = 0; s < n; ++s) {
         writes.push_back(
-            {static_cast<SubpageId>(s), c.first_lsn + p * c.stride + s, 1});
+            {static_cast<SubpageId>(s), c.first_lsn + p * c.stride + s});
       }
       ReferencePaths::program(ref, c.block, p, writes, /*now=*/0);
     }
@@ -241,8 +238,8 @@ TEST(FusedPathDeathTest, PrefillBlockRejectsProgrammedBlock) {
   SsdConfig cfg = SsdConfig::scaled(1024);
   FlashArray arr(cfg);
   const BlockId mlc0 = arr.geometry().slc_blocks_per_plane();
-  arr.prefill_block(mlc0, 2, 0, 4, 4, 1);
-  EXPECT_DEATH(arr.prefill_block(mlc0, 2, 8, 4, 4, 1),
+  arr.prefill_block(mlc0, 2, 0, 4, 4);
+  EXPECT_DEATH(arr.prefill_block(mlc0, 2, 8, 4, 4),
                "bulk prefill of a programmed block");
 }
 

@@ -12,9 +12,7 @@
 namespace ppssd::nand {
 namespace {
 
-SlotWrite w(SubpageId slot, Lsn lsn, std::uint32_t version = 1) {
-  return SlotWrite{slot, lsn, version};
-}
+SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn}; }
 
 SsdConfig small_config() {
   SsdConfig cfg = SsdConfig::scaled(1024);
@@ -116,11 +114,11 @@ TEST(PageDeathTest, InvalidateFreeSlotAborts) {
   EXPECT_DEATH(f.arr.invalidate(f.b, 0, 0), "not valid");
 }
 
-TEST(Page, WriteTimestampAndVersionStored) {
+TEST(Page, WriteTimestampAndOwnerStored) {
   ArrayFixture f;
-  const SlotWrite a[] = {w(2, 77, 9)};
+  const SlotWrite a[] = {w(2, 77)};
   f.arr.program(f.b, 0, a, ms_to_ns(123.0));
-  EXPECT_EQ(f.arr.subpage(f.b, 0, 2).version, 9u);
+  EXPECT_EQ(f.arr.subpage(f.b, 0, 2).owner_lsn, 77u);
   EXPECT_EQ(f.arr.subpage(f.b, 0, 2).write_time_ms, 123u);
 }
 

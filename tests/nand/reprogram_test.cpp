@@ -15,7 +15,7 @@ namespace {
 
 SsdConfig small_config() { return SsdConfig::scaled(1024); }
 
-SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn, 1}; }
+SlotWrite w(SubpageId slot, Lsn lsn) { return SlotWrite{slot, lsn}; }
 
 struct TestPair {
   FlashArray a{small_config()};  // reprogram path
@@ -44,7 +44,6 @@ TEST(Reprogram, DestinationStateMatchesConventionalProgram) {
     const Subpage sb = t.b.subpage(t.mlc, 0, s);
     EXPECT_EQ(sa.state, sb.state) << s;
     EXPECT_EQ(sa.owner_lsn, sb.owner_lsn) << s;
-    EXPECT_EQ(sa.version, sb.version) << s;
   }
   EXPECT_EQ(t.a.block(t.mlc).valid_subpages(),
             t.b.block(t.mlc).valid_subpages());

@@ -14,7 +14,6 @@ namespace {
 
 struct ShadowSubpage {
   Lsn owner = kInvalidLsn;
-  std::uint32_t version = 0;
   SubpageState state = SubpageState::kFree;
 };
 
@@ -70,7 +69,7 @@ class ShadowModel {
     if (page.program_ops == 0) ++blk.frontier;
     ++page.program_ops;
     for (const auto& w : ws) {
-      page.slots[w.slot] = {w.lsn, w.version, SubpageState::kValid};
+      page.slots[w.slot] = {w.lsn, SubpageState::kValid};
     }
   }
 
@@ -116,7 +115,6 @@ class ShadowModel {
               << "block " << b << " page " << p << " slot " << int(s);
           if (sslot.state != SubpageState::kFree) {
             ASSERT_EQ(sslot.owner, rslot.owner_lsn);
-            ASSERT_EQ(sslot.version, rslot.version);
           }
           if (sslot.state == SubpageState::kValid) ++valid;
           if (sslot.state == SubpageState::kInvalid) ++invalid;
@@ -151,7 +149,6 @@ TEST_P(NandShadowFuzz, RandomOpsAgreeWithReference) {
   pool.push_back(arr.geometry().slc_blocks_per_plane());      // MLC block
   pool.push_back(arr.geometry().slc_blocks_per_plane() + 1);  // MLC block
   Lsn next_lsn = 1;
-  std::uint32_t version = 1;
 
   int programs = 0;
   int mlc_programs = 0;
@@ -178,7 +175,7 @@ TEST_P(NandShadowFuzz, RandomOpsAgreeWithReference) {
         if (arr.subpage_state(b, p, static_cast<SubpageId>(s)) ==
                 SubpageState::kFree &&
             rng.chance(0.5)) {
-          ws[n++] = {static_cast<SubpageId>(s), next_lsn++, version++};
+          ws[n++] = {static_cast<SubpageId>(s), next_lsn++};
         }
       }
       if (n == 0) continue;

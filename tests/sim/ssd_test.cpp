@@ -200,11 +200,21 @@ TEST(Ssd, LogicalBytesMatchesGeometry) {
                 kSubpageBytes);
 }
 
-// The map section of a checkpoint keeps each LSN's version beside its
-// slot code. Restore must reject a stream in which one mapped LSN's
-// version differs from the version the restored array holds in its slot,
-// rather than restore a map that disagrees with the array.
-TEST(SsdDeathTest, RestoreRejectsAMapVersionThatDisagreesWithItsSlot) {
+/// Byte offset of the map section in an IPU device's Ssd::save stream:
+/// it follows the array and block-manager sections.
+std::size_t map_section_at(const Ssd& ssd) {
+  io::StateSink prefix;
+  ssd.scheme().array().save(prefix);
+  ssd.scheme().blocks().save(prefix);
+  return prefix.buffer().size();
+}
+
+// The map section of a checkpoint is the entry row, the mapped count and
+// the version overflow pairs. Restore rejects each corrupt form with its
+// own message: a slot code outside the array, a mapped count that
+// disagrees with the entries, a saturated entry with no overflow pair, or
+// an overflow pair for an unmapped LSN.
+TEST(SsdDeathTest, RestoreRejectsOutOfShapeMapSection) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Ssd ssd(cfg(), "IPU");
   ssd.submit(OpType::kWrite, 0, 4 * kSubpageBytes, 0);
@@ -213,30 +223,69 @@ TEST(SsdDeathTest, RestoreRejectsAMapVersionThatDisagreesWithItsSlot) {
   ASSERT_EQ(ssd.scheme().version_of(1), 2u);
   io::StateSink sink;
   ssd.save(sink);
-  std::vector<std::uint8_t> bytes = sink.take();
+  const std::vector<std::uint8_t> saved = sink.take();
 
-  // The map section follows the array and block-manager sections: a u64
-  // entry count, then a (u32 slot code, u32 version) pair per LSN.
-  io::StateSink prefix;
-  ssd.scheme().array().save(prefix);
-  ssd.scheme().blocks().save(prefix);
-  const std::size_t at = prefix.buffer().size() + 8 + 8 * 1 + 4;
-  ASSERT_LT(at + 4, bytes.size());
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + at, sizeof version);
-  ASSERT_EQ(version, 2u);
+  // u64 entry count, one u32 entry per LSN, the u64 mapped count, then
+  // the u64 overflow count (0 here) and its (u32 LSN, u32 version) pairs.
+  const ftl::DeviceMap& map = ssd.scheme().device_map();
+  const std::size_t entries = map_section_at(ssd) + 8;
+  const std::size_t mapped_at = entries + 4 * map.logical_subpages();
+  const std::size_t overflow_at = mapped_at + 8;
+  std::uint64_t overflow = 0;
+  std::memcpy(&overflow, saved.data() + overflow_at, sizeof overflow);
+  ASSERT_EQ(overflow, 0u);
+  std::uint32_t entry1 = 0;
+  std::memcpy(&entry1, saved.data() + entries + 4, sizeof entry1);
 
-  {
+  const GeometryConfig& g = cfg().geometry;
+  const std::uint32_t code_bits =
+      g.slot_block_bits() + g.slot_page_bits() + g.slot_subpage_bits();
+  const std::uint32_t code_mask = (std::uint32_t{1} << code_bits) - 1;
+  const std::uint32_t cap = map.version_cap();
+  const auto restore = [&](const std::vector<std::uint8_t>& bytes) {
     Ssd twin(cfg(), "IPU");
     io::StateSource src(bytes);
     twin.restore(src);
-    EXPECT_EQ(twin.scheme().version_of(1), 2u);
-  }
-  version = 3;
-  std::memcpy(bytes.data() + at, &version, sizeof version);
-  Ssd twin(cfg(), "IPU");
-  io::StateSource src(bytes);
-  EXPECT_DEATH(twin.restore(src), "map disagrees with the versions");
+    twin.scheme().check_consistency();
+    return twin.scheme().version_of(1);
+  };
+  ASSERT_EQ(restore(saved), 2u);
+  // LSN 1 saturated, with its full version in one overflow pair.
+  const auto saturated = [&](std::vector<std::pair<std::uint32_t,
+                                                   std::uint32_t>> pairs) {
+    std::vector<std::uint8_t> bytes = saved;
+    nand::poke(bytes, entries, 1, cap << code_bits | (entry1 & code_mask));
+    nand::poke(bytes, overflow_at, 0, std::uint64_t{pairs.size()});
+    io::StateSink tail;
+    for (const auto& [lsn, version] : pairs) {
+      tail.u32(lsn);
+      tail.u32(version);
+    }
+    bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(overflow_at + 8),
+                 tail.buffer().begin(), tail.buffer().end());
+    return bytes;
+  };
+  EXPECT_EQ(restore(saturated({{1, cap + 5}})), cap + 5);
+
+  // A slot code whose page lies past an SLC block's last page.
+  const PhysicalAddress a = map.lookup(1);
+  ASSERT_TRUE(ssd.scheme().array().geometry().is_slc_block(a.block));
+  std::vector<std::uint8_t> outside = saved;
+  const std::uint32_t page_field =
+      ((std::uint32_t{1} << g.slot_page_bits()) - 1) << g.slot_subpage_bits();
+  ASSERT_GE(page_field >> g.slot_subpage_bits(), g.pages_per_slc_block);
+  nand::poke(outside, entries, 1, entry1 | page_field);
+  EXPECT_DEATH(restore(outside), "map code outside the array");
+
+  std::vector<std::uint8_t> count = saved;
+  nand::poke(count, mapped_at, 0, map.mapped_count() + 1);
+  EXPECT_DEATH(restore(count), "mapped count disagrees with the map entries");
+  EXPECT_DEATH(restore(saturated({})),
+               "saturated map entry has no overflow entry");
+  const auto unmapped = static_cast<std::uint32_t>(map.logical_subpages() - 1);
+  ASSERT_FALSE(map.mapped(unmapped));
+  EXPECT_DEATH(restore(saturated({{1, cap + 5}, {unmapped, cap + 5}})),
+               "overflow entry for an unmapped LSN");
 }
 
 // The array section's slot and page rows are range-checked on restore:
@@ -268,37 +317,43 @@ TEST(SsdDeathTest, RestoreRejectsOutOfShapeArrayRows) {
     return src.exhausted();
   };
   ASSERT_TRUE(restores(saved));
-  const auto altered = [&](std::size_t row, std::size_t i, auto value) {
+  const auto altered = [&](std::size_t at, auto value) {
     std::vector<std::uint8_t> bytes = saved;
-    nand::poke(bytes, row, i, value);
+    nand::poke(bytes, at, 0, value);
     return bytes;
   };
+  // A slot record: the owner in the low 30 bits, the state in the top 2.
+  const auto record = [](std::uint32_t state, std::uint32_t owner) {
+    return state << kSlotOwnerBits | owner;
+  };
+  const std::size_t slot_at = rows.slots + 4 * slot;
   // Each bound itself restores.
-  ASSERT_TRUE(restores(altered(rows.page_ops, page, std::uint8_t(spp))));
+  ASSERT_TRUE(restores(altered(rows.page_ops(page), std::uint8_t(spp))));
   ASSERT_TRUE(restores(
-      altered(rows.page_neighbors, page, std::uint16_t(2 * spp))));
+      altered(rows.page_neighbors(page), std::uint8_t(2 * spp))));
+  ASSERT_TRUE(restores(
+      altered(rows.slc_neighbors_before, std::uint8_t(2 * spp))));
 
-  EXPECT_DEATH(restores(altered(rows.state, slot, std::uint8_t{3})),
-               "slot state out of range");
-  EXPECT_DEATH(restores(altered(rows.state, slot, std::uint8_t{7})),
+  EXPECT_DEATH(restores(altered(slot_at, record(3, 0))),
                "slot state out of range");
   const auto lsns = static_cast<std::uint32_t>(
       array.geometry().logical_subpages());
-  EXPECT_DEATH(restores(altered(rows.owner, slot, lsns)),
+  EXPECT_DEATH(restores(altered(slot_at, record(1, lsns))),
                "slot owner beyond the logical subpage count");
-  EXPECT_DEATH(restores(altered(rows.page_ops, page, std::uint8_t(spp + 1))),
+  EXPECT_DEATH(restores(altered(rows.page_ops(page), std::uint8_t(spp + 1))),
                "page program count above subpages per page");
-  EXPECT_DEATH(restores(altered(rows.page_neighbors, page,
-                                std::uint16_t(2 * spp + 1))),
+  EXPECT_DEATH(restores(altered(rows.page_neighbors(page),
+                                std::uint8_t(2 * spp + 1))),
                "neighbour count above twice the subpages per page");
-  EXPECT_DEATH(restores(altered(rows.page_reprogrammed, page, std::uint8_t{2})),
-               "reprogrammed flag above 1");
+  EXPECT_DEATH(restores(altered(rows.slc_neighbors_before,
+                                std::uint8_t(2 * spp + 1))),
+               "neighbour count above twice the subpages per page");
   // A free slot holds nothing: the slot after LSN 1's page is unwritten.
   const std::size_t free_slot = array.slot_index(a.block, a.page, spp - 1);
   ASSERT_EQ(array.subpage_state(a.block, a.page, spp - 1),
             nand::SubpageState::kFree);
-  EXPECT_DEATH(restores(altered(rows.owner, free_slot, std::uint32_t{1})),
-               "free slot holds an owner or version");
+  EXPECT_DEATH(restores(altered(rows.slots + 4 * free_slot, record(0, 1))),
+               "free slot holds an owner");
 }
 
 /// A prefilled device whose ts0 replay runs SLC and MLC GC.

@@ -12,17 +12,26 @@
 
 namespace ppssd::nand {
 
-/// Byte offsets of each FlashArray checkpoint row's first element.
+/// Byte offsets of each FlashArray checkpoint row's first element. The
+/// rows are the array's own: a 4-byte SlotRecord per slot (owner in the
+/// low 30 bits, state in the top 2), the SLC-only rows, and a 2-byte Page
+/// per page (byte 0 the neighbour count, byte 1 the program count in its
+/// low 7 bits and the reprogrammed mark in bit 7).
 struct ArrayRowOffsets {
-  std::size_t state = 0;    // u8 per slot
-  std::size_t owner = 0;    // u32 per slot
-  std::size_t version = 0;  // u32 per slot
-  std::size_t slc_wtime = 0;
-  std::size_t slc_programs_before = 0;
-  std::size_t slc_neighbors_before = 0;  // u16 per SLC-mode slot
-  std::size_t page_ops = 0;              // u8 per page
-  std::size_t page_neighbors = 0;        // u16 per page
-  std::size_t page_reprogrammed = 0;     // u8 per page
+  std::size_t slots = 0;                 // u32 record per slot
+  std::size_t slc_wtime = 0;             // u32 per SLC-mode slot
+  std::size_t slc_programs_before = 0;   // u8 per SLC-mode slot
+  std::size_t slc_neighbors_before = 0;  // u8 per SLC-mode slot
+  std::size_t pages = 0;                 // 2 bytes per page
+  std::size_t end = 0;                   // first byte after the page row
+
+  /// Byte of page `i`'s neighbour count and of its program count.
+  [[nodiscard]] std::size_t page_neighbors(std::size_t i) const {
+    return pages + 2 * i;
+  }
+  [[nodiscard]] std::size_t page_ops(std::size_t i) const {
+    return pages + 2 * i + 1;
+  }
 };
 
 /// Walk the row counts of the FlashArray section that starts at byte `at`.
@@ -39,15 +48,12 @@ inline ArrayRowOffsets locate_array_rows(const std::vector<std::uint8_t>& bytes,
     return first;
   };
   ArrayRowOffsets o;
-  o.state = row(1);
-  o.owner = row(4);
-  o.version = row(4);
+  o.slots = row(4);
   o.slc_wtime = row(4);
   o.slc_programs_before = row(1);
-  o.slc_neighbors_before = row(2);
-  o.page_ops = row(1);
-  o.page_neighbors = row(2);
-  o.page_reprogrammed = row(1);
+  o.slc_neighbors_before = row(1);
+  o.pages = row(2);
+  o.end = at;
   return o;
 }
 

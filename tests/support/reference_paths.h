@@ -51,7 +51,7 @@ struct ReferencePaths {
     const std::size_t base = pi * a.spp_;
 
     // Layer "block": frontier rule and the cold-population transition.
-    const std::uint8_t pre_ops = pg.program_ops_;
+    const std::uint8_t pre_ops = pg.program_ops();
     AgeHistogram* const hist = a.histogram_of(blk);
     if (pre_ops == 0) {
       PPSSD_CHECK_MSG(p == blk.frontier_,
@@ -75,8 +75,7 @@ struct ReferencePaths {
       SlotRecord& r = a.slots_[base + w.slot];
       PPSSD_CHECK_MSG(r.state() == SubpageState::kFree,
                       "programming a non-free subpage (NAND write-once rule)");
-      r = SlotRecord(SubpageState::kValid, static_cast<std::uint32_t>(w.lsn),
-                     w.version);
+      r = SlotRecord(SubpageState::kValid, static_cast<std::uint32_t>(w.lsn));
       if (slc) {
         const std::size_t j = slc_slot(a, b, p, w.slot);
         a.slc_wtime_[j] = wt;
@@ -84,7 +83,7 @@ struct ReferencePaths {
         a.slc_neighbors_before_[j] = pg.neighbor_programs_;
       }
     }
-    pg.program_ops_ = (pre_ops + 1) & 0x7Fu;
+    pg.set_program_ops((pre_ops + 1u) & Page::kProgramOpsMask);
     const bool partial = pre_ops > 0;
 
     // Layer "block" aggregates, separate pass.
@@ -121,7 +120,7 @@ struct ReferencePaths {
     PPSSD_CHECK(s < a.spp_);
     const std::size_t i = a.slot_index(b, p, s);
 
-    // Layer "page": the state flip, keeping owner and version.
+    // Layer "page": the state flip, keeping the owner.
     SlotRecord& r = a.slots_[i];
     PPSSD_CHECK_MSG(r.state() == SubpageState::kValid,
                     "invalidating a subpage that is not valid");
@@ -181,17 +180,18 @@ struct ReferencePrefill {
       std::size_t n = 0;
       while (n < spp && filled < max_subpages) {
         const Lsn lsn = filled++;
-        // Every LSN of a fresh device is written for the first time.
-        writes[n] = {static_cast<SubpageId>(n), lsn, /*version=*/1};
+        writes[n] = {static_cast<SubpageId>(n), lsn};
         ++n;
       }
       nand::ReferencePaths::program(
           scheme.array_, alloc->block, alloc->page,
           std::span<const nand::SlotWrite>(writes.data(), n), /*now=*/0);
       for (std::size_t i = 0; i < n; ++i) {
+        // Every LSN of a fresh device is written for the first time.
         scheme.map_.set(writes[i].lsn,
                         PhysicalAddress{alloc->block, alloc->page,
-                                        static_cast<SubpageId>(i)});
+                                        static_cast<SubpageId>(i)},
+                        /*version=*/1);
       }
     }
     scheme.reset_metrics();

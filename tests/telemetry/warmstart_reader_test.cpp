@@ -227,7 +227,7 @@ TEST_F(WarmstartReader, VersionOneCheckpointIsRejectedCleanly) {
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
-  ASSERT_EQ(io::warmstart::kVersion, 3u);
+  ASSERT_EQ(io::warmstart::kVersion, 4u);
   ASSERT_GT(bytes.size(), 12u);
   bytes[8] = 1;  // container_version: the u32 right after the magic
   bytes[9] = bytes[10] = bytes[11] = 0;
