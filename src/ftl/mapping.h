@@ -260,9 +260,6 @@ class DeviceMap {
                                     "entry");
       return c->version;
     }
-    [[nodiscard]] bool contains(std::uint32_t lsn) const {
-      return find(lsn) != nullptr;
-    }
 
     /// Insert or overwrite `lsn`'s version.
     void put(std::uint32_t lsn, std::uint32_t version) {

@@ -23,7 +23,6 @@ struct ArrayRowOffsets {
   std::size_t slc_programs_before = 0;   // u8 per SLC-mode slot
   std::size_t slc_neighbors_before = 0;  // u8 per SLC-mode slot
   std::size_t pages = 0;                 // 2 bytes per page
-  std::size_t end = 0;                   // first byte after the page row
 
   /// Byte of page `i`'s neighbour count and of its program count.
   [[nodiscard]] std::size_t page_neighbors(std::size_t i) const {
@@ -53,7 +52,6 @@ inline ArrayRowOffsets locate_array_rows(const std::vector<std::uint8_t>& bytes,
   o.slc_programs_before = row(1);
   o.slc_neighbors_before = row(1);
   o.pages = row(2);
-  o.end = at;
   return o;
 }
 
