@@ -95,6 +95,16 @@ std::string ExperimentSpec::key() const {
   return os.str();
 }
 
+std::string cell_artifact_path(const std::string& path,
+                               const ExperimentSpec& spec) {
+  if (path.empty()) return path;
+  const std::string cell = spec.scheme + '-' + spec.trace;
+  const std::size_t name = path.find_last_of('/') + 1;  // npos + 1 == 0
+  const std::size_t dot = path.find_last_of('.');
+  if (dot == std::string::npos || dot <= name) return path + '.' + cell;
+  return path.substr(0, dot) + '.' + cell + path.substr(dot);
+}
+
 SsdConfig config_for(const ExperimentSpec& spec) {
   SsdConfig cfg = spec.total_blocks == 65536
                       ? SsdConfig::paper()
@@ -144,21 +154,33 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   r.wall_warmup_seconds = seconds_since(phase_start);
   phase_start = Clock::now();
 
-  // Telemetry (PPSSD_TRACE / PPSSD_METRICS / PPSSD_TIMESERIES): attach
-  // after warm-up so the artifacts cover only the measured phase. The
-  // bundle is declared after `ssd`, so it is destroyed (flushing any
-  // remaining output) while the scheme its gauges poll is still alive.
-  const std::unique_ptr<telemetry::Telemetry> tel =
-      telemetry::Telemetry::from_env();
-  if (tel) ssd.attach_telemetry(tel.get());
+  // Telemetry (PPSSD_TRACE / PPSSD_METRICS / PPSSD_TIMESERIES /
+  // PPSSD_ATTRIB): attach after warm-up so the per-cell artifacts cover
+  // only the measured phase. The bundle is declared after `ssd`, so it is
+  // destroyed (flushing any remaining output) while the scheme its gauges
+  // poll is still alive.
+  telemetry::TelemetryOptions topts = telemetry::TelemetryOptions::from_env();
+  std::unique_ptr<telemetry::Telemetry> tel;
+  if (topts.any()) {
+    for (std::string* path : {&topts.trace_path, &topts.metrics_path,
+                              &topts.timeseries_path,
+                              &topts.attribution_path}) {
+      *path = cell_artifact_path(*path, spec);
+    }
+    tel = std::make_unique<telemetry::Telemetry>(topts);
+    ssd.attach_telemetry(tel.get());
+  }
 
   // Introspection (PPSSD_SNAPSHOT / PPSSD_FLIGHT): same post-warm-up
-  // attach discipline, so the snapshot stream and flight ring cover only
-  // the measured phase. Declared after `ssd` so finish()/destruction run
-  // while the scheme it observes is alive.
-  const std::unique_ptr<telemetry::introspect::Snapshotter> snap =
-      telemetry::introspect::Snapshotter::from_env();
-  if (snap) {
+  // attach discipline. The snapshot stream appends one stream per cell;
+  // the flight dump gets the per-cell name. Declared after `ssd` so
+  // finish()/destruction run while the scheme it observes is alive.
+  telemetry::introspect::IntrospectOptions iopts =
+      telemetry::introspect::IntrospectOptions::from_env();
+  std::unique_ptr<telemetry::introspect::Snapshotter> snap;
+  if (iopts.any()) {
+    iopts.flight_path = cell_artifact_path(iopts.flight_path, spec);
+    snap = std::make_unique<telemetry::introspect::Snapshotter>(iopts);
     ssd.attach_introspection(snap.get());
     replayer.set_snapshotter(snap.get());
   }

@@ -121,9 +121,17 @@ struct ExperimentResult {
 /// Build the SsdConfig for a spec (scale + wear applied).
 [[nodiscard]] SsdConfig config_for(const ExperimentSpec& spec);
 
+/// The per-cell name of a truncating artifact: `<scheme>-<trace>` goes
+/// before the file name's extension (run.ledger.bin ->
+/// run.ledger.IPU-ts0.bin), or after a name without one. An empty path
+/// (artifact off) stays empty.
+[[nodiscard]] std::string cell_artifact_path(const std::string& path,
+                                             const ExperimentSpec& spec);
+
 /// Run the cell end-to-end (synthesise trace, replay, collect). The
 /// optional sink receives begin/advance ticks over the measured replay
-/// (the runner passes its live progress cell; null costs nothing).
+/// (the runner passes its live progress cell; null costs nothing). Each
+/// PPSSD_* artifact that a run overwrites goes to cell_artifact_path.
 [[nodiscard]] ExperimentResult run_experiment(
     const ExperimentSpec& spec, perf::ProgressSink* progress = nullptr);
 

@@ -34,7 +34,7 @@
 #include "common/config.h"
 #include "ecc/latency_model.h"
 #include "nand/timing.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/op_stream.h"
 
 namespace ppssd::sim {
 
@@ -48,13 +48,6 @@ class Controller {
   /// channel. Returns the completion time (for reads: after the
   /// controller-side ECC decode).
   SimTime schedule(const cache::PhysOp& op, SimTime ready);
-
-  [[nodiscard]] std::uint32_t chip_count() const {
-    return static_cast<std::uint32_t>(lanes_.size());
-  }
-  [[nodiscard]] std::uint32_t channel_count() const {
-    return static_cast<std::uint32_t>(channel_busy_.size());
-  }
 
   /// Advance the controller clock to `now`; it never moves backwards.
   /// kNoTime retires every scheduled command: the clock lands on the
@@ -73,9 +66,6 @@ class Controller {
   [[nodiscard]] SimTime chip_free_at(std::uint32_t chip) const {
     return lanes_[chip].busy_until;
   }
-  [[nodiscard]] SimTime channel_free_at(std::uint32_t ch) const {
-    return channel_busy_[ch];
-  }
 
   /// Decode latency the model charges for a read op (exposed for tests).
   [[nodiscard]] SimTime ecc_cost(const cache::PhysOp& op) const;
@@ -93,10 +83,6 @@ class Controller {
   };
   [[nodiscard]] const Usage& usage() const { return usage_; }
 
-  [[nodiscard]] SimTime chip_erase_free_at(std::uint32_t chip) const {
-    return lanes_[chip].erase_until;
-  }
-
   /// Accumulated array-op occupancy per chip (ns) — load-balance probe.
   [[nodiscard]] const std::vector<SimTime>& chip_occupancy() const {
     return chip_occupancy_;
@@ -104,19 +90,23 @@ class Controller {
 
   void reset();
 
-  /// Register flash-op counters / wait histograms and adopt the bundle's
-  /// trace log for per-op chip-lane spans. Null detaches.
+  /// Hand the bundle to the op stream (flash-op counters, wait
+  /// histograms, trace spans, blame ledger). An attached ledger is bound
+  /// to this controller's resources, with the current horizons seeded as
+  /// prefill claims. Null detaches.
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
   /// Attach (or detach, with null) the crash flight recorder: every
   /// scheduled command records begin/finish events (ids match the
   /// attribution ledger's op sequence numbers), and a foreground command
-  /// preempting an in-progress erase records a kEraseSuspend. Pure
-  /// observer; one branch per scheduled op when detached. Survives
+  /// preempting an in-progress erase records a kEraseSuspend. Survives
   /// reset() — the recorder's lifetime is managed by the snapshotter.
   void set_flight_recorder(telemetry::introspect::FlightRecorder* flight) {
-    flight_ = flight;
+    stream_.set_flight(flight);
   }
+
+  /// The per-op observer fan-out; the Ssd brackets host requests on it.
+  [[nodiscard]] telemetry::OpStream& op_stream() { return stream_; }
 
  private:
   /// Per-chip command lane: the array horizon (one read/program at a
@@ -125,19 +115,24 @@ class Controller {
     SimTime busy_until = 0;
     SimTime erase_until = 0;
   };
-  /// One occupancy interval of a lane or channel.
-  struct Leg {
-    SimTime start = 0;
-    SimTime end = 0;
+  /// What a chip leg priced: the lane wait, the erase wait (background
+  /// ops only; a foreground op suspends the erase) and the array time.
+  struct ChipLeg {
+    telemetry::Interval lane_wait;
+    telemetry::Interval erase_wait;
+    telemetry::Interval array;
   };
-
-  /// Price the op's array time on its chip lane from `at`: lane wait,
-  /// then the erase wait (background) or the suspend saving (foreground),
-  /// `service` ns of occupancy, lane claim and usage.
-  Leg chip_leg(const cache::PhysOp& op, SimTime at, SimTime service);
-  /// Price the op's data transfer on its channel from `at`: channel
-  /// wait, transfer and channel claim.
-  Leg channel_leg(const cache::PhysOp& op, SimTime at);
+  /// What a channel leg priced: the channel wait and the transfer.
+  struct ChannelLeg {
+    telemetry::Interval wait;
+    telemetry::Interval transfer;
+  };
+  /// Price `service` ns of array time on the op's chip lane from `at`;
+  /// advances the lane horizon and usage.
+  ChipLeg chip_leg(const cache::PhysOp& op, SimTime at, SimTime service);
+  /// Price the op's transfer on its channel from `at`; advances the
+  /// channel horizon.
+  ChannelLeg channel_leg(const cache::PhysOp& op, SimTime at);
 
   nand::TimingModel timing_;
   ecc::EccLatencyModel ecc_;
@@ -149,21 +144,8 @@ class Controller {
   SimTime clock_ = 0;
   SimTime last_completion_ = 0;  // running max of scheduled completions
 
-  // Telemetry handles (null until attached).
-  telemetry::TraceLog* trace_ = nullptr;
-  // Blame ledger (null when detached — the attribution hot path is one
-  // pointer test per scheduled op). attach_telemetry() binds the
-  // resource topology and seeds current horizons as prefill claims.
-  telemetry::attribution::AttributionLedger* attrib_ = nullptr;
-  // Flight recorder (null when detached; see set_flight_recorder).
-  telemetry::introspect::FlightRecorder* flight_ = nullptr;
-  // flash_ops counters indexed [PhysOp::Kind][CellMode]. Erases and
-  // reprograms have one mode-free series, held in both columns.
-  telemetry::Counter* tl_ops_[4][2] = {};
-  telemetry::Counter* tl_ecc_decodes_ = nullptr;
-  telemetry::Counter* tl_ecc_saturated_ = nullptr;
-  telemetry::Histogram* tl_chip_wait_ = nullptr;
-  telemetry::Histogram* tl_ecc_ns_ = nullptr;
+  // Every per-op observer: one attached() test per scheduled op.
+  telemetry::OpStream stream_;
 };
 
 }  // namespace ppssd::sim

@@ -6,6 +6,7 @@
 #include "common/state_io.h"
 #include "common/units.h"
 #include "telemetry/introspect/snapshotter.h"
+#include "telemetry/telemetry.h"
 
 namespace ppssd::sim {
 
@@ -26,9 +27,8 @@ std::uint64_t Ssd::logical_bytes() const {
 
 void Ssd::attach_telemetry(telemetry::Telemetry* telemetry) {
   telemetry_ = telemetry;
-  attrib_ = telemetry ? telemetry->attribution() : nullptr;
-  if (attrib_) {
-    attrib_->attach_registry(&telemetry->registry(), scheme_->name());
+  if (auto* ledger = telemetry ? telemetry->attribution() : nullptr) {
+    ledger->attach_registry(&telemetry->registry(), scheme_->name());
   }
   scheme_->attach_telemetry(telemetry);
   ctrl_.attach_telemetry(telemetry);
@@ -102,10 +102,11 @@ Ssd::Completion Ssd::submit(OpType op, std::uint64_t offset,
   done.id = next_request_id_++;
   done.start = arrival;
 
-  // Bracket the request for the blame ledger: every foreground op
-  // scheduled until finish_request folds into this request's component
-  // vector (background ops accrue to the interference matrix only).
-  if (attrib_) attrib_->begin_request(done.id, op, arrival);
+  // Bracket the request on the controller's op stream: the blame ledger
+  // folds every foreground op scheduled until finish_request into this
+  // request's component vector (background ops feed the matrix only).
+  telemetry::OpStream& stream = ctrl_.op_stream();
+  stream.begin_request(done.id, op, arrival);
 
   // GC interleaving: the controller gives host commands priority and
   // spreads background flash work across subsequent requests rather than
@@ -164,7 +165,7 @@ Ssd::Completion Ssd::submit(OpType op, std::uint64_t offset,
 
   done.finish = fg_end;
   done.drained = std::max(fg_end, bg_end);
-  if (attrib_) attrib_->finish_request(done.finish);
+  stream.finish_request(done.finish);
   return done;
 }
 

@@ -128,7 +128,9 @@ class Ssd {
   void restore(io::StateSource& src);
 
   /// Fan the bundle out to the scheme (placement/GC instruments) and the
-  /// controller (flash-op spans). Null detaches.
+  /// controller's op stream (flash-op counters and spans, blame ledger;
+  /// submit() brackets each host request on the same stream). Null
+  /// detaches.
   void attach_telemetry(telemetry::Telemetry* telemetry);
 
   /// Bind the introspection snapshotter to this device (stream header
@@ -163,10 +165,6 @@ class Ssd {
   std::uint64_t logical_subpages_;
   Controller ctrl_;
   telemetry::Telemetry* telemetry_ = nullptr;
-  // Blame ledger from the attached bundle (null when detached). submit()
-  // brackets every host request so the ledger can fold the request's
-  // foreground ops into one conserved component vector.
-  telemetry::attribution::AttributionLedger* attrib_ = nullptr;
   std::vector<cache::PhysOp> ops_;        // reused per request
   std::vector<SimTime> op_finish_;        // reused per request
   std::vector<std::size_t> op_deferred_;  // reused per request

@@ -1,177 +1,57 @@
 #include "telemetry/attribution/attribution.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/check.h"
+#include "telemetry/byte_io.h"
+#include "telemetry/op_stream.h"
 
 namespace ppssd::telemetry::attribution {
 
 namespace {
 
+// Per-OpClass tables, indexed by the enum value.
+constexpr const char* kClassNames[kClassCount] = {
+    "host", "gc_read", "gc_program", "erase", "prefill"};
 // Coarse who-blocked-whom group for the registry matrix.
-int class_group(OpClass cls) {
-  switch (cls) {
-    case OpClass::kHost:
-      return 0;
-    case OpClass::kGcRead:
-    case OpClass::kGcProgram:
-      return 1;
-    case OpClass::kErase:
-      return 2;
-    case OpClass::kPrefill:
-      return 3;
-  }
-  return 3;
-}
-
+constexpr int kClassGroup[kClassCount] = {0, 1, 1, 2, 3};
 const char* kGroupNames[4] = {"host", "gc", "erase", "prefill"};
+// Offset of a blocker's wait component from kLaneHost / kChanHost. Erases
+// never occupy a lane or channel claim; blame coarsening (dropped claims)
+// can surface one only via the prefill bucket.
+constexpr int kBlockerSlot[kClassCount] = {0, 1, 2, 3, 3};
+
+constexpr const char* kComponentNames[kComponentCount] = {
+    "service",   "ecc",
+    "lane_host", "lane_gc_read", "lane_gc_program", "lane_prefill",
+    "chan_host", "chan_gc_read", "chan_gc_program", "chan_prefill",
+    "erase_remainder"};
 
 // Fixed-size record layout, little-endian, written field by field (see
 // write_record / read_record). Keep in sync with kLedgerVersion.
 constexpr std::uint32_t kRecordBytes = 140;
 constexpr std::size_t kDumpFlushBytes = 1u << 20;
 
-void put_u8(std::vector<unsigned char>& b, std::uint8_t v) {
-  b.push_back(v);
-}
-void put_u32(std::vector<unsigned char>& b, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) b.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-void put_u64(std::vector<unsigned char>& b, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) b.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-void put_str(std::vector<unsigned char>& b, const std::string& s) {
-  put_u32(b, static_cast<std::uint32_t>(s.size()));
-  b.insert(b.end(), s.begin(), s.end());
-}
-
-// Bounds-checked reader over a loaded ledger file.
-struct ByteReader {
-  const unsigned char* p;
-  std::size_t left;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (left < 1) return fail<std::uint8_t>();
-    std::uint8_t v = *p;
-    ++p;
-    --left;
-    return v;
-  }
-  std::uint32_t u32() {
-    if (left < 4) return fail<std::uint32_t>();
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    left -= 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (left < 8) return fail<std::uint64_t>();
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    left -= 8;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok || left < n) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return s;
-  }
-
-  template <typename T>
-  T fail() {
-    ok = false;
-    return T{};
-  }
-};
-
 }  // namespace
 
 const char* class_name(OpClass cls) {
-  switch (cls) {
-    case OpClass::kHost:
-      return "host";
-    case OpClass::kGcRead:
-      return "gc_read";
-    case OpClass::kGcProgram:
-      return "gc_program";
-    case OpClass::kErase:
-      return "erase";
-    case OpClass::kPrefill:
-      return "prefill";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(cls);
+  return i < kClassCount ? kClassNames[i] : "?";
 }
 
 const char* component_name(Component c) {
-  switch (c) {
-    case Component::kService:
-      return "service";
-    case Component::kEcc:
-      return "ecc";
-    case Component::kLaneHost:
-      return "lane_host";
-    case Component::kLaneGcRead:
-      return "lane_gc_read";
-    case Component::kLaneGcProgram:
-      return "lane_gc_program";
-    case Component::kLanePrefill:
-      return "lane_prefill";
-    case Component::kChanHost:
-      return "chan_host";
-    case Component::kChanGcRead:
-      return "chan_gc_read";
-    case Component::kChanGcProgram:
-      return "chan_gc_program";
-    case Component::kChanPrefill:
-      return "chan_prefill";
-    case Component::kEraseRemainder:
-      return "erase_remainder";
-  }
-  return "?";
-}
-
-const char* resource_name(Resource r) {
-  switch (r) {
-    case Resource::kLane:
-      return "lane";
-    case Resource::kChannel:
-      return "channel";
-    case Resource::kErase:
-      return "erase";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(c);
+  return i < kComponentCount ? kComponentNames[i] : "?";
 }
 
 Component wait_component(Resource r, OpClass blocker) {
   // The suspendable-erase horizon is advanced only by erases (and attach
   // seeds); every tick waited there is erase remainder.
   if (r == Resource::kErase) return Component::kEraseRemainder;
-  const bool lane = r == Resource::kLane;
-  switch (blocker) {
-    case OpClass::kHost:
-      return lane ? Component::kLaneHost : Component::kChanHost;
-    case OpClass::kGcRead:
-      return lane ? Component::kLaneGcRead : Component::kChanGcRead;
-    case OpClass::kGcProgram:
-      return lane ? Component::kLaneGcProgram : Component::kChanGcProgram;
-    case OpClass::kErase:
-      // Erases never occupy a lane or channel claim; blame coarsening
-      // (dropped claims) can surface one only via the prefill bucket.
-      return lane ? Component::kLanePrefill : Component::kChanPrefill;
-    case OpClass::kPrefill:
-      return lane ? Component::kLanePrefill : Component::kChanPrefill;
-  }
-  return Component::kLanePrefill;
+  const Component base =
+      r == Resource::kLane ? Component::kLaneHost : Component::kChanHost;
+  const int slot = kBlockerSlot[static_cast<std::size_t>(blocker)];
+  return static_cast<Component>(static_cast<int>(base) + slot);
 }
 
 AttributionLedger::AttributionLedger() = default;
@@ -193,137 +73,110 @@ void AttributionLedger::reset_resources() {
   for (auto& d : lane_claims_) d.clear();
   for (auto& d : channel_claims_) d.clear();
   for (auto& d : erase_claims_) d.clear();
-  op_open_ = false;
   request_open_ = false;
 }
 
-void AttributionLedger::seed(ClaimDeque& claims, SimTime horizon) {
+void AttributionLedger::seed(Resource r, std::uint32_t index,
+                             SimTime horizon) {
+  std::vector<ClaimDeque>& all = r == Resource::kLane      ? lane_claims_
+                                 : r == Resource::kChannel ? channel_claims_
+                                                           : erase_claims_;
+  PPSSD_CHECK(index < all.size());
+  ClaimDeque& claims = all[index];
   if (horizon == 0) return;
   if (!claims.empty() && claims.back().end >= horizon) return;
   claims.push_back(Claim{horizon, 0, OpClass::kPrefill});
 }
 
-void AttributionLedger::seed_lane(std::uint32_t chip, SimTime horizon) {
-  PPSSD_CHECK(chip < lane_claims_.size());
-  seed(lane_claims_[chip], horizon);
-}
-
-void AttributionLedger::seed_channel(std::uint32_t channel, SimTime horizon) {
-  PPSSD_CHECK(channel < channel_claims_.size());
-  seed(channel_claims_[channel], horizon);
-}
-
-void AttributionLedger::seed_erase(std::uint32_t chip, SimTime horizon) {
-  PPSSD_CHECK(chip < erase_claims_.size());
-  seed(erase_claims_[chip], horizon);
-}
-
-void AttributionLedger::op_begin(std::uint64_t op_id, OpClass cls,
-                                 CellMode mode, bool background,
-                                 std::uint32_t chip, std::uint32_t channel,
-                                 SimTime ready) {
-  PPSSD_DCHECK_MSG(!op_open_, "attribution: op_begin while an op is open");
-  PPSSD_DCHECK(chip < lane_claims_.size());
-  PPSSD_DCHECK(channel < channel_claims_.size());
-  cur_ = OpBlame{};
-  cur_.op_id = op_id;
-  cur_.cls = cls;
-  cur_.mode = mode;
-  cur_.background = background;
-  cur_.chip = chip;
-  cur_.channel = channel;
-  cur_.ready = ready;
-  op_open_ = true;
-}
-
-void AttributionLedger::charge(ClaimDeque& claims, Resource r, SimTime from,
-                               SimTime to) {
-  if (to <= from) return;
-  PPSSD_DCHECK(op_open_);
-  while (!claims.empty() && claims.front().end <= from) claims.pop_front();
-  const int mode = cur_.mode == CellMode::kSlc ? 0 : 1;
-  SimTime t = from;
+void AttributionLedger::charge(OpBlame& op, ClaimDeque& claims, Resource r,
+                               const Interval& wait) {
+  if (wait.to <= wait.from) return;
+  while (!claims.empty() && claims.front().end <= wait.from) {
+    claims.pop_front();
+  }
+  const int mode = op.mode == CellMode::kSlc ? 0 : 1;
+  SimTime t = wait.from;
   for (const Claim& c : claims) {
-    if (t >= to) break;
-    const SimTime upto = std::min(c.end, to);
+    if (t >= wait.to) break;
+    const SimTime upto = std::min(c.end, wait.to);
     if (upto <= t) continue;
     const SimTime slice = upto - t;
-    cur_.comp[static_cast<std::size_t>(wait_component(r, c.cls))] += slice;
-    matrix_[static_cast<std::size_t>(cur_.cls)][static_cast<std::size_t>(
+    op.comp[static_cast<std::size_t>(wait_component(r, c.cls))] += slice;
+    matrix_[static_cast<std::size_t>(op.cls)][static_cast<std::size_t>(
         c.cls)][static_cast<std::size_t>(r)][mode] += slice;
-    if (slice > cur_.blocked_ns) {
-      cur_.blocked_ns = slice;
-      cur_.blocker_op = c.op;
-      cur_.blocker_cls = c.cls;
-      cur_.blocker_res = r;
+    // Strictly greater: of two equal slices the first charged is the
+    // blocker, which is why on_op charges in the controller's leg order.
+    if (slice > op.blocked_ns) {
+      op.blocked_ns = slice;
+      op.blocker_op = c.op;
+      op.blocker_cls = c.cls;
+      op.blocker_res = r;
     }
     t = upto;
   }
   // Conservation backbone: a horizon always equals the end of the last
   // claim on its resource, so the wait interval must be fully tiled.
-  PPSSD_CHECK_MSG(t == to,
+  PPSSD_CHECK_MSG(t == wait.to,
                   "attribution: wait interval not covered by claims");
 }
 
-void AttributionLedger::wait_lane(std::uint32_t chip, SimTime from,
-                                  SimTime to) {
-  if (to <= from) return;
-  charge(lane_claims_[chip], Resource::kLane, from, to);
-}
-
-void AttributionLedger::wait_channel(std::uint32_t channel, SimTime from,
-                                     SimTime to) {
-  if (to <= from) return;
-  charge(channel_claims_[channel], Resource::kChannel, from, to);
-}
-
-void AttributionLedger::wait_erase(std::uint32_t chip, SimTime from,
-                                   SimTime to) {
-  if (to <= from) return;
-  charge(erase_claims_[chip], Resource::kErase, from, to);
-}
-
-void AttributionLedger::add_service(SimTime ns) {
-  cur_.comp[static_cast<std::size_t>(Component::kService)] += ns;
-}
-
-void AttributionLedger::add_ecc(SimTime ns) {
-  cur_.comp[static_cast<std::size_t>(Component::kEcc)] += ns;
-}
-
-void AttributionLedger::push_claim(ClaimDeque& claims, SimTime end) {
-  PPSSD_DCHECK(op_open_);
+void AttributionLedger::push_claim(ClaimDeque& claims, const OpBlame& op,
+                                   SimTime end) {
   PPSSD_DCHECK_MSG(claims.empty() || end >= claims.back().end,
                    "attribution: claim ends must be monotone");
-  claims.push_back(Claim{end, cur_.op_id, cur_.cls});
+  claims.push_back(Claim{end, op.op_id, op.cls});
   if (claims.size() > kMaxClaims) claims.pop_front();
 }
 
-void AttributionLedger::claim_lane(std::uint32_t chip, SimTime end) {
-  push_claim(lane_claims_[chip], end);
-}
+void AttributionLedger::on_op(const OpRecord& rec) {
+  PPSSD_DCHECK(rec.chip < lane_claims_.size());
+  PPSSD_DCHECK(rec.channel < channel_claims_.size());
+  OpBlame op;
+  op.op_id = rec.id;
+  op.cls = rec.cls;
+  op.mode = rec.mode;
+  op.background = rec.background;
+  op.chip = rec.chip;
+  op.channel = rec.channel;
+  op.ready = rec.ready;
+  op.end = rec.end;
+  op.comp[static_cast<std::size_t>(Component::kService)] =
+      rec.array.length() + rec.transfer.length();
+  op.comp[static_cast<std::size_t>(Component::kEcc)] = rec.ecc_ns;
 
-void AttributionLedger::claim_channel(std::uint32_t channel, SimTime end) {
-  push_claim(channel_claims_[channel], end);
-}
+  ClaimDeque& lane = lane_claims_[rec.chip];
+  ClaimDeque& erase = erase_claims_[rec.chip];
+  ClaimDeque& channel = channel_claims_[rec.channel];
+  switch (rec.kind) {
+    case FlashOp::kProgram:
+      charge(op, channel, Resource::kChannel, rec.channel_wait);
+      charge(op, lane, Resource::kLane, rec.lane_wait);
+      charge(op, erase, Resource::kErase, rec.erase_wait);
+      break;
+    case FlashOp::kErase:
+      charge(op, erase, Resource::kErase, rec.erase_wait);
+      charge(op, lane, Resource::kLane, rec.lane_wait);
+      break;
+    case FlashOp::kRead:
+    case FlashOp::kReprogram:
+      charge(op, lane, Resource::kLane, rec.lane_wait);
+      charge(op, erase, Resource::kErase, rec.erase_wait);
+      charge(op, channel, Resource::kChannel, rec.channel_wait);
+      break;
+  }
+  suspend_saved_ns_ += rec.suspend_saved();
+  // An erase advances only the suspendable horizon; every other op the
+  // array lane, and reads and programs their channel too.
+  push_claim(rec.kind == FlashOp::kErase ? erase : lane, op, rec.array.to);
+  if (rec.kind == FlashOp::kRead || rec.kind == FlashOp::kProgram) {
+    push_claim(channel, op, rec.transfer.to);
+  }
 
-void AttributionLedger::claim_erase(std::uint32_t chip, SimTime end) {
-  push_claim(erase_claims_[chip], end);
-}
-
-void AttributionLedger::note_suspend_saved(SimTime ns) {
-  suspend_saved_ns_ += ns;
-}
-
-void AttributionLedger::op_end(SimTime end) {
-  PPSSD_DCHECK_MSG(op_open_, "attribution: op_end without op_begin");
-  cur_.end = end;
-  PPSSD_CHECK_MSG(cur_.component_sum() == end - cur_.ready,
+  PPSSD_CHECK_MSG(op.component_sum() == op.end - op.ready,
                   "attribution: op components do not sum to op latency");
   ++ops_;
-  last_op_ = cur_;
-  if (request_open_ && !cur_.background) req_ops_.push_back(cur_);
-  op_open_ = false;
+  last_op_ = op;
+  if (request_open_ && !op.background) req_ops_.push_back(op);
 }
 
 void AttributionLedger::begin_request(std::uint64_t id, OpType op,
@@ -420,9 +273,9 @@ void AttributionLedger::attach_registry(MetricsRegistry* registry,
             [this, bg, bk, m]() {
               std::uint64_t sum = 0;
               for (std::size_t i = 0; i < kClassCount; ++i) {
-                if (class_group(static_cast<OpClass>(i)) != bg) continue;
+                if (kClassGroup[i] != bg) continue;
                 for (std::size_t j = 0; j < kClassCount; ++j) {
-                  if (class_group(static_cast<OpClass>(j)) != bk) continue;
+                  if (kClassGroup[j] != bk) continue;
                   for (std::size_t r = 0; r < kResourceCount; ++r) {
                     sum += matrix_[i][j][r][m];
                   }
@@ -450,9 +303,7 @@ bool AttributionLedger::open_dump(const std::string& path) {
   if (!*f) return false;
   dump_ = std::move(f);
   dump_buf_.clear();
-  for (char c : kLedgerMagic) {
-    dump_buf_.push_back(static_cast<unsigned char>(c));
-  }
+  put_magic(dump_buf_, kLedgerMagic);
   put_u32(dump_buf_, kLedgerVersion);
   put_u32(dump_buf_, static_cast<std::uint32_t>(kComponentCount));
   put_u32(dump_buf_, static_cast<std::uint32_t>(kClassCount));
@@ -503,21 +354,12 @@ bool load_ledger(const std::string& path, LedgerFile* out,
                  std::string* error) {
   PPSSD_CHECK(out != nullptr);
   *out = LedgerFile{};
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error) *error = "cannot open " + path;
+  std::string bytes;
+  if (!load_file(path, kLedgerMagic, "ledger file", bytes, error)) {
     return false;
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  ByteReader r{reinterpret_cast<const unsigned char*>(bytes.data()),
-               bytes.size()};
-  if (r.left < 8 || std::memcmp(r.p, kLedgerMagic, 8) != 0) {
-    if (error) *error = "not a ledger file (bad magic)";
-    return false;
-  }
-  r.p += 8;
-  r.left -= 8;
+  ByteReader r{reinterpret_cast<const unsigned char*>(bytes.data()) + 8,
+               bytes.size() - 8};
   out->version = r.u32();
   const std::uint32_t ncomp = r.u32();
   const std::uint32_t nclass = r.u32();

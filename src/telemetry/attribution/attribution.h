@@ -1,24 +1,25 @@
 // Causal latency attribution: a per-request blame ledger.
 //
-// The controller reports, for every scheduled command, how its lifetime
-// decomposes into *additive* components: raw NAND service, ECC decode,
-// and wait intervals on the three timing resources (chip array lane,
-// channel, suspendable-erase horizon). Each wait interval is charged to
-// the command that occupied the resource, identified by a claim deque
-// per resource: whenever a command advances a resource horizon it pushes
-// a claim (end time, op id, op class); a later command that waits on the
-// resource partitions its wait interval by the consecutive claim ends —
-// head-of-queue blame — so every waited tick names a blocking op.
+// The ledger folds every scheduled command's OpRecord (telemetry/
+// op_stream.h, handed over by the OpStream) into *additive* components:
+// raw NAND service, ECC decode, and wait intervals on the three timing
+// resources (chip array lane, channel, suspendable-erase horizon). Each
+// wait interval is charged to the command that occupied the resource,
+// identified by a claim deque per resource: whenever a command advances
+// a resource horizon it pushes a claim (end time, op id, op class); a
+// later command that waits on the resource partitions its wait interval
+// by the consecutive claim ends — head-of-queue blame — so every waited
+// tick names a blocking op.
 //
-// The Ssd brackets each host request (begin_request / finish_request)
-// and the ledger folds the request's foreground ops into one component
-// vector by walking the critical chain backwards from the op that
-// determined the completion time: an op whose `ready` exceeds the
-// arrival was gated by the op that finished exactly at `ready` (the
-// controller resolves dependencies to finish times, so the chain links
-// are exact tick equalities). Because every op conserves
-// (components sum to end - ready) and the chain telescopes from finish
-// down to arrival, the request vector conserves too:
+// The Ssd brackets each host request on the same OpStream
+// (begin_request / finish_request), and the ledger folds the request's
+// foreground ops into one component vector by walking the critical
+// chain backwards from the op that determined the completion time: an
+// op whose `ready` exceeds the arrival was gated by the op that finished
+// exactly at `ready` (the controller resolves dependencies to finish
+// times, so the chain links are exact tick equalities). Because every
+// op conserves (components sum to end - ready) and the chain telescopes
+// from finish down to arrival, the request vector conserves too:
 //
 //     sum(components) == finish - arrival            (exact, in ticks)
 //
@@ -44,14 +45,14 @@
 //    kLedgerMagic) that tools/latency_explain turns into a
 //    "why was p999 slow" report.
 //
-// Zero-cost when detached: the controller holds a null ledger pointer
-// and every call site is `if (attrib_) ...` (null-handle pattern,
-// DESIGN.md §6); the write_bench `write/attrib/*` cells gate the
-// overhead both ways.
+// Zero-cost when detached: the controller's only per-op observer cost is
+// the OpStream's attached() test (null-handle pattern, DESIGN.md §6).
+// The write_bench `write/attrib/{off,on}` cells print the submit-path
+// cost with the ledger detached and attached; nothing gates on them.
 //
 // Layering: this module sees only common/ types — the controller maps
-// cache::PhysOp (origin, kind, background) to an OpClass before calling
-// in, so ppssd_telemetry keeps its common-only dependency edge.
+// cache::PhysOp (origin, kind, background) onto the record's FlashOp and
+// OpClass, so ppssd_telemetry keeps its common-only dependency edge.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +64,11 @@
 
 #include "common/types.h"
 #include "telemetry/metrics.h"
+
+namespace ppssd::telemetry {
+struct Interval;  // op_stream.h
+struct OpRecord;
+}
 
 namespace ppssd::telemetry::attribution {
 
@@ -98,7 +104,6 @@ inline constexpr std::size_t kComponentCount = 11;
 /// The three timing resources a command can wait on.
 enum class Resource : std::uint8_t { kLane = 0, kChannel = 1, kErase = 2 };
 inline constexpr std::size_t kResourceCount = 3;
-[[nodiscard]] const char* resource_name(Resource r);
 
 /// Wait component charged for a slice on `r` blamed on a `blocker` op.
 [[nodiscard]] Component wait_component(Resource r, OpClass blocker);
@@ -170,41 +175,22 @@ class AttributionLedger {
   /// unchanged (re-attach), clears them otherwise.
   void bind_resources(std::uint32_t chips, std::uint32_t channels);
 
-  /// Drop all claims and any in-progress op (controller reset between
+  /// Drop all claims and any open request (controller reset between
   /// warm-up and measurement; aggregates and records are preserved).
   void reset_resources();
 
-  /// Register pre-existing horizon state as kPrefill claims so waits
-  /// against pre-attach occupancy stay fully covered (mid-run attach).
-  void seed_lane(std::uint32_t chip, SimTime horizon);
-  void seed_channel(std::uint32_t channel, SimTime horizon);
-  void seed_erase(std::uint32_t chip, SimTime horizon);
+  /// Register a pre-existing horizon of resource `r` (chip or channel
+  /// `index`) as a kPrefill claim so waits against pre-attach occupancy
+  /// stay fully covered (mid-run attach).
+  void seed(Resource r, std::uint32_t index, SimTime horizon);
 
-  // ---- per-op lifecycle (controller hot path) --------------------------
+  // ---- per-op fold (OpStream) -------------------------------------------
 
-  /// Begin accounting one command. `ready` is the no-earlier-than time
-  /// the controller schedules against; all waits and service charged
-  /// until op_end() must tile [ready, end] exactly.
-  void op_begin(std::uint64_t op_id, OpClass cls, CellMode mode,
-                bool background, std::uint32_t chip, std::uint32_t channel,
-                SimTime ready);
-  /// Charge the wait interval [from, to) on a resource to the claims
-  /// occupying it. No-ops when to <= from.
-  void wait_lane(std::uint32_t chip, SimTime from, SimTime to);
-  void wait_channel(std::uint32_t channel, SimTime from, SimTime to);
-  void wait_erase(std::uint32_t chip, SimTime from, SimTime to);
-  /// Charge own occupancy (array/transfer time; ECC decode separately).
-  void add_service(SimTime ns);
-  void add_ecc(SimTime ns);
-  /// Record that the current op advanced a resource horizon to `end`.
-  void claim_lane(std::uint32_t chip, SimTime end);
-  void claim_channel(std::uint32_t channel, SimTime end);
-  void claim_erase(std::uint32_t chip, SimTime end);
-  /// Ticks a foreground op skipped by suspending an in-progress erase.
-  void note_suspend_saved(SimTime ns);
-  /// Close the op: PPSSD_CHECK per-op conservation, fold into the open
-  /// request (foreground ops only), accrue the interference matrix.
-  void op_end(SimTime end);
+  /// Fold one scheduled command: charge its waits in the controller's leg
+  /// order (of two equal slices the first charged is the blocker), add
+  /// service and ECC, push its claims, PPSSD_CHECK per-op conservation,
+  /// and keep a foreground op's blame for the open request.
+  void on_op(const OpRecord& rec);
 
   // ---- per-request lifecycle (Ssd) -------------------------------------
 
@@ -259,9 +245,9 @@ class AttributionLedger {
   /// to the oldest survivor; conservation is unaffected).
   static constexpr std::size_t kMaxClaims = 64;
 
-  void charge(ClaimDeque& claims, Resource r, SimTime from, SimTime to);
-  void push_claim(ClaimDeque& claims, SimTime end);
-  void seed(ClaimDeque& claims, SimTime horizon);
+  void charge(OpBlame& op, ClaimDeque& claims, Resource r,
+              const Interval& wait);
+  static void push_claim(ClaimDeque& claims, const OpBlame& op, SimTime end);
   void write_record(const RequestBlame& r);
   void flush_dump();
 
@@ -269,8 +255,6 @@ class AttributionLedger {
   std::vector<ClaimDeque> channel_claims_;
   std::vector<ClaimDeque> erase_claims_;
 
-  OpBlame cur_;
-  bool op_open_ = false;
   OpBlame last_op_;
 
   bool request_open_ = false;

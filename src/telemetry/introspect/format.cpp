@@ -6,108 +6,9 @@
 #include "common/check.h"
 #include "common/knob.h"
 #include "common/units.h"
+#include "telemetry/byte_io.h"
 
 namespace ppssd::telemetry::introspect {
-
-namespace {
-
-void put_u8(std::vector<unsigned char>& b, std::uint8_t v) { b.push_back(v); }
-void put_u16(std::vector<unsigned char>& b, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i)
-    b.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-void put_u32(std::vector<unsigned char>& b, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    b.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-void put_u64(std::vector<unsigned char>& b, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    b.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-void put_f64(std::vector<unsigned char>& b, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(b, bits);
-}
-void put_str(std::vector<unsigned char>& b, const std::string& s) {
-  put_u32(b, static_cast<std::uint32_t>(s.size()));
-  b.insert(b.end(), s.begin(), s.end());
-}
-
-// Bounds-checked little-endian reader (same shape as the ledger loader).
-struct ByteReader {
-  const unsigned char* p;
-  std::size_t left;
-  bool ok = true;
-
-  std::uint8_t u8() {
-    if (left < 1) return fail<std::uint8_t>();
-    const std::uint8_t v = *p;
-    ++p;
-    --left;
-    return v;
-  }
-  std::uint16_t u16() {
-    if (left < 2) return fail<std::uint16_t>();
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v = static_cast<std::uint16_t>(v | (static_cast<std::uint16_t>(p[i])
-                                          << (8 * i)));
-    p += 2;
-    left -= 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    if (left < 4) return fail<std::uint32_t>();
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    left -= 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (left < 8) return fail<std::uint64_t>();
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    left -= 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok || left < n) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return s;
-  }
-  [[nodiscard]] std::uint32_t peek_u32() const {
-    if (left < 4) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-  }
-
-  template <typename T>
-  T fail() {
-    ok = false;
-    return T{};
-  }
-};
-
-}  // namespace
 
 const StateSink::Entry* StateSink::find(std::string_view name) const {
   for (const Entry& e : entries_) {
@@ -140,7 +41,7 @@ void SnapshotWriter::begin_stream(const StreamInfo& info) {
   put_u32(header, kBlockRecordBytes);
   put_u32(header, kPlaneRecordBytes);
 
-  buf_.insert(buf_.end(), kSnapshotMagic, kSnapshotMagic + 8);
+  put_magic(buf_, kSnapshotMagic);
   put_u32(buf_, kSnapshotVersion);
   put_u32(buf_, static_cast<std::uint32_t>(header.size()));
   buf_.insert(buf_.end(), header.begin(), header.end());
@@ -257,19 +158,12 @@ bool load_snapshots(const std::string& path, SnapshotFile* out,
                     std::string* error) {
   PPSSD_CHECK(out != nullptr);
   *out = SnapshotFile{};
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error) *error = "cannot open " + path;
+  std::string bytes;
+  if (!load_file(path, kSnapshotMagic, "snapshot stream", bytes, error)) {
     return false;
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
   ByteReader r{reinterpret_cast<const unsigned char*>(bytes.data()),
                bytes.size()};
-  if (r.left < 8 || std::memcmp(r.p, kSnapshotMagic, 8) != 0) {
-    if (error) *error = "not a snapshot stream (bad magic)";
-    return false;
-  }
 
   while (r.left > 0) {
     // Stream header. A truncated trailing header is dropped silently —
@@ -381,7 +275,7 @@ bool FlightRecorder::dump(const std::string& path) const {
   const std::vector<FlightEvent> evs = events();
   std::vector<unsigned char> buf;
   buf.reserve(32 + evs.size() * kFlightEventBytes);
-  buf.insert(buf.end(), kFlightMagic, kFlightMagic + 8);
+  put_magic(buf, kFlightMagic);
   put_u32(buf, kFlightVersion);
   put_u32(buf, capacity());
   put_u64(buf, head_);
@@ -403,21 +297,12 @@ bool load_flight(const std::string& path, FlightFile* out,
                  std::string* error) {
   PPSSD_CHECK(out != nullptr);
   *out = FlightFile{};
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error) *error = "cannot open " + path;
+  std::string bytes;
+  if (!load_file(path, kFlightMagic, "flight dump", bytes, error)) {
     return false;
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  ByteReader r{reinterpret_cast<const unsigned char*>(bytes.data()),
-               bytes.size()};
-  if (r.left < 8 || std::memcmp(r.p, kFlightMagic, 8) != 0) {
-    if (error) *error = "not a flight dump (bad magic)";
-    return false;
-  }
-  r.p += 8;
-  r.left -= 8;
+  ByteReader r{reinterpret_cast<const unsigned char*>(bytes.data()) + 8,
+               bytes.size() - 8};
   out->version = r.u32();
   out->capacity = r.u32();
   out->recorded = r.u64();

@@ -250,7 +250,8 @@ struct FlightFile {
 ///                            ppssd_snapshots.bin, append mode)
 ///   PPSSD_FLIGHT=n           flight-recorder ring capacity in events
 ///   PPSSD_FLIGHT_PATH=f      crash/finish dump target (default
-///                            ppssd_flight.bin)
+///                            ppssd_flight.bin; core::run_experiment
+///                            inserts the cell before the extension)
 ///
 /// 0 turns either feature off. A value that does not parse in full, a
 /// negative or non-finite interval, and a capacity above UINT32_MAX exit

@@ -20,12 +20,6 @@ Snapshotter::~Snapshotter() {
   }
 }
 
-std::unique_ptr<Snapshotter> Snapshotter::from_env() {
-  const IntrospectOptions opts = IntrospectOptions::from_env();
-  if (!opts.any()) return nullptr;
-  return std::make_unique<Snapshotter>(opts);
-}
-
 bool Snapshotter::bind(const cache::Scheme& scheme) {
   scheme_ = &scheme;
   finished_ = false;

@@ -8,9 +8,10 @@
 // ppssd_telemetry — the *format* layer underneath keeps its common-only
 // dependency edge (see telemetry/introspect/format.h).
 //
-// Lifecycle mirrors the telemetry bundle: construct from env
-// (PPSSD_SNAPSHOT / PPSSD_FLIGHT; from_env() returns null when neither
-// is set, and the replayer's per-request tick is a single null check),
+// Lifecycle mirrors the telemetry bundle: construct from the options
+// (IntrospectOptions::from_env reads PPSSD_SNAPSHOT / PPSSD_FLIGHT; with
+// neither set no snapshotter is built, and the replayer's per-request
+// tick is a single null check),
 // bind() to a scheme after warm-up, tick() during replay, finish() at
 // the end of the measured phase. bind() also installs the PPSSD_CHECK
 // failure hook: if an invariant trips mid-run, the hook appends a
@@ -43,9 +44,6 @@ class Snapshotter {
 
   Snapshotter(const Snapshotter&) = delete;
   Snapshotter& operator=(const Snapshotter&) = delete;
-
-  /// Build from PPSSD_SNAPSHOT / PPSSD_FLIGHT; null when neither is set.
-  [[nodiscard]] static std::unique_ptr<Snapshotter> from_env();
 
   /// Bind to the device this snapshotter observes: opens the snapshot
   /// stream (append mode — sequential cells sharing one path each get

@@ -4,8 +4,9 @@
 // wants instrumentation implements an `attach_telemetry(Telemetry*)`
 // hook that registers its handles once; the hot path then works through
 // those (possibly null) handles. `Ssd::attach_telemetry` fans the bundle
-// out to the scheme, block manager, GC policies and controller, and
-// the replayer drives the sampler.
+// out to the scheme, block manager, GC policies and the controller's
+// OpStream (op_stream.h: every per-op observer is a fold over one
+// OpRecord), and the replayer drives the sampler.
 //
 // Environment knobs (read by from_env(); all optional):
 //
@@ -19,6 +20,9 @@
 //   PPSSD_SAMPLE_MS=f                 window = f ms of sim time
 //   PPSSD_ATTRIB=out.ledger.bin       per-request blame ledger (binary;
 //                                     read with tools/latency_explain)
+//
+// core::run_experiment writes each of these files once per cell
+// (out.ledger.bin -> out.ledger.<scheme>-<trace>.bin).
 //
 // The numeric knobs must parse in full (0 = no cap / no trigger); a
 // malformed value exits 2 with one line naming the knob (common/knob.h).

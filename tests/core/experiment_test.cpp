@@ -7,6 +7,7 @@
 
 #include "cache/ipu_scheme.h"
 #include "core/runner.h"
+#include "telemetry/attribution/attribution.h"
 
 namespace ppssd::core {
 namespace {
@@ -191,6 +192,49 @@ TEST(Runner, CachesResultsOnDisk) {
   EXPECT_DOUBLE_EQ(second.avg_overall_ms, first.avg_overall_ms);
   EXPECT_EQ(second.slc_erases, first.slc_erases);
   std::filesystem::remove_all(dir);
+}
+
+TEST(CellArtifactPath, InsertsTheCellBeforeTheExtension) {
+  const ExperimentSpec spec = tiny_spec();
+  EXPECT_EQ(cell_artifact_path("run.ledger.bin", spec),
+            "run.ledger.IPU-ts0.bin");
+  EXPECT_EQ(cell_artifact_path("out/m.csv", spec), "out/m.IPU-ts0.csv");
+  // No extension in the file name (a dot in a directory does not count).
+  EXPECT_EQ(cell_artifact_path("a.d/trace", spec), "a.d/trace.IPU-ts0");
+  EXPECT_EQ(cell_artifact_path(".hidden", spec), ".hidden.IPU-ts0");
+  EXPECT_EQ(cell_artifact_path("", spec), "");  // artifact off
+}
+
+TEST(Runner, MatrixRunLeavesOneLedgerPerCell) {
+  const std::string base = ::testing::TempDir() + "ppssd_cells.ledger.bin";
+  ExperimentSpec ipu = tiny_spec();
+  ExperimentSpec mga = tiny_spec();
+  mga.scheme = "MGA";
+  const std::vector<ExperimentSpec> specs = {ipu, mga};
+  for (const auto& spec : specs) {
+    std::filesystem::remove(cell_artifact_path(base, spec));
+  }
+  std::filesystem::remove(base);
+
+  ASSERT_EQ(setenv("PPSSD_ATTRIB", base.c_str(), 1), 0);
+  Runner runner("");
+  const std::vector<ExperimentResult> results = runner.run_all(specs, 1);
+  unsetenv("PPSSD_ATTRIB");
+  ASSERT_EQ(results.size(), 2u);
+
+  // Each cell kept its own ledger, holding exactly its own requests.
+  EXPECT_FALSE(std::filesystem::exists(base));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string path = cell_artifact_path(base, specs[i]);
+    telemetry::attribution::LedgerFile file;
+    std::string error;
+    ASSERT_TRUE(telemetry::attribution::load_ledger(path, &file, &error))
+        << path << ": " << error;
+    EXPECT_GT(file.records.size(), 0u) << path;
+    EXPECT_EQ(file.records.size(), results[i].reads + results[i].writes)
+        << path;
+    std::filesystem::remove(path);
+  }
 }
 
 TEST(Runner, PaperMatrixShape) {

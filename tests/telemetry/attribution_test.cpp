@@ -6,6 +6,8 @@
 #include <fstream>
 #include <string>
 
+#include "telemetry/op_stream.h"
+
 namespace ppssd::telemetry::attribution {
 namespace {
 
@@ -17,31 +19,39 @@ constexpr std::size_t kLaneGcRead =
 constexpr std::size_t kLanePrefill =
     static_cast<std::size_t>(Component::kLanePrefill);
 
+/// A lane-only command (the reprogram shape): waits on `chip`'s array
+/// lane over [ready, start), then occupies it until `end`.
+OpRecord lane_op(std::uint64_t id, OpClass cls, CellMode mode,
+                 bool background, SimTime ready, SimTime start, SimTime end,
+                 std::uint32_t chip = 0) {
+  OpRecord rec;
+  rec.id = id;
+  rec.kind = FlashOp::kReprogram;
+  rec.mode = mode;
+  rec.cls = cls;
+  rec.background = background;
+  rec.chip = chip;
+  rec.ready = ready;
+  rec.lane_wait = {ready, start};
+  rec.array = {start, end};
+  rec.end = end;
+  return rec;
+}
+
 TEST(AttributionLedger, WaitsChargeHeadOfQueueClaims) {
   AttributionLedger led;
   led.bind_resources(1, 1);
 
   // Op 1 (host) occupies the lane until t=100.
-  led.op_begin(1, OpClass::kHost, CellMode::kSlc, false, 0, 0, 0);
-  led.add_service(100);
-  led.claim_lane(0, 100);
-  led.op_end(100);
+  led.on_op(lane_op(1, OpClass::kHost, CellMode::kSlc, false, 0, 0, 100));
 
   // Op 2 (GC read) waits out op 1, then occupies until t=150.
-  led.op_begin(2, OpClass::kGcRead, CellMode::kSlc, true, 0, 0, 0);
-  led.wait_lane(0, 0, 100);
-  led.add_service(50);
-  led.claim_lane(0, 150);
-  led.op_end(150);
+  led.on_op(lane_op(2, OpClass::kGcRead, CellMode::kSlc, true, 0, 100, 150));
   EXPECT_EQ(led.last_op().comp[kLaneHost], 100u);
 
   // Op 3 (host, MLC) waits out both: the wait partitions exactly at the
   // claim boundary, blaming each slice on its occupant.
-  led.op_begin(3, OpClass::kHost, CellMode::kMlc, false, 0, 0, 0);
-  led.wait_lane(0, 0, 150);
-  led.add_service(10);
-  led.claim_lane(0, 160);
-  led.op_end(160);
+  led.on_op(lane_op(3, OpClass::kHost, CellMode::kMlc, false, 0, 150, 160));
 
   const OpBlame& op = led.last_op();
   EXPECT_EQ(op.comp[kLaneHost], 100u);
@@ -71,37 +81,26 @@ TEST(AttributionLedger, SeededHorizonChargesPrefill) {
   led.bind_resources(1, 1);
   // Mid-run attach: the lane was already busy until t=70 when the ledger
   // bound. That occupancy has no claim, so it is seeded as prefill.
-  led.seed_lane(0, 70);
-  led.op_begin(1, OpClass::kHost, CellMode::kSlc, false, 0, 0, 0);
-  led.wait_lane(0, 0, 70);
-  led.add_service(30);
-  led.claim_lane(0, 100);
-  led.op_end(100);
+  led.seed(Resource::kLane, 0, 70);
+  led.on_op(lane_op(1, OpClass::kHost, CellMode::kSlc, false, 0, 70, 100));
   EXPECT_EQ(led.last_op().comp[kLanePrefill], 70u);
   EXPECT_EQ(led.last_op().component_sum(), 100u);
 }
 
 TEST(AttributionLedger, RequestFoldTelescopesAlongCriticalChain) {
   AttributionLedger led;
-  led.bind_resources(1, 1);
+  led.bind_resources(2, 1);
   led.set_keep_records(true);
 
   led.begin_request(7, OpType::kWrite, 10);
   // Op A: ready at arrival, 30 ticks of service, ends at 40.
-  led.op_begin(1, OpClass::kHost, CellMode::kSlc, false, 0, 0, 10);
-  led.add_service(30);
-  led.claim_lane(0, 40);
-  led.op_end(40);
-  // A parallel foreground op off the critical chain (ends at 35 — no
-  // link's ready equals that): folded out.
-  led.op_begin(2, OpClass::kHost, CellMode::kSlc, false, 0, 0, 10);
-  led.add_service(25);
-  led.op_end(35);
+  led.on_op(lane_op(1, OpClass::kHost, CellMode::kSlc, false, 10, 10, 40));
+  // A parallel foreground op on another chip, off the critical chain
+  // (ends at 35 — no link's ready equals that): folded out.
+  led.on_op(lane_op(2, OpClass::kHost, CellMode::kSlc, false, 10, 10, 35,
+                    /*chip=*/1));
   // Op B depends on A (ready == A's end), 50 ticks, ends at 90.
-  led.op_begin(3, OpClass::kHost, CellMode::kSlc, false, 0, 0, 40);
-  led.add_service(50);
-  led.claim_lane(0, 90);
-  led.op_end(90);
+  led.on_op(lane_op(3, OpClass::kHost, CellMode::kSlc, false, 40, 40, 90));
   led.finish_request(90);
 
   ASSERT_EQ(led.records().size(), 1u);
@@ -121,16 +120,9 @@ TEST(AttributionLedger, BackgroundOpsStayOutOfRequestFolds) {
   led.begin_request(1, OpType::kRead, 0);
   // A GC program emitted while the request was open: it feeds the
   // interference matrix but never the request fold.
-  led.op_begin(1, OpClass::kGcProgram, CellMode::kSlc, true, 0, 0, 0);
-  led.add_service(200);
-  led.claim_lane(0, 200);
-  led.op_end(200);
+  led.on_op(lane_op(1, OpClass::kGcProgram, CellMode::kSlc, true, 0, 0, 200));
   // The host read waits the GC program out.
-  led.op_begin(2, OpClass::kHost, CellMode::kSlc, false, 0, 0, 0);
-  led.wait_lane(0, 0, 200);
-  led.add_service(25);
-  led.claim_lane(0, 225);
-  led.op_end(225);
+  led.on_op(lane_op(2, OpClass::kHost, CellMode::kSlc, false, 0, 200, 225));
   led.finish_request(225);
 
   const RequestBlame& r = led.records().back();
@@ -149,18 +141,12 @@ TEST(AttributionLedger, ClaimOverflowCoarsensBlameButConserves) {
   // dropped prefix coarsens to the oldest surviving claim, but the wait
   // interval still tiles exactly.
   for (std::uint64_t i = 0; i < 80; ++i) {
-    led.op_begin(i + 1, OpClass::kGcRead, CellMode::kSlc, true, 0, 0,
-                 i * 10);
-    if (i > 0) led.wait_lane(0, i * 10, i * 10);  // no-op interval
-    led.add_service(10);
-    led.claim_lane(0, (i + 1) * 10);
-    led.op_end((i + 1) * 10);
+    // Each op finds the lane free at its ready time: an empty wait.
+    led.on_op(lane_op(i + 1, OpClass::kGcRead, CellMode::kSlc, true, i * 10,
+                      i * 10, (i + 1) * 10));
   }
-  led.op_begin(100, OpClass::kHost, CellMode::kSlc, false, 0, 0, 0);
-  led.wait_lane(0, 0, 800);
-  led.add_service(5);
-  led.claim_lane(0, 805);
-  led.op_end(805);
+  led.on_op(
+      lane_op(100, OpClass::kHost, CellMode::kSlc, false, 0, 800, 805));
   const OpBlame& op = led.last_op();
   EXPECT_EQ(op.comp[kLaneGcRead], 800u);  // all slices blamed on GC reads
   EXPECT_EQ(op.component_sum(), 805u);    // conservation intact
@@ -176,11 +162,8 @@ TEST(AttributionLedger, DumpRoundTripsThroughLoader) {
   for (std::uint64_t i = 0; i < 3; ++i) {
     const SimTime arrival = 1000 * i;
     led.begin_request(i, i % 2 ? OpType::kWrite : OpType::kRead, arrival);
-    led.op_begin(i + 1, OpClass::kHost, CellMode::kSlc, false, 0, 0,
-                 arrival);
-    led.add_service(40 + i);
-    led.claim_lane(0, arrival + 40 + i);
-    led.op_end(arrival + 40 + i);
+    led.on_op(lane_op(i + 1, OpClass::kHost, CellMode::kSlc, false, arrival,
+                      arrival, arrival + 40 + i));
     led.finish_request(arrival + 40 + i);
   }
   led.close_dump();
@@ -230,15 +213,8 @@ TEST(AttributionLedger, DumpRoundTripsThroughLoader) {
 TEST(AttributionLedger, ResetClearsClaimsButKeepsAggregates) {
   AttributionLedger led;
   led.bind_resources(1, 1);
-  led.op_begin(1, OpClass::kGcProgram, CellMode::kSlc, true, 0, 0, 0);
-  led.add_service(100);
-  led.claim_lane(0, 100);
-  led.op_end(100);
-  led.op_begin(2, OpClass::kHost, CellMode::kSlc, false, 0, 0, 0);
-  led.wait_lane(0, 0, 100);
-  led.add_service(10);
-  led.claim_lane(0, 110);
-  led.op_end(110);
+  led.on_op(lane_op(1, OpClass::kGcProgram, CellMode::kSlc, true, 0, 0, 100));
+  led.on_op(lane_op(2, OpClass::kHost, CellMode::kSlc, false, 0, 100, 110));
   led.reset_resources();
   // Aggregates survive the reset...
   EXPECT_EQ(led.wait_ns(OpClass::kHost, OpClass::kGcProgram, Resource::kLane,
@@ -246,11 +222,50 @@ TEST(AttributionLedger, ResetClearsClaimsButKeepsAggregates) {
             100u);
   EXPECT_EQ(led.ops(), 2u);
   // ...but the claims are gone: a fresh op at t=0 sees an empty lane.
-  led.op_begin(3, OpClass::kHost, CellMode::kSlc, false, 0, 0, 0);
-  led.add_service(10);
-  led.claim_lane(0, 10);
-  led.op_end(10);
+  led.on_op(lane_op(3, OpClass::kHost, CellMode::kSlc, false, 0, 0, 10));
   EXPECT_EQ(led.last_op().component_sum(), 10u);
+}
+
+TEST(AttributionLedger, ProgramChargesChannelBeforeLaneSoEqualWaitsBlameChannel) {
+  AttributionLedger led;
+  led.bind_resources(2, 1);
+
+  // Op 1: a host program on chip 1 holds the shared channel over [0, 50).
+  OpRecord xfer;
+  xfer.id = 1;
+  xfer.kind = FlashOp::kProgram;
+  xfer.chip = 1;
+  xfer.transfer = {0, 50};
+  xfer.lane_wait = {50, 50};
+  xfer.erase_wait = {50, 50};
+  xfer.array = {50, 60};
+  xfer.end = 60;
+  led.on_op(xfer);
+  // Op 2: a GC read-shaped lane occupant holds chip 0's lane to t=110.
+  led.on_op(lane_op(2, OpClass::kGcRead, CellMode::kSlc, true, 0, 0, 110));
+
+  // Op 3: a host program on chip 0 waits 50 ticks for the channel (op 1),
+  // transfers, then waits 50 more for the lane (op 2). The two slices are
+  // equal; the program leg charges the channel first, so op 1 is named.
+  OpRecord prog;
+  prog.id = 3;
+  prog.kind = FlashOp::kProgram;
+  prog.channel_wait = {0, 50};
+  prog.transfer = {50, 60};
+  prog.lane_wait = {60, 110};
+  prog.erase_wait = {110, 110};
+  prog.array = {110, 120};
+  prog.end = 120;
+  led.on_op(prog);
+
+  const OpBlame& op = led.last_op();
+  EXPECT_EQ(op.component_sum(), 120u);
+  EXPECT_EQ(op.comp[static_cast<std::size_t>(Component::kChanHost)], 50u);
+  EXPECT_EQ(op.comp[kLaneGcRead], 50u);
+  EXPECT_EQ(op.blocked_ns, 50u);
+  EXPECT_EQ(op.blocker_op, 1u);
+  EXPECT_EQ(op.blocker_cls, OpClass::kHost);
+  EXPECT_EQ(op.blocker_res, Resource::kChannel);
 }
 
 }  // namespace
