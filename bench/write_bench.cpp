@@ -15,6 +15,10 @@
 //   write/attrib/off           Ssd::submit, ledger detached
 //   write/attrib/on            Ssd::submit, ledger attached
 //
+// The pair runs in ten rounds, off then on in each, every round at least
+// 0.05 s per variant; its table prints each variant's median ns per
+// submit over the rounds with the quartiles around it.
+//
 // A cycle fills plane 0's region page by page through the real allocator,
 // then drains it. An SLC-mode page takes a conventional program of
 // all-but-one slot, and every other page a partial program of the last
@@ -28,6 +32,7 @@
 //
 // The bench prints one table and writes nothing; perfbench/ is the
 // repository benchmark that speed claims rest on.
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -139,38 +144,61 @@ const char* mode_name(CellMode mode) {
 }
 
 /// Attribution-overhead cell: the full host submit path (IPU scheme,
-/// GC, the works) with the blame ledger detached vs attached. The
+/// GC, the works) with the blame ledger detached or attached. The
 /// detached figure shows the null-handle hot path; the attached figure
-/// prices the ledger for users who turn it on.
-Timing run_attrib_variant(bool attached) {
-  SsdConfig cfg = SsdConfig::scaled(2048);
-  sim::Ssd ssd(cfg, "IPU");
-  telemetry::Telemetry tel([] {
-    telemetry::TelemetryOptions opts;
-    opts.attribution = true;
-    return opts;
-  }());
-  if (attached) ssd.attach_telemetry(&tel);
-
-  using clock = std::chrono::steady_clock;
-  Timing t;
-  std::uint64_t lsn = 0;
-  SimTime now = 0;
-  while (t.seconds < kMinMeasureSeconds) {
-    const auto start = clock::now();
-    for (int i = 0; i < 2048; ++i) {
-      // 3:1 write:read mix over a wrapping strided address pattern —
-      // enough churn to keep GC (and thus interference blame) active.
-      const OpType op = (i & 3) == 3 ? OpType::kRead : OpType::kWrite;
-      ssd.submit(op, (lsn * 17) * kSubpageBytes, kSubpageBytes, now);
-      now += us_to_ns(20.0);
-      ++lsn;
-      ++t.calls;
-    }
-    t.seconds +=
-        std::chrono::duration<double>(clock::now() - start).count();
+/// prices the ledger for users who turn it on. The device lives across
+/// rounds, and both variants submit the same request sequence.
+class AttribCell {
+ public:
+  explicit AttribCell(bool attached)
+      : ssd_(SsdConfig::scaled(2048), "IPU"), tel_([] {
+          telemetry::TelemetryOptions opts;
+          opts.attribution = true;
+          return opts;
+        }()) {
+    if (attached) ssd_.attach_telemetry(&tel_);
   }
-  return t;
+
+  /// Submit for at least kMinMeasureSeconds; returns ns per submit.
+  double round() {
+    using clock = std::chrono::steady_clock;
+    Timing t;
+    while (t.seconds < kMinMeasureSeconds) {
+      const auto start = clock::now();
+      for (int i = 0; i < 2048; ++i) {
+        // 3:1 write:read mix over a wrapping strided address pattern —
+        // enough churn to keep GC (and thus interference blame) active.
+        const OpType op = (i & 3) == 3 ? OpType::kRead : OpType::kWrite;
+        ssd_.submit(op, (lsn_ * 17) * kSubpageBytes, kSubpageBytes, now_);
+        now_ += us_to_ns(20.0);
+        ++lsn_;
+        ++t.calls;
+      }
+      t.seconds +=
+          std::chrono::duration<double>(clock::now() - start).count();
+    }
+    return t.ns_per_call();
+  }
+
+ private:
+  sim::Ssd ssd_;
+  telemetry::Telemetry tel_;
+  std::uint64_t lsn_ = 0;
+  SimTime now_ = 0;
+};
+
+/// Rounds of the attribution pair. Off and on alternate within each
+/// round, so host noise lands on both alike, and each variant runs at
+/// least kAttribRounds * kMinMeasureSeconds = 0.5 s in all.
+constexpr int kAttribRounds = 10;
+
+/// Quantile `q` of `v` (sorted in place), by linear interpolation.
+double quantile(std::vector<double>& v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
 
 }  // namespace
@@ -194,14 +222,26 @@ int main() {
     }
   }
 
-  for (const bool attached : {false, true}) {
-    const Timing t = run_attrib_variant(attached);
-    const std::string key =
-        std::string("write/attrib/") + (attached ? "on" : "off");
-    table.add_row({key, Table::fmt(t.ns_per_call(), 1),
-                   Table::fmt(t.calls_per_sec(), 0)});
-  }
-
   std::printf("%s\n", table.render("Write-path program/invalidate").c_str());
+
+  AttribCell off(false);
+  AttribCell on(true);
+  std::vector<double> ns[2];
+  for (int r = 0; r < kAttribRounds; ++r) {
+    ns[0].push_back(off.round());
+    ns[1].push_back(on.round());
+  }
+  Table attrib({"cell", "ns/op median", "q1", "q3", "rounds"});
+  for (const bool attached : {false, true}) {
+    std::vector<double>& v = ns[attached ? 1 : 0];
+    attrib.add_row({std::string("write/attrib/") + (attached ? "on" : "off"),
+                    Table::fmt(quantile(v, 0.5), 1),
+                    Table::fmt(quantile(v, 0.25), 1),
+                    Table::fmt(quantile(v, 0.75), 1),
+                    std::to_string(v.size())});
+  }
+  std::printf("%s\n",
+              attrib.render("Ssd::submit, blame ledger detached / attached")
+                  .c_str());
   return 0;
 }

@@ -450,19 +450,17 @@ std::uint64_t Scheme::prefill_mlc(std::uint64_t max_subpages,
 
   // Pass B, LSN order: page g = j·P + i of the fill holds LSNs
   // [g·spp, g·spp + spp) on page j of plane (r0 + i) mod P, each at
-  // version 1.
+  // version 1, written as one map run per page.
   Lsn lsn = 0;
   for (std::uint64_t j = 0; lsn < filled; ++j) {
     const auto p = static_cast<PageId>(j % per_block);
     const std::uint64_t k = j / per_block;
     std::uint32_t q = r0;
     for (std::uint32_t i = 0; i < planes && lsn < filled; ++i) {
-      const BlockId b = opened[q * plane_blocks + k];
       const std::uint32_t n = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(spp_, filled - lsn));
-      for (std::uint32_t s = 0; s < n; ++s, ++lsn) {
-        map_.set(lsn, PhysicalAddress{b, p, static_cast<SubpageId>(s)}, 1);
-      }
+      map_.set_run(lsn, opened[q * plane_blocks + k], p, n, 1);
+      lsn += n;
       if (++q == planes) q = 0;
     }
   }

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 
 #if defined(__SANITIZE_ADDRESS__)
 #define PPSSD_ROW_ASAN 1
@@ -23,10 +24,10 @@ constexpr bool kMapRows = false;
 constexpr bool kMapRows = true;
 #endif
 
-/// A big row that falls back to operator new is shifted by kShift or
+/// A big row that comes from operator new is shifted by kShift or
 /// 2 * kShift bytes so that it never starts on a 2 MiB boundary: release
-/// then tells the two kinds apart by alignment alone, and reads the shift
-/// back from the byte just before the row.
+/// then tells it from a mapped row by alignment alone, and reads the
+/// shift back from the byte just before the row.
 constexpr std::size_t kShift = 64;
 
 std::size_t os_page_bytes() {
@@ -42,6 +43,7 @@ bool huge_aligned(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p) % kHugeRowBytes == 0;
 }
 
+/// Anonymous memory, which the kernel hands out zeroed.
 void* map_row(std::size_t bytes) {
   const std::size_t len = round_up(bytes, os_page_bytes());
   // Over-map by one huge page, then trim both ends to a 2 MiB boundary.
@@ -75,13 +77,21 @@ void* new_shifted(std::size_t bytes) {
 bool huge_rows_mapped() { return kMapRows; }
 
 void* allocate_row(std::size_t bytes) {
-  if (!kMapRows || bytes < kHugeRowBytes) return ::operator new(bytes);
-  if (void* row = map_row(bytes)) return row;
-  return new_shifted(bytes);
+  if (kMapRows && bytes >= kHugeRowBytes) {
+    if (void* row = map_row(bytes)) return row;
+  }
+  return allocate_heap_row(bytes);
+}
+
+void* allocate_heap_row(std::size_t bytes) {
+  void* row =
+      bytes < kHugeRowBytes ? ::operator new(bytes) : new_shifted(bytes);
+  std::memset(row, 0, bytes);
+  return row;
 }
 
 void release_row(void* row, std::size_t bytes) noexcept {
-  if (!kMapRows || bytes < kHugeRowBytes) {
+  if (bytes < kHugeRowBytes) {
     ::operator delete(row);
   } else if (huge_aligned(row)) {
     munmap(row, round_up(bytes, os_page_bytes()));

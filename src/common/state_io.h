@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -30,6 +31,22 @@ namespace ppssd::io {
 
 class StateSink {
  public:
+  /// A sink that keeps no bytes, only their count (size()): a writer run
+  /// through one first can reserve() the exact buffer, so a long stream
+  /// is copied once instead of through every doubling of the buffer.
+  [[nodiscard]] static StateSink counting() {
+    StateSink sink;
+    sink.counting_ = true;
+    return sink;
+  }
+
+  /// Bytes written so far.
+  [[nodiscard]] std::size_t size() const {
+    return counting_ ? counted_ : buf_.size();
+  }
+  /// Room for `n` more bytes without a regrowth.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   void u8(std::uint8_t v) { raw(&v, 1); }
   void u16(std::uint16_t v) { raw(&v, sizeof(v)); }
   void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
@@ -43,12 +60,13 @@ class StateSink {
   }
 
   /// Flat vector of trivially copyable elements: u64 count + raw bytes.
-  /// Any allocator (the device rows use RowAllocator).
-  template <typename T, typename A>
-  void vec(const std::vector<T, A>& v) {
+  /// Any contiguous container (std::vector, the device rows' Row).
+  template <std::ranges::contiguous_range R>
+  void vec(const R& v) {
+    using T = std::ranges::range_value_t<R>;
     static_assert(std::is_trivially_copyable_v<T>);
-    u64(v.size());
-    raw(v.data(), v.size() * sizeof(T));
+    u64(std::ranges::size(v));
+    raw(std::ranges::data(v), std::ranges::size(v) * sizeof(T));
   }
 
   /// Raw bytes of a run of trivially copyable elements, with no count: a
@@ -73,12 +91,18 @@ class StateSink {
 
  private:
   void raw(const void* data, std::size_t n) {
+    if (counting_) {
+      counted_ += n;
+      return;
+    }
     if (n == 0) return;  // an empty vector's data() may be null
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
 
   std::vector<std::uint8_t> buf_;
+  bool counting_ = false;
+  std::size_t counted_ = 0;
 };
 
 class StateSource {
@@ -120,16 +144,17 @@ class StateSource {
   /// destination arrays are already sized by the device constructor, so
   /// the bytes land in one memcpy with no temporary allocation or
   /// zero-fill.
-  template <typename T, typename A>
-  bool vec_into(std::vector<T, A>& v) {
+  template <std::ranges::contiguous_range R>
+  bool vec_into(R& v) {
+    using T = std::ranges::range_value_t<R>;
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t n = u64();
-    if (n != v.size()) {
+    if (n != std::ranges::size(v)) {
       ok_ = false;
       return false;
     }
     if (!take(n * sizeof(T))) return false;
-    copy_out(v.data(), n * sizeof(T));
+    copy_out(std::ranges::data(v), n * sizeof(T));
     return true;
   }
 

@@ -98,7 +98,7 @@ std::string ExperimentSpec::key() const {
 std::string cell_artifact_path(const std::string& path,
                                const ExperimentSpec& spec) {
   if (path.empty()) return path;
-  const std::string cell = spec.scheme + '-' + spec.trace;
+  const std::string cell = spec.key();
   const std::size_t name = path.find_last_of('/') + 1;  // npos + 1 == 0
   const std::size_t dot = path.find_last_of('.');
   if (dot == std::string::npos || dot <= name) return path + '.' + cell;

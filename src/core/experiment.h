@@ -121,10 +121,12 @@ struct ExperimentResult {
 /// Build the SsdConfig for a spec (scale + wear applied).
 [[nodiscard]] SsdConfig config_for(const ExperimentSpec& spec);
 
-/// The per-cell name of a truncating artifact: `<scheme>-<trace>` goes
+/// The per-cell name of a truncating artifact: the cell's key() goes
 /// before the file name's extension (run.ledger.bin ->
-/// run.ledger.IPU-ts0.bin), or after a name without one. An empty path
-/// (artifact off) stays empty.
+/// run.ledger.IPU-ts0-pe4000-b2048-s0.02.bin), or after a name without
+/// one, so cells of one matrix that differ in scheme, trace, wear, scale
+/// or options never share a file. An empty path (artifact off) stays
+/// empty.
 [[nodiscard]] std::string cell_artifact_path(const std::string& path,
                                              const ExperimentSpec& spec);
 

@@ -56,7 +56,7 @@ class DeviceMap {
   /// the geometry. At least one bit must be left for the version.
   DeviceMap(std::uint64_t logical_subpages, std::uint32_t block_bits,
             std::uint32_t page_bits, std::uint32_t subpage_bits)
-      : table_(logical_subpages, kUnmapped),
+      : table_(logical_subpages),
         sub_bits_(subpage_bits),
         block_shift_(page_bits + subpage_bits),
         code_bits_(block_bits + page_bits + subpage_bits),
@@ -65,6 +65,8 @@ class DeviceMap {
         sub_mask_(mask(subpage_bits)),
         cap_(code_bits_ < 32 ? mask(32 - code_bits_) - 1 : 0) {
     PPSSD_CHECK_MSG(code_bits_ < 32, "slot code leaves no version bit");
+    // Rows are born zero; an unmapped entry is all ones.
+    std::fill(table_.begin(), table_.end(), kUnmapped);
   }
 
   [[nodiscard]] std::uint64_t logical_subpages() const {
@@ -121,6 +123,34 @@ class DeviceMap {
     }
     e = field << code_bits_ | pack(addr);
     ++mapped_count_;
+  }
+
+  /// Bind the `n` consecutive LSNs from `first` to slots [0, n) of page
+  /// (`block`, `page`), all at `version` (>= 1): the bulk form of set()
+  /// (Scheme::prefill_mlc writes one run per filled page). One range
+  /// check covers the run, and one check that all `n` LSNs were unmapped.
+  void set_run(Lsn first, BlockId block, PageId page, std::uint32_t n,
+               std::uint32_t version) {
+    PPSSD_CHECK(first <= table_.size() && n <= table_.size() - first);
+    PPSSD_CHECK(block != kInvalidBlock);
+    PPSSD_DCHECK(version > 0 && n > 0 && n - 1 <= sub_mask_);
+    Entry* const run = table_.data() + first;
+    // An unmapped entry is all ones, so the AND of the run is all ones
+    // exactly when every LSN of it is unmapped.
+    Entry unmapped = kUnmapped;
+    for (std::uint32_t i = 0; i < n; ++i) unmapped &= run[i];
+    PPSSD_CHECK_MSG(unmapped == kUnmapped,
+                    "mapping an LSN that is already mapped");
+    const std::uint32_t field = std::min(version, cap_);
+    const Entry head =
+        field << code_bits_ | pack(PhysicalAddress{block, page, 0});
+    for (std::uint32_t i = 0; i < n; ++i) run[i] = head | i;
+    if (version >= cap_) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        overflow_.put(static_cast<std::uint32_t>(first + i), version);
+      }
+    }
+    mapped_count_ += n;
   }
 
   /// Fused lookup-and-clear: unbind `lsn` and return its previous slot and

@@ -13,33 +13,35 @@ FlashArray::FlashArray(const SsdConfig& cfg)
   PPSSD_CHECK_MSG(err.empty(), err.c_str());
 
   spp_ = geom_.subpages_per_page();
-  blocks_.reserve(geom_.total_blocks());
-  statics_.reserve(geom_.total_blocks());
-  hists_.resize(geom_.slc_block_count());
+  blocks_ = Row<Block>(geom_.total_blocks());
+  statics_ = Row<BlockStatic>(geom_.total_blocks());
+  hists_ = Row<AgeHistogram>(geom_.slc_block_count());
   std::uint32_t next_ordinal = 0;
   std::uint64_t pages = 0;
   for (BlockId b = 0; b < geom_.total_blocks(); ++b) {
     const CellMode mode =
         geom_.is_slc_block(b) ? CellMode::kSlc : CellMode::kMlc;
-    Block& blk = blocks_.emplace_back(mode, geom_.pages_per_block(mode),
-                                      geom_.subpages_per_page());
+    Block& blk = blocks_[b];
+    blk = Block(mode, geom_.pages_per_block(mode), spp_);
     if (mode == CellMode::kSlc) blk.slc_ordinal_ = next_ordinal++;
-    statics_.push_back(BlockStatic{
+    statics_[b] = BlockStatic{
         static_cast<std::uint32_t>(pages), cfg_.wear.initial_pe_cycles,
         geom_.plane_of(b), static_cast<std::uint16_t>(geom_.chip_of(b)),
-        static_cast<std::uint16_t>(geom_.channel_of(b)), mode});
+        static_cast<std::uint16_t>(geom_.channel_of(b)), mode};
     pages += geom_.pages_per_block(mode);
   }
   PPSSD_CHECK(next_ordinal == hists_.size());
-  // SsdConfig::validate() bounds the page count to a 32-bit page index.
-  pages_.resize(pages);
-  slots_.assign(static_cast<std::size_t>(pages) * spp_, SlotRecord{});
+  // The page, slot and SLC-only rows start erased, which is all zero:
+  // rows are born zero, so sizing them writes nothing. SsdConfig::
+  // validate() bounds the page count to a 32-bit page index.
+  pages_ = Row<Page>(pages);
+  slots_ = Row<SlotRecord>(static_cast<std::size_t>(pages) * spp_);
   slc_block_slots_ = geom_.pages_per_block(CellMode::kSlc) * spp_;
   const std::size_t slc_slots =
       static_cast<std::size_t>(hists_.size()) * slc_block_slots_;
-  slc_wtime_.assign(slc_slots, 0);
-  slc_programs_before_.assign(slc_slots, 0);
-  slc_neighbors_before_.assign(slc_slots, 0);
+  slc_wtime_ = Row<std::uint32_t>(slc_slots);
+  slc_programs_before_ = Row<std::uint8_t>(slc_slots);
+  slc_neighbors_before_ = Row<std::uint8_t>(slc_slots);
 
   planes_.reserve(geom_.planes());
   for (std::uint32_t p = 0; p < geom_.planes(); ++p) {
@@ -60,28 +62,39 @@ void FlashArray::prefill_block(BlockId b, std::uint32_t pages, Lsn first_lsn,
   PPSSD_CHECK(last_slots > 0 && last_slots <= spp_);
   blk.frontier_ = pages;
   const BlockStatic& bs = statics_[b];
-  std::uint64_t written = 0;
+
+  // One sweep over the block's slot records. The write-once rule is
+  // checked once for the block: every slot the fill takes must have been
+  // free, which the OR of their old records' taken bits says.
+  SlotRecord* const slots = slots_.data() + std::size_t{bs.page_base} * spp_;
+  bool taken = false;
   for (std::uint32_t p = 0; p < pages; ++p) {
-    const std::size_t pi = bs.page_base + p;
-    const std::size_t base = pi * spp_;
+    SlotRecord* const page = slots + std::size_t{p} * spp_;
     const std::uint32_t n = p + 1 == pages ? last_slots : spp_;
     const Lsn lsn = first_lsn + p * lsn_stride;
     for (std::uint32_t s = 0; s < n; ++s) {
-      SlotRecord& r = slots_[base + s];
-      PPSSD_CHECK_MSG(r.is_free(),
-                      "programming a non-free subpage (NAND write-once rule)");
+      taken |= !page[s].is_free();
       PPSSD_DCHECK(lsn + s <= SlotRecord::kOwnerMask);
-      r = SlotRecord(SubpageState::kValid, static_cast<std::uint32_t>(lsn + s));
       // An SLC slot's write time and disturb snapshots stay 0: a frontier
       // fill at sim time 0 has seen no prior programs or neighbour disturbs.
+      page[s] = SlotRecord(SubpageState::kValid,
+                           static_cast<std::uint32_t>(lsn + s));
     }
-    pages_[pi].set_program_ops(1);
-    // Programming page p disturbs the page behind it, already filled.
-    if (p > 0) pages_[pi - 1].absorb_neighbor_program();
-    written += n;
+  }
+  PPSSD_CHECK_MSG(!taken,
+                  "programming a non-free subpage (NAND write-once rule)");
+
+  // One sweep over the page entries: each page takes its one program, and
+  // every page but the last is disturbed by the program of the page after
+  // it.
+  Page* const page_row = pages_.data() + bs.page_base;
+  for (std::uint32_t p = 0; p < pages; ++p) {
+    page_row[p].set_program_ops(1);
+    if (p + 1 < pages) page_row[p].absorb_neighbor_program();
   }
 
-  const auto n = static_cast<std::uint32_t>(written);
+  const auto n = static_cast<std::uint32_t>(
+      std::uint64_t{pages - 1} * spp_ + last_slots);
   blk.valid_ += n;
   if (AgeHistogram* const hist = histogram_of(blk)) hist->add(0, n);
   if (bs.mode == CellMode::kSlc) {

@@ -328,10 +328,12 @@ class FlashArray {
   /// to back at sim time 0. Page p's slot s holds LSN
   /// first_lsn + p·lsn_stride + s; every page takes all
   /// subpages_per_page() slots except the last, which takes
-  /// `last_slots`. Skips the partial-program
-  /// branches and the forward-neighbour probe — a frontier fill can only
-  /// disturb the page behind it. State produced is identical to
-  /// program(b, p, writes, 0) for each page in turn.
+  /// `last_slots`. Writes the block's slot records in one sweep and its
+  /// page entries in another: a frontier fill takes no partial-program
+  /// branch and disturbs only the page behind it. The write-once rule is
+  /// checked once for the block (always on, with program()'s message).
+  /// State produced is identical to program(b, p, writes, 0) for each
+  /// page in turn.
   void prefill_block(BlockId b, std::uint32_t pages, Lsn first_lsn,
                      std::uint64_t lsn_stride, std::uint32_t last_slots);
 

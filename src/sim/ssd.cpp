@@ -196,6 +196,13 @@ SimTime Ssd::drain_background(SimTime now) {
 void Ssd::save(io::StateSink& sink) const {
   PPSSD_CHECK_MSG(pending_.empty(),
                   "checkpointing with unharvested host completions");
+  io::StateSink sizer = io::StateSink::counting();
+  write_state(sizer);
+  sink.reserve(sizer.size());
+  write_state(sink);
+}
+
+void Ssd::write_state(io::StateSink& sink) const {
   scheme_->save(sink);
   sink.u64(next_request_id_);
   sink.u64(deferred_head_);

@@ -123,7 +123,8 @@ class Ssd {
   /// state plus the host-interface bits that survive the warm-up boundary
   /// (request-id counter, deferred background-op queue). Call at a
   /// quiescent point — right after reset_timing(), with every completion
-  /// harvested — so the timing layer is clean on both sides.
+  /// harvested — so the timing layer is clean on both sides. A counting
+  /// pass sizes the sink's buffer for the whole stream first.
   void save(io::StateSink& sink) const;
   void restore(io::StateSource& src);
 
@@ -146,6 +147,9 @@ class Ssd {
 
  private:
   static constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
+
+  /// The checkpoint stream save() writes.
+  void write_state(io::StateSink& sink) const;
 
   /// A background op whose scheduling is deferred for GC interleaving.
   /// Its dependency is carried either as an already-known finish time

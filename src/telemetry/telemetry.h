@@ -21,8 +21,9 @@
 //   PPSSD_ATTRIB=out.ledger.bin       per-request blame ledger (binary;
 //                                     read with tools/latency_explain)
 //
-// core::run_experiment writes each of these files once per cell
-// (out.ledger.bin -> out.ledger.<scheme>-<trace>.bin).
+// core::run_experiment writes each of these files once per cell, named
+// by the cell's key (out.ledger.bin -> out.ledger.<key>.bin, e.g.
+// out.ledger.IPU-ts0-pe4000-b2048-s0.02.bin).
 //
 // The numeric knobs must parse in full (0 = no cap / no trigger); a
 // malformed value exits 2 with one line naming the knob (common/knob.h).

@@ -69,6 +69,11 @@ SyntheticWorkload::SyntheticWorkload(const TraceProfile& profile,
   const double m3_kb =
       (profile_.mean_write_kb - 4.0 * b.le_4k - 8.0 * b.le_8k) / p3;
   mean_gt8k_subpages_ = std::clamp(m3_kb / 4.0, 3.0, 64.0);
+
+  hot_sizes_.resize(hot_objects_);
+  for (std::uint64_t o = 0; o < hot_objects_; ++o) {
+    hot_sizes_[o] = object_size_bytes(o);
+  }
 }
 
 std::uint32_t SyntheticWorkload::sample_size_bytes(Rng& rng) const {
@@ -110,7 +115,7 @@ bool SyntheticWorkload::next(TraceRecord& out) {
   if (hot) {
     const std::uint64_t object = zipf_.sample(rng_);
     out.offset = object * kHotObjectStride;
-    out.size = object_size_bytes(object);
+    out.size = hot_sizes_[object];
     return true;
   }
   out.size = sample_size_bytes(rng_);

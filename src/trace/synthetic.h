@@ -17,7 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "trace/record.h"
@@ -83,6 +85,12 @@ class SyntheticWorkload final : public TraceSource {
   /// Fixed request size of a hot object (deterministic in object id).
   [[nodiscard]] std::uint32_t object_size_bytes(std::uint64_t object) const;
 
+  /// Every hot object's object_size_bytes(), by object id: computed once
+  /// in the constructor, read by each hot record.
+  [[nodiscard]] std::span<const std::uint32_t> hot_object_sizes() const {
+    return hot_sizes_;
+  }
+
  private:
 
   TraceProfile profile_;
@@ -91,6 +99,7 @@ class SyntheticWorkload final : public TraceSource {
   std::uint64_t hot_region_bytes_;
   std::uint64_t cold_region_bytes_;
   double mean_gt8k_subpages_;
+  std::vector<std::uint32_t> hot_sizes_;
   Rng rng_;
   ZipfSampler zipf_;
   std::uint64_t produced_ = 0;

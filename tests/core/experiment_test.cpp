@@ -4,6 +4,9 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "cache/ipu_scheme.h"
 #include "core/runner.h"
@@ -196,13 +199,31 @@ TEST(Runner, CachesResultsOnDisk) {
 
 TEST(CellArtifactPath, InsertsTheCellBeforeTheExtension) {
   const ExperimentSpec spec = tiny_spec();
+  const std::string cell = "IPU-ts0-pe4000-b1024-s0.002";
+  ASSERT_EQ(spec.key(), cell);
   EXPECT_EQ(cell_artifact_path("run.ledger.bin", spec),
-            "run.ledger.IPU-ts0.bin");
-  EXPECT_EQ(cell_artifact_path("out/m.csv", spec), "out/m.IPU-ts0.csv");
+            "run.ledger." + cell + ".bin");
+  EXPECT_EQ(cell_artifact_path("out/m.csv", spec), "out/m." + cell + ".csv");
   // No extension in the file name (a dot in a directory does not count).
-  EXPECT_EQ(cell_artifact_path("a.d/trace", spec), "a.d/trace.IPU-ts0");
-  EXPECT_EQ(cell_artifact_path(".hidden", spec), ".hidden.IPU-ts0");
+  EXPECT_EQ(cell_artifact_path("a.d/trace", spec), "a.d/trace." + cell);
+  EXPECT_EQ(cell_artifact_path(".hidden", spec), ".hidden." + cell);
   EXPECT_EQ(cell_artifact_path("", spec), "");  // artifact off
+}
+
+TEST(CellArtifactPath, CellsOfOneMatrixNeverShareAName) {
+  const ExperimentSpec base = tiny_spec();
+  std::vector<ExperimentSpec> specs(5, base);
+  specs[1].options =
+      cache::IpuScheme::Options{false, true, true}.to_scheme_options();
+  specs[2].options =
+      cache::IpuScheme::Options{true, false, true}.to_scheme_options();
+  specs[3].pe_cycles = 8000;
+  specs[4].trace_scale = 0.004;
+  std::set<std::string> names;
+  for (const auto& spec : specs) {
+    names.insert(cell_artifact_path("run.ledger.bin", spec));
+  }
+  EXPECT_EQ(names.size(), specs.size());
 }
 
 TEST(Runner, MatrixRunLeavesOneLedgerPerCell) {
@@ -235,6 +256,45 @@ TEST(Runner, MatrixRunLeavesOneLedgerPerCell) {
         << path;
     std::filesystem::remove(path);
   }
+}
+
+// Two IPU option variants on one trace (an ablation pair) used to share
+// one `<scheme>-<trace>` ledger, the second overwriting the first.
+TEST(Runner, IpuVariantsOnOneTraceLeaveOneLedgerEach) {
+  const std::string dir = ::testing::TempDir() + "ppssd_variant_ledgers";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string base = dir + "/l.bin";
+  ExperimentSpec full = tiny_spec();
+  full.options =
+      cache::IpuScheme::Options{true, true, true, false}.to_scheme_options();
+  ExperimentSpec greedy = full;
+  greedy.options =
+      cache::IpuScheme::Options{false, true, true, false}.to_scheme_options();
+  const std::vector<ExperimentSpec> specs = {full, greedy};
+
+  ASSERT_EQ(setenv("PPSSD_ATTRIB", base.c_str(), 1), 0);
+  Runner runner("");
+  const std::vector<ExperimentResult> results = runner.run_all(specs, 1);
+  unsetenv("PPSSD_ATTRIB");
+  ASSERT_EQ(results.size(), 2u);
+
+  std::size_t ledgers = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++ledgers;
+  }
+  EXPECT_EQ(ledgers, 2u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string path = cell_artifact_path(base, specs[i]);
+    telemetry::attribution::LedgerFile file;
+    std::string error;
+    ASSERT_TRUE(telemetry::attribution::load_ledger(path, &file, &error))
+        << path << ": " << error;
+    EXPECT_EQ(file.records.size(), results[i].reads + results[i].writes)
+        << path;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Runner, PaperMatrixShape) {

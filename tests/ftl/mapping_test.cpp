@@ -57,6 +57,60 @@ TEST(DeviceMapDeathTest, DoubleSetAborts) {
   EXPECT_DEATH(map.set(1, PhysicalAddress{2, 2, 2}, 1), "already mapped");
 }
 
+// A run is the per-LSN set() of its LSNs, slot by slot, including a
+// version at or above the cap, which every LSN of the run keeps in the
+// overflow table.
+TEST(DeviceMap, SetRunMatchesSetPerLsn) {
+  DeviceMap run = paper_map(40);
+  DeviceMap each = paper_map(40);
+  struct Case {
+    Lsn first;
+    BlockId block;
+    PageId page;
+    std::uint32_t n;
+    std::uint32_t version;
+  };
+  const std::uint32_t cap = run.version_cap();
+  const Case cases[] = {{0, 7, 3, 4, 1},
+                        {4, 65535, 127, 1, 2},
+                        {10, 1, 0, 3, cap},
+                        {20, 2, 5, 4, cap + 9},
+                        {36, 0, 0, 4, 1}};
+  for (const Case& c : cases) {
+    run.set_run(c.first, c.block, c.page, c.n, c.version);
+    for (std::uint32_t i = 0; i < c.n; ++i) {
+      each.set(c.first + i,
+               PhysicalAddress{c.block, c.page, static_cast<SubpageId>(i)},
+               c.version);
+    }
+  }
+  EXPECT_EQ(run.mapped_count(), each.mapped_count());
+  EXPECT_EQ(run.overflow_count(), 7u);
+  run.check_versions();
+  io::StateSink a;
+  io::StateSink b;
+  run.save(a);
+  each.save(b);
+  EXPECT_EQ(a.buffer(), b.buffer());
+}
+
+TEST(DeviceMapDeathTest, SetRunOverAMappedLsnAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DeviceMap map = paper_map(10);
+  map.set(6, PhysicalAddress{1, 1, 1}, 1);
+  // The mapped LSN is the last of the run.
+  EXPECT_DEATH(map.set_run(3, 2, 2, 4, 1),
+               "mapping an LSN that is already mapped");
+  map.set_run(2, 2, 2, 4, 1);  // LSNs 2..5 are all unmapped
+  EXPECT_EQ(map.mapped_count(), 5u);
+}
+
+TEST(DeviceMapDeathTest, SetRunPastTheEndAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DeviceMap map = paper_map(10);
+  EXPECT_DEATH(map.set_run(8, 2, 2, 3, 1), "ppssd check failed");
+}
+
 TEST(DeviceMapDeathTest, ClearUnmappedAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   DeviceMap map = paper_map(10);

@@ -243,5 +243,24 @@ TEST(FusedPathDeathTest, PrefillBlockRejectsProgrammedBlock) {
                "bulk prefill of a programmed block");
 }
 
+// The bulk fill checks the write-once rule once per block, over every
+// slot it takes: a taken slot anywhere in the fill aborts with program()'s
+// message, and one past the fill's last slot is left alone.
+TEST(FusedPathDeathTest, PrefillBlockRejectsATakenSlot) {
+  SsdConfig cfg = SsdConfig::scaled(1024);
+  const BlockId mlc0 = FlashArray(cfg).geometry().slc_blocks_per_plane();
+  for (const PageId p : {PageId{0}, PageId{2}}) {
+    FlashArray arr(cfg);
+    ReferencePaths::plant_valid_slot(arr, mlc0, p, 2, 99);
+    EXPECT_DEATH(arr.prefill_block(mlc0, 3, 0, 4, 3),
+                 "programming a non-free subpage \\(NAND write-once rule\\)")
+        << "page " << p;
+  }
+  FlashArray arr(cfg);
+  ReferencePaths::plant_valid_slot(arr, mlc0, 2, 3, 99);
+  arr.prefill_block(mlc0, 3, 0, 4, 3);  // takes slots 0..2 of page 2
+  EXPECT_EQ(arr.block(mlc0).valid_subpages(), 11u);
+}
+
 }  // namespace
 }  // namespace ppssd::nand

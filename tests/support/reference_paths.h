@@ -1,7 +1,8 @@
 // Test-only oracles for the device's fused and bulk fast paths.
 //
 // * nand::ReferencePaths — FlashArray::program / ::invalidate as
-//   layer-by-layer chains (a friend of FlashArray, Block and Page).
+//   layer-by-layer chains (a friend of FlashArray, Block and Page), and
+//   a fault injector for the bulk prefill's write-once check.
 // * cache::ReferencePrefill — Scheme::prefill_mlc as the page-at-a-time
 //   round-robin fill it replaced, each page a frontier program through
 //   ReferencePaths at sim time 0 (a friend of Scheme).
@@ -111,6 +112,16 @@ struct ReferencePaths {
     if (partial) ++a.counters_.partial_program_ops;
     a.planes_[a.geom_.plane_of(b)].count_program();
     return partial;
+  }
+
+  /// Fault injection: store a valid record for `lsn` in slot (b, p, s)
+  /// and touch nothing else (frontier, counters), a state no legal
+  /// operation sequence reaches. The bulk prefill's block-wide
+  /// write-once check must still catch it.
+  static void plant_valid_slot(FlashArray& a, BlockId b, PageId p,
+                               SubpageId s, Lsn lsn) {
+    a.slots_[a.slot_index(b, p, s)] =
+        SlotRecord(SubpageState::kValid, static_cast<std::uint32_t>(lsn));
   }
 
   static void invalidate(FlashArray& a, BlockId b, PageId p, SubpageId s) {

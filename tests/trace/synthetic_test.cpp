@@ -112,6 +112,18 @@ TEST_P(ProfileCalibration, MatchesTable1Buckets) {
   EXPECT_NEAR(stats.update_frac_le_4k(), profile.write_sizes.le_4k, 0.12);
 }
 
+// The constructor's table of hot-object sizes is object_size_bytes() of
+// every object, which is what each hot record used to compute itself.
+TEST_P(ProfileCalibration, HotSizeTableMatchesObjectSizes) {
+  const auto& profile = profile_by_name(GetParam());
+  SyntheticWorkload w(profile, kLogicalBytes, 0.1);
+  const std::span<const std::uint32_t> sizes = w.hot_object_sizes();
+  ASSERT_EQ(sizes.size(), w.hot_object_count());
+  for (std::uint64_t o = 0; o < sizes.size(); ++o) {
+    ASSERT_EQ(sizes[o], w.object_size_bytes(o)) << "object " << o;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTraces, ProfileCalibration,
                          ::testing::Values("ts0", "wdev0", "lun1", "usr0",
                                            "lun2", "ads"));
