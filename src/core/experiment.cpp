@@ -1,7 +1,6 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -31,12 +30,13 @@ double seconds_since(Clock::time_point t0) {
 /// wall seconds the prefill took.
 ///
 /// The prefill is a closed-form bulk fill of the freshly built device
-/// (Scheme::prefill_mlc). The warm replay walks its batches with the
-/// replayer's request lookahead (sim::for_each_ahead) and submits straight
-/// to Ssd::submit: nothing reads its completions or latencies, and
-/// reset_timing() discards its timing, so it skips the Replayer and the
-/// host completion queue. Ssd::submit is the path Ssd::enqueue takes
-/// before its completion push, so the device state it leaves is the same.
+/// (Scheme::prefill_mlc). The warm replay takes the replayer's record walk
+/// (sim::walk_records: decode on a worker thread, request lookahead) and
+/// submits straight to Ssd::submit: nothing reads its completions or
+/// latencies, and reset_timing() discards its timing, so it skips the
+/// Replayer and the host completion queue. Ssd::submit is the path
+/// Ssd::enqueue takes before its completion push, so the device state it
+/// leaves is the same.
 double run_warmup(sim::Ssd& ssd, const trace::SyntheticWorkload& workload,
                   const trace::TraceProfile& profile) {
   const auto& geom = ssd.scheme().array().geometry();
@@ -69,14 +69,9 @@ double run_warmup(sim::Ssd& ssd, const trace::SyntheticWorkload& workload,
   // around this phase (telemetry tour, bench harnesses) separates
   // pre-conditioning traffic from measured host work.
   ssd.scheme().set_origin_phase(cache::OpOrigin::kPrefill);
-  std::array<trace::TraceRecord, sim::Replayer::kBatch> batch;
-  while (const std::size_t got = warmup.next_batch(batch)) {
-    sim::for_each_ahead(ssd, std::span(batch.data(), got),
-                        [&ssd](const trace::TraceRecord& rec) {
-                          ssd.submit(rec.op, rec.offset, rec.size,
-                                     rec.arrival);
-                        });
-  }
+  sim::walk_records(ssd, warmup, 0, [&ssd](const trace::TraceRecord& rec) {
+    ssd.submit(rec.op, rec.offset, rec.size, rec.arrival);
+  });
   ssd.scheme().set_origin_phase(cache::OpOrigin::kHost);
   ssd.scheme().reset_metrics();
   ssd.reset_timing();

@@ -1,8 +1,6 @@
 #include "sim/replayer.h"
 
 #include <algorithm>
-#include <array>
-#include <span>
 
 #include "common/units.h"
 
@@ -50,11 +48,6 @@ ReplayResult Replayer::replay(trace::TraceSource& src,
     }
   };
 
-  // Batched decode: fetch up to kBatch records per virtual call so the
-  // source's decode loop runs devirtualized and the per-record cost in
-  // this loop is pure simulation. The record sequence is identical to
-  // one-by-one next() by the TraceSource contract. With a request cap the
-  // final fetch is clamped, so no record past the cap is consumed.
   const auto submit_one = [&](const trace::TraceRecord& rec) {
     // Retire everything that completed before this request arrives, in
     // completion order, then advance the depth integral to the arrival.
@@ -93,18 +86,7 @@ ReplayResult Replayer::replay(trace::TraceSource& src,
     }
   };
 
-  std::array<trace::TraceRecord, kBatch> batch;
-  for (;;) {
-    std::size_t want = batch.size();
-    if (max_requests != 0) {
-      want = static_cast<std::size_t>(
-          std::min<std::uint64_t>(want, max_requests - result.requests));
-    }
-    if (want == 0) break;
-    const std::size_t got = src.next_batch(std::span(batch.data(), want));
-    if (got == 0) break;
-    for_each_ahead(*ssd_, std::span(batch.data(), got), submit_one);
-  }
+  walk_records(*ssd_, src, max_requests, submit_one);
 
   // Source exhausted: harvest every remaining completion.
   ssd_->drain_completions(kNoTime, harvest);

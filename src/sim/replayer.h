@@ -15,6 +15,7 @@
 #include "perf/progress.h"
 #include "sim/ssd.h"
 #include "telemetry/introspect/snapshotter.h"
+#include "trace/decode_ahead.h"
 #include "trace/record.h"
 
 namespace ppssd::sim {
@@ -53,6 +54,22 @@ void for_each_ahead(Ssd& ssd, std::span<const trace::TraceRecord> batch,
   }
 }
 
+/// The record walk of Replayer::replay and the warm replay: calls fn(rec)
+/// for every record of `src` in order, at most `max_records` of them (0 =
+/// to the end of the stream). A worker thread decodes the records
+/// (trace::DecodeAhead) while this thread runs fn over each decoded batch
+/// with the request lookahead. An exception the source throws is rethrown
+/// here once the records before its batch have been walked; any exit
+/// stops and joins the worker.
+template <typename Fn>
+void walk_records(Ssd& ssd, trace::TraceSource& src,
+                  std::uint64_t max_records, Fn&& fn) {
+  trace::DecodeAhead decoded(src, max_records);
+  for (auto batch = decoded.next(); !batch.empty(); batch = decoded.next()) {
+    for_each_ahead(ssd, batch, fn);
+  }
+}
+
 struct ReplayResult {
   LatencyRecorder latency;
   std::uint64_t requests = 0;
@@ -70,14 +87,11 @@ struct ReplayResult {
 
 class Replayer {
  public:
-  /// Records fetched per TraceSource::next_batch call. Small enough that
-  /// the arena stays cache-resident, large enough that virtual dispatch
-  /// and decode-loop overhead amortize to noise.
-  static constexpr std::size_t kBatch = 256;
-
   explicit Replayer(Ssd& ssd) : ssd_(&ssd) {}
 
-  /// Replay the source to exhaustion (or `max_requests` if nonzero).
+  /// Replay the source to exhaustion (or `max_requests` if nonzero; no
+  /// record past the cap is consumed). Rethrows an exception the source
+  /// throws, after submitting the records before its batch.
   ReplayResult replay(trace::TraceSource& src, std::uint64_t max_requests = 0);
 
   /// Optional live-progress sink, ticked every few thousand requests (a

@@ -297,6 +297,64 @@ TEST(Runner, IpuVariantsOnOneTraceLeaveOneLedgerEach) {
   std::filesystem::remove_all(dir);
 }
 
+/// One cell's blame ledger, folded over its requests.
+struct GcChannelShare {
+  double avg_ms = 0.0;        // mean request latency
+  double share = 0.0;         // GC channel waits / total latency
+  double gc_chan_ms = 0.0;    // mean GC channel wait per request
+};
+
+GcChannelShare gc_channel_share(const ExperimentSpec& spec) {
+  namespace attr = telemetry::attribution;
+  const std::string base = ::testing::TempDir() + "ppssd_inversion.bin";
+  const std::string path = cell_artifact_path(base, spec);
+  std::filesystem::remove(path);
+  EXPECT_EQ(setenv("PPSSD_ATTRIB", base.c_str(), 1), 0);
+  const ExperimentResult r = run_experiment(spec);
+  unsetenv("PPSSD_ATTRIB");
+  attr::LedgerFile file;
+  std::string error;
+  EXPECT_TRUE(attr::load_ledger(path, &file, &error)) << path << ": " << error;
+  std::filesystem::remove(path);
+  EXPECT_EQ(file.records.size(), r.reads + r.writes);
+  double total = 0.0;
+  double gc_chan = 0.0;
+  for (const attr::RequestBlame& rec : file.records) {
+    total += static_cast<double>(rec.latency());
+    gc_chan += static_cast<double>(
+        rec.comp[static_cast<std::size_t>(attr::Component::kChanGcRead)] +
+        rec.comp[static_cast<std::size_t>(attr::Component::kChanGcProgram)]);
+  }
+  const auto n = static_cast<double>(file.records.size());
+  GcChannelShare out;
+  out.avg_ms = r.avg_overall_ms;
+  out.share = total > 0.0 ? gc_chan / total : 0.0;
+  out.gc_chan_ms = gc_chan / n / 1e6;
+  return out;
+}
+
+// The small-device inversion (ROADMAP item 1): at 2,048 blocks (4 chips,
+// one per channel) and 1% of ts0, IPU is slower than Baseline, and the
+// blame ledger says why. Measured: IPU 1.696 ms mean, 52.9% of it waits
+// on channels held by GC reads and programs (0.897 ms per request);
+// Baseline 0.520 ms, 16.5% (0.086 ms). The GC channel waits cover 69% of
+// the 1.176 ms gap. A change that flips the inversion or moves its cause
+// away from GC channel contention fails here.
+TEST(SmallDeviceInversion, IpuWaitsOnGcChannelsMoreThanBaseline) {
+  ExperimentSpec spec;
+  spec.trace = "ts0";
+  spec.total_blocks = 2048;
+  spec.trace_scale = 0.01;
+  spec.scheme = "IPU";
+  const GcChannelShare ipu = gc_channel_share(spec);
+  spec.scheme = "Baseline";
+  const GcChannelShare base = gc_channel_share(spec);
+  EXPECT_GT(ipu.avg_ms, base.avg_ms);
+  EXPECT_GT(ipu.share, base.share);
+  EXPECT_GT(ipu.gc_chan_ms - base.gc_chan_ms,
+            0.5 * (ipu.avg_ms - base.avg_ms));
+}
+
 TEST(Runner, PaperMatrixShape) {
   EXPECT_EQ(Runner::paper_traces().size(), 6u);
   // The matrix enumerates the registry: all four schemes, paper order.

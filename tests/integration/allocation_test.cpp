@@ -98,7 +98,7 @@ TEST(AllocationBudget, LookaheadHintsAllocateNothing) {
     const std::uint64_t total =
         ssd.scheme().array().geometry().logical_subpages();
     Rng rng(5);
-    std::array<trace::TraceRecord, sim::Replayer::kBatch> batch;
+    std::array<trace::TraceRecord, trace::DecodeAhead::kBatch> batch;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       // Offsets up to 64 subpages past the logical space wrap.
       const std::uint64_t offset = rng.next_below(total + 64) * kSubpageBytes;

@@ -139,12 +139,38 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
+TEST(Lookahead, ShortAndEmptySourcesReplayLikeThePlainLoop) {
+  // Under one batch the decode worker publishes a single short batch (or
+  // none) before the end of the stream.
+  const SsdConfig cfg = SsdConfig::scaled(2048);
+  const trace::TraceProfile& profile = trace::profile_by_name("ts0");
+  for (const char* scheme : {"Baseline", "IPU"}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                kMapAhead + 1, trace::DecodeAhead::kBatch - 1}) {
+      SCOPED_TRACE(std::string(scheme) + " n=" + std::to_string(n));
+      Ssd walked(cfg, scheme);
+      prefill(walked);
+      Ssd plain(cfg, scheme);
+      prefill(plain);
+      trace::SyntheticWorkload gen(profile, walked.logical_bytes(), 0.01);
+      std::vector<trace::TraceRecord> records(n);
+      ASSERT_EQ(gen.next_batch(records), n);
+      trace::VectorTraceSource a(records);
+      trace::VectorTraceSource b(records);
+      const ReplayResult ra = Replayer(walked).replay(a);
+      ASSERT_EQ(ra.requests, n);
+      expect_same_result(ra, plain_replay(plain, b));
+      EXPECT_TRUE(device_bytes(walked) == device_bytes(plain));
+    }
+  }
+}
+
 TEST(Lookahead, WalkerVisitsEveryRecordOnceInOrder) {
   Ssd ssd(SsdConfig::scaled(1024), "IPU");
   for (const std::size_t n :
        {std::size_t{0}, std::size_t{1}, kRowsAhead - 1, kRowsAhead,
         kRowsAhead + 1, kMapAhead - 1, kMapAhead, kMapAhead + 1,
-        2 * kMapAhead + 3, Replayer::kBatch}) {
+        2 * kMapAhead + 3, trace::DecodeAhead::kBatch}) {
     std::vector<trace::TraceRecord> batch(n);
     for (std::size_t i = 0; i < n; ++i) {
       batch[i].offset = i * 7 * kSubpageBytes;
