@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <sstream>
 
 #include "common/check.h"
@@ -30,13 +31,13 @@ double seconds_since(Clock::time_point t0) {
 /// wall seconds the prefill took.
 ///
 /// The prefill is a closed-form bulk fill of the freshly built device
-/// (Scheme::prefill_mlc). The warm replay takes the replayer's record walk
-/// (sim::walk_records: decode on a worker thread, request lookahead) and
-/// submits straight to Ssd::submit: nothing reads its completions or
-/// latencies, and reset_timing() discards its timing, so it skips the
-/// Replayer and the host completion queue. Ssd::submit is the path
-/// Ssd::enqueue takes before its completion push, so the device state it
-/// leaves is the same.
+/// (Scheme::prefill_mlc). The warm replay takes the replayer's host path
+/// (sim::walk_records: decode and pricing on worker threads, placement
+/// with the request lookahead here) and prices each request with
+/// Ssd::price: nothing reads its completions or latencies, and
+/// reset_timing() discards its timing, so it skips the Replayer's folds
+/// and the host completion queue. Ssd::price is what Ssd::enqueue does
+/// before its completion push, so the device state it leaves is the same.
 double run_warmup(sim::Ssd& ssd, const trace::SyntheticWorkload& workload,
                   const trace::TraceProfile& profile) {
   const auto& geom = ssd.scheme().array().geometry();
@@ -69,9 +70,11 @@ double run_warmup(sim::Ssd& ssd, const trace::SyntheticWorkload& workload,
   // around this phase (telemetry tour, bench harnesses) separates
   // pre-conditioning traffic from measured host work.
   ssd.scheme().set_origin_phase(cache::OpOrigin::kPrefill);
-  sim::walk_records(ssd, warmup, 0, [&ssd](const trace::TraceRecord& rec) {
-    ssd.submit(rec.op, rec.offset, rec.size, rec.arrival);
-  });
+  sim::walk_records(ssd, warmup, 0, ssd.observed(), nullptr,
+                    [&ssd](const sim::Ssd::Placed& req,
+                           std::span<const cache::PhysOp> ops) {
+                      ssd.price(req, ops);
+                    });
   ssd.scheme().set_origin_phase(cache::OpOrigin::kHost);
   ssd.scheme().reset_metrics();
   ssd.reset_timing();

@@ -107,6 +107,9 @@ class Controller {
 
   /// The per-op observer fan-out; the Ssd brackets host requests on it.
   [[nodiscard]] telemetry::OpStream& op_stream() { return stream_; }
+  [[nodiscard]] const telemetry::OpStream& op_stream() const {
+    return stream_;
+  }
 
  private:
   /// Per-chip command lane: the array horizon (one read/program at a

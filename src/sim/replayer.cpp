@@ -1,6 +1,7 @@
 #include "sim/replayer.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/units.h"
 
@@ -48,45 +49,49 @@ ReplayResult Replayer::replay(trace::TraceSource& src,
     }
   };
 
-  const auto submit_one = [&](const trace::TraceRecord& rec) {
+  // The pricing stage, on the walk's worker: everything from here on
+  // reads and writes the timing layer only.
+  const auto price_one = [&](const Ssd::Placed& req,
+                             std::span<const cache::PhysOp> ops) {
     // Retire everything that completed before this request arrives, in
     // completion order, then advance the depth integral to the arrival.
-    ssd_->drain_completions(rec.arrival, harvest);
-    if (rec.arrival > prev_event) {
+    ssd_->drain_completions(req.arrival, harvest);
+    if (req.arrival > prev_event) {
       depth_integral += static_cast<double>(depth) *
-                        static_cast<double>(rec.arrival - prev_event);
-      prev_event = rec.arrival;
+                        static_cast<double>(req.arrival - prev_event);
+      prev_event = req.arrival;
     }
     at_arrival_sum += static_cast<double>(depth);
     result.max_queue_depth = std::max(result.max_queue_depth, depth);
-    if (first_arrival == kNoTime) first_arrival = rec.arrival;
+    if (first_arrival == kNoTime) first_arrival = req.arrival;
 
-    const auto done = ssd_->enqueue(rec.op, rec.offset, rec.size, rec.arrival);
+    const auto done = ssd_->enqueue(req, ops);
     ++depth;
     result.makespan = std::max(result.makespan, done.drained);
     ++result.requests;
-    if (progress_ != nullptr && (result.requests & kProgressMask) == 0) {
-      progress_->advance(result.requests);
-    }
 
-    if (snapshot_ != nullptr) snapshot_->tick(rec.arrival);
+    // Observer hooks: with any observer attached the walk is in lockstep,
+    // so they run before the next request is placed.
+    if (snapshot_ != nullptr) snapshot_->tick(req.arrival);
     if (tel != nullptr) {
       inflight->set(static_cast<double>(depth));
       const double ms = ns_to_ms(done.latency());
-      const bool read = rec.op == OpType::kRead;
+      const bool read = req.op == OpType::kRead;
       if (tlog != nullptr && tlog->enabled(telemetry::TraceCategory::kHost)) {
         tlog->span(telemetry::TraceCategory::kHost,
-                   read ? "host_read" : "host_write", rec.arrival, done.finish,
+                   read ? "host_read" : "host_write", req.arrival, done.finish,
                    telemetry::kHostLane,
-                   {{"bytes", static_cast<double>(rec.size)},
+                   {{"bytes", static_cast<double>(req.size)},
                     {"queue_depth", static_cast<double>(depth)},
                     {"latency_ms", ms}});
       }
-      tel->on_request(rec.arrival);
+      tel->on_request(req.arrival);
     }
   };
 
-  walk_records(*ssd_, src, max_requests, submit_one);
+  // Returns once the pricing worker is joined, so `result` is complete.
+  walk_records(*ssd_, src, max_requests,
+               ssd_->observed() || snapshot_ != nullptr, progress_, price_one);
 
   // Source exhausted: harvest every remaining completion.
   ssd_->drain_completions(kNoTime, harvest);

@@ -9,10 +9,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <span>
+#include <thread>
+#include <vector>
 
 #include "common/latency_recorder.h"
 #include "perf/progress.h"
+#include "sim/placed_ring.h"
 #include "sim/ssd.h"
 #include "telemetry/introspect/snapshotter.h"
 #include "trace/decode_ahead.h"
@@ -54,20 +58,66 @@ void for_each_ahead(Ssd& ssd, std::span<const trace::TraceRecord> batch,
   }
 }
 
-/// The record walk of Replayer::replay and the warm replay: calls fn(rec)
-/// for every record of `src` in order, at most `max_records` of them (0 =
-/// to the end of the stream). A worker thread decodes the records
-/// (trace::DecodeAhead) while this thread runs fn over each decoded batch
-/// with the request lookahead. An exception the source throws is rethrown
-/// here once the records before its batch have been walked; any exit
-/// stops and joins the worker.
-template <typename Fn>
+/// Ticks of the walk's progress sink: every this many + 1 placed
+/// requests, frequent enough for a smooth ETA, rare enough to stay
+/// invisible in the walk's profile.
+inline constexpr std::uint64_t kProgressMask = (1u << 14) - 1;
+
+/// The record walk of Replayer::replay and the warm replay (DESIGN.md §10,
+/// "Price on a worker thread"): a pipeline of three threads.
+///  * A decode worker reads `src` (trace::DecodeAhead), at most
+///    `max_records` records of it (0 = to the end of the stream).
+///  * This thread places each record (Ssd::place, with the request
+///    lookahead) into a PlacedRing, and ticks `progress` (if not null)
+///    every kProgressMask + 1 placed requests.
+///  * A pricing worker calls price(const Ssd::Placed&,
+///    std::span<const cache::PhysOp>) for every placed request in order;
+///    price owns the timing layer (Ssd::price or Ssd::enqueue, and any
+///    fold over the completions) for the walk's duration.
+/// With `lockstep`, which a caller sets when an observer hangs off both
+/// stages, the ring holds one request: request i + 1 is placed only after
+/// price has returned for request i.
+///
+/// Every exit joins both workers. An exception from the source, from
+/// `progress` or from placement is rethrown once every request placed
+/// before it is priced; one from price is rethrown once this thread has
+/// stopped placing, and price sees no later request.
+template <typename Price>
 void walk_records(Ssd& ssd, trace::TraceSource& src,
-                  std::uint64_t max_records, Fn&& fn) {
+                  std::uint64_t max_records, bool lockstep,
+                  perf::ProgressSink* progress, Price&& price) {
   trace::DecodeAhead decoded(src, max_records);
-  for (auto batch = decoded.next(); !batch.empty(); batch = decoded.next()) {
-    for_each_ahead(ssd, batch, fn);
+  PlacedRing ring(lockstep);
+  std::jthread pricer([&ring, &price] {
+    try {
+      for (auto batch = ring.next(); !batch.requests.empty();
+           batch = ring.next()) {
+        for (const Ssd::Placed& req : batch.requests) price(req, batch.ops);
+      }
+    } catch (...) {
+      ring.fail(std::current_exception());
+    }
+  });
+  std::exception_ptr error;
+  try {
+    std::uint64_t placed = 0;
+    const auto place = [&](const trace::TraceRecord& rec) {
+      std::vector<cache::PhysOp>& ops = ring.ops();
+      ring.push(ssd.place(rec.op, rec.offset, rec.size, rec.arrival, ops));
+      if (progress != nullptr && (++placed & kProgressMask) == 0) {
+        progress->advance(placed);
+      }
+    };
+    for (auto batch = decoded.next(); !batch.empty(); batch = decoded.next()) {
+      for_each_ahead(ssd, batch, place);
+    }
+  } catch (...) {
+    error = std::current_exception();
   }
+  ring.close();
+  pricer.join();
+  if (error) std::rethrow_exception(error);
+  ring.rethrow_failure();
 }
 
 struct ReplayResult {
@@ -90,27 +140,27 @@ class Replayer {
   explicit Replayer(Ssd& ssd) : ssd_(&ssd) {}
 
   /// Replay the source to exhaustion (or `max_requests` if nonzero; no
-  /// record past the cap is consumed). Rethrows an exception the source
-  /// throws, after submitting the records before its batch.
+  /// record past the cap is consumed) through walk_records: this thread
+  /// places, a worker prices and folds the result, and both workers are
+  /// joined before it returns. Rethrows an exception the source throws,
+  /// after placing and pricing the records before its batch.
   ReplayResult replay(trace::TraceSource& src, std::uint64_t max_requests = 0);
 
-  /// Optional live-progress sink, ticked every few thousand requests (a
-  /// null sink costs one pointer test per request). Caller keeps
-  /// ownership; the sink must outlive the replay.
+  /// Optional live-progress sink, ticked every kProgressMask + 1 placed
+  /// requests on the calling thread (a null sink costs one pointer test
+  /// per request). Caller keeps ownership; the sink must outlive the
+  /// replay.
   void set_progress(perf::ProgressSink* sink) { progress_ = sink; }
 
   /// Optional introspection snapshotter, ticked at every request arrival
-  /// (a null snapshotter costs one pointer test per request). Caller
-  /// keeps ownership and calls finish() after the replay.
+  /// once the request is priced (a null snapshotter costs one pointer
+  /// test per request; a set one runs the walk in lockstep). Caller keeps
+  /// ownership and calls finish() after the replay.
   void set_snapshotter(telemetry::introspect::Snapshotter* snap) {
     snapshot_ = snap;
   }
 
  private:
-  /// Tick granularity: frequent enough for a smooth ETA, rare enough to
-  /// stay invisible in the replay loop's profile.
-  static constexpr std::uint64_t kProgressMask = (1u << 14) - 1;
-
   Ssd* ssd_;
   perf::ProgressSink* progress_ = nullptr;
   telemetry::introspect::Snapshotter* snapshot_ = nullptr;

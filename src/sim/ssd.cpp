@@ -16,6 +16,7 @@ Ssd::Ssd(const SsdConfig& cfg, std::string_view scheme_name)
 Ssd::Ssd(const SsdConfig& cfg, std::unique_ptr<cache::Scheme> scheme)
     : scheme_(std::move(scheme)),
       logical_subpages_(scheme_->array().geometry().logical_subpages()),
+      gc_interleave_ops_(scheme_->config().cache.gc_interleave_ops),
       ctrl_(cfg, scheme_->array().chip_count(),
             scheme_->array().geometry().channels()) {
   PPSSD_CHECK(scheme_ != nullptr);
@@ -86,27 +87,31 @@ SimTime Ssd::schedule_deferred(Deferred& d, SimTime now) {
   return d.finish;
 }
 
-Ssd::Completion Ssd::submit(OpType op, std::uint64_t offset,
-                            std::uint32_t size, SimTime arrival) {
+Ssd::Placed Ssd::place(OpType op, std::uint64_t offset, std::uint32_t size,
+                       SimTime arrival, std::vector<cache::PhysOp>& ops) {
   PPSSD_CHECK(size > 0);
   const auto [lsn, count] = resolve(offset, size);
-
-  ops_.clear();
+  Placed req{arrival, op, size, static_cast<std::uint32_t>(ops.size()), 0};
   if (op == OpType::kWrite) {
-    scheme_->host_write(lsn, count, arrival, ops_);
+    scheme_->host_write(lsn, count, arrival, ops);
   } else {
-    scheme_->host_read(lsn, count, arrival, ops_);
+    scheme_->host_read(lsn, count, arrival, ops);
   }
+  req.ops_end = static_cast<std::uint32_t>(ops.size());
+  return req;
+}
 
+Ssd::Completion Ssd::price(const Placed& req,
+                           std::span<const cache::PhysOp> ops) {
   Completion done;
   done.id = next_request_id_++;
-  done.start = arrival;
+  done.start = req.arrival;
 
   // Bracket the request on the controller's op stream: the blame ledger
   // folds every foreground op scheduled until finish_request into this
   // request's component vector (background ops feed the matrix only).
   telemetry::OpStream& stream = ctrl_.op_stream();
-  stream.begin_request(done.id, op, arrival);
+  stream.begin_request(done.id, req.op, req.arrival);
 
   // GC interleaving: the controller gives host commands priority and
   // spreads background flash work across subsequent requests rather than
@@ -117,28 +122,35 @@ Ssd::Completion Ssd::submit(OpType op, std::uint64_t offset,
   //
   // Foreground commands are scheduled immediately; background commands
   // are queued, then a bounded slice of the backlog drains. Dependency
-  // edges (PhysOp::depends_on, request-local indices) are translated
-  // here: an edge to a scheduled op becomes a resolved finish time, an
-  // edge to a deferred op becomes a deferred-queue index that the FIFO
-  // drain resolves when the dependency is scheduled.
-  const std::uint32_t interleave = config().cache.gc_interleave_ops;
+  // edges (PhysOp::depends_on, buffer indices, rebased here to the
+  // request's own op sequence) are translated here: an edge to a
+  // scheduled op becomes a resolved finish time, an edge to a deferred op
+  // becomes a deferred-queue index that the FIFO drain resolves when the
+  // dependency is scheduled.
+  const std::uint32_t interleave = gc_interleave_ops_;
+  const SimTime arrival = req.arrival;
   SimTime fg_end = arrival;
   SimTime bg_end = arrival;
   op_finish_.clear();
   op_deferred_.clear();
-  for (const auto& o : ops_) {
+  for (const cache::PhysOp& o : ops.subspan(req.ops_begin,
+                                            req.ops_end - req.ops_begin)) {
+    std::uint32_t dep = cache::PhysOp::kNoDependency;
     SimTime dep_finish = 0;
     std::size_t dep_entry = kNoEntry;
     if (o.depends_on != cache::PhysOp::kNoDependency) {
-      PPSSD_CHECK_MSG(o.depends_on < op_finish_.size(),
+      dep = o.depends_on - req.ops_begin;
+      PPSSD_CHECK_MSG(dep < op_finish_.size(),
                       "depends_on must reference an earlier op");
-      dep_entry = op_deferred_[o.depends_on];
-      if (dep_entry == kNoEntry) dep_finish = op_finish_[o.depends_on];
+      dep_entry = op_deferred_[dep];
+      if (dep_entry == kNoEntry) dep_finish = op_finish_[dep];
     }
     if (o.background && interleave > 0) {
       op_deferred_.push_back(deferred_.size());
       op_finish_.push_back(0);
-      deferred_.push_back(Deferred{o, dep_finish, dep_entry});
+      // The queued copy keeps the request-local edge (it is checkpointed).
+      Deferred& d = deferred_.emplace_back(Deferred{o, dep_finish, dep_entry});
+      d.op.depends_on = dep;
     } else {
       PPSSD_CHECK_MSG(dep_entry == kNoEntry,
                       "foreground op cannot depend on a deferred op");
@@ -169,17 +181,31 @@ Ssd::Completion Ssd::submit(OpType op, std::uint64_t offset,
   return done;
 }
 
-Ssd::Completion Ssd::enqueue(OpType op, std::uint64_t offset,
-                             std::uint32_t size, SimTime arrival) {
-  const Completion done = submit(op, offset, size, arrival);
+Ssd::Completion Ssd::enqueue(const Placed& req,
+                             std::span<const cache::PhysOp> ops) {
+  const Completion done = price(req, ops);
   HostCompletion host;
   host.id = done.id;
-  host.op = op;
-  host.arrival = arrival;
+  host.op = req.op;
+  host.arrival = req.arrival;
   host.finish = done.finish;
   host.drained = done.drained;
   pending_.push(done.finish, host);
   return done;
+}
+
+Ssd::Completion Ssd::submit(OpType op, std::uint64_t offset,
+                            std::uint32_t size, SimTime arrival) {
+  ops_.clear();
+  const Placed req = place(op, offset, size, arrival, ops_);
+  return price(req, ops_);
+}
+
+Ssd::Completion Ssd::enqueue(OpType op, std::uint64_t offset,
+                             std::uint32_t size, SimTime arrival) {
+  ops_.clear();
+  const Placed req = place(op, offset, size, arrival, ops_);
+  return enqueue(req, ops_);
 }
 
 SimTime Ssd::drain_background(SimTime now) {

@@ -1,19 +1,27 @@
 // The simulated SSD: cache scheme + flash array + event-driven controller,
 // behind a byte-addressed host interface.
 //
-// Every host request takes one path into the controller:
-//  * submit()  — generate the scheme's ops, schedule each on the
-//    controller (Controller::schedule), return the completion record.
-//  * enqueue() — submit(), then push the completion into a host completion
-//    queue keyed by finish time, so the replayer can harvest completions
-//    in *completion order* against later arrivals — true device queue
-//    depth and out-of-order host completions (a short read on an idle
-//    chip overtakes a long GC-laden write).
+// Every host request takes one path into the controller, in two stages
+// that share no state:
+//  * place()   — resolve the byte range and let the scheme serve it: the
+//    FTL map, slot rows and GC decisions change, and the scheme appends
+//    the physical ops it issued to an op buffer.
+//  * price()   — schedule those ops on the controller
+//    (Controller::schedule), with the GC-interleave deferred queue, the op
+//    stream's request bracket and the request id, and return the
+//    completion record.
+// submit() is place() then price(); enqueue() is submit() plus a push of
+// the completion into a host completion queue keyed by finish time, so the
+// replayer can harvest completions in *completion order* against later
+// arrivals — true device queue depth and out-of-order host completions (a
+// short read on an idle chip overtakes a long GC-laden write). The replay
+// walk places on one thread and prices on another (sim/replayer.h).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -74,9 +82,35 @@ class Ssd {
     return {lsn, static_cast<std::uint32_t>(count)};
   }
 
-  /// Submit one host request synchronously. `offset` and `size` are in
-  /// bytes; addresses beyond the logical capacity wrap (size is clamped at
-  /// the top).
+  /// A host request the scheme has served, awaiting its timing: its ops
+  /// are [ops_begin, ops_end) of the op buffer place() appended them to,
+  /// and their depends_on edges index that buffer.
+  struct Placed {
+    SimTime arrival = 0;
+    OpType op = OpType::kRead;
+    std::uint32_t size = 0;  // bytes, as submitted
+    std::uint32_t ops_begin = 0;
+    std::uint32_t ops_end = 0;
+  };
+
+  /// Placement stage: serve one host request in the scheme, appending its
+  /// ops to `ops`. `offset` and `size` are in bytes; addresses beyond the
+  /// logical capacity wrap (size is clamped at the top). Touches the
+  /// scheme only, never the timing layer.
+  Placed place(OpType op, std::uint64_t offset, std::uint32_t size,
+               SimTime arrival, std::vector<cache::PhysOp>& ops);
+
+  /// Pricing stage: schedule a placed request's ops (`ops` is the buffer
+  /// place() appended them to) and return its completion. Touches the
+  /// timing layer only, never the scheme. Requests are priced in the
+  /// order they were placed.
+  Completion price(const Placed& req, std::span<const cache::PhysOp> ops);
+
+  /// price(), then enter the completion into the host completion queue
+  /// for later harvesting.
+  Completion enqueue(const Placed& req, std::span<const cache::PhysOp> ops);
+
+  /// Submit one host request synchronously: place() then price().
   Completion submit(OpType op, std::uint64_t offset, std::uint32_t size,
                     SimTime arrival);
 
@@ -145,6 +179,13 @@ class Ssd {
   /// spans and sampler ticks.
   [[nodiscard]] telemetry::Telemetry* telemetry() const { return telemetry_; }
 
+  /// True while a telemetry bundle or a flight recorder is attached: both
+  /// stages then write to shared observers, so the replay walk runs them
+  /// in lockstep (sim/replayer.h).
+  [[nodiscard]] bool observed() const {
+    return telemetry_ != nullptr || ctrl_.op_stream().attached();
+  }
+
  private:
   static constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 
@@ -167,9 +208,12 @@ class Ssd {
 
   std::unique_ptr<cache::Scheme> scheme_;
   std::uint64_t logical_subpages_;
+  /// config().cache.gc_interleave_ops, kept here so that pricing reads
+  /// nothing of the scheme while the placing thread changes it.
+  std::uint32_t gc_interleave_ops_;
   Controller ctrl_;
   telemetry::Telemetry* telemetry_ = nullptr;
-  std::vector<cache::PhysOp> ops_;        // reused per request
+  std::vector<cache::PhysOp> ops_;        // submit()'s op buffer
   std::vector<SimTime> op_finish_;        // reused per request
   std::vector<std::size_t> op_deferred_;  // reused per request
   std::vector<Deferred> deferred_;        // background ops not yet scheduled

@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/ipu_scheme.h"
@@ -172,6 +174,49 @@ TEST(RunExperiment, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.avg_overall_ms, b.avg_overall_ms);
   EXPECT_EQ(a.slc_erases, b.slc_erases);
   EXPECT_DOUBLE_EQ(a.read_ber, b.read_ber);
+}
+
+/// The serialized result without its wall-clock lines.
+std::string simulated_lines(const ExperimentResult& r) {
+  std::istringstream in(r.serialize());
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("wall_", 0) != 0) out += line + '\n';
+  }
+  return out;
+}
+
+// With an observer attached the replay runs its two stages in lockstep
+// (DESIGN.md §10, "Price on a worker thread"); without one they overlap.
+// Both must give the same simulated result.
+TEST(RunExperiment, ObserversLeaveEveryResultLineUnchanged) {
+  const ExperimentSpec spec = tiny_spec();
+  const std::string dir = ::testing::TempDir() + "ppssd_observed_cell/";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string bare = simulated_lines(run_experiment(spec));
+  const std::pair<const char*, std::string> knobs[] = {
+      {"PPSSD_ATTRIB", dir + "run.ledger.bin"},
+      {"PPSSD_SNAPSHOT", "5"},
+      {"PPSSD_SNAPSHOT_PATH", dir + "run.snap.bin"},
+      {"PPSSD_FLIGHT", "4096"},
+      {"PPSSD_FLIGHT_PATH", dir + "run.flight.bin"},
+  };
+  for (const auto& [name, value] : knobs) {
+    ASSERT_EQ(setenv(name, value.c_str(), 1), 0);
+  }
+  const std::string observed = simulated_lines(run_experiment(spec));
+  for (const auto& [name, value] : knobs) unsetenv(name);
+  EXPECT_EQ(observed, bare);
+  // Each observer wrote its artifact, so each was attached.
+  for (const char* file : {"run.ledger.", "run.snap.bin", "run.flight."}) {
+    bool found = false;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      found = found || entry.path().filename().string().rfind(file, 0) == 0;
+    }
+    EXPECT_TRUE(found) << file;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunExperiment, AblationOptionsChangeResults) {
